@@ -2,13 +2,13 @@
 functions between finite sets.
 
 The pipeline: encode functions by Boolean indicators or by frequency
-counts (`ypoly`, `sympoly`), average between the two representations
-(`symmetrize`), move symmetric approximations between range sizes
-(`rangexfer`), classify frequency classes (`properties`), search for the
-minimum degree via exact rational LPs (`degreelp`, `lp`), cross-check
-everything by explicit enumeration (`oracle`), and relate two-level
-AND-OR trees to one-to-one testing (`andor`).  `cli` exposes all of it as
-the `symdeg` command.
+counts (`ypoly`, `sympoly`, both on the polynomial core `sparse`),
+average between the two representations (`symmetrize`), move symmetric
+approximations between range sizes (`rangexfer`), classify frequency
+classes (`properties`), search for the minimum degree via exact rational
+LPs (`degreelp`, `lp`), cross-check everything by explicit enumeration
+(`oracle`), and relate two-level AND-OR trees to one-to-one testing
+(`andor`).  `cli` exposes all of it as the `symdeg` command.
 """
 
 from .andor import BoolAssignment, XPolynomial, andor_value, f_to_assignment, substitute

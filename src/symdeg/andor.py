@@ -16,13 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping
 
 from .degreelp import approx_degree
 from .properties import ELEMENT_DISTINCTNESS
+from .sparse import CoeffLike, SparsePolynomial
 from .ypoly import FunctionTable, YPolynomial
 
-CoeffLike = Union[Fraction, int, str]
 XMonomial = tuple[int, ...]
 
 
@@ -78,10 +78,13 @@ def f_to_assignment(f: FunctionTable) -> BoolAssignment:
     return BoolAssignment(n, tuple(bits))
 
 
-class XPolynomial:
-    """Multilinear polynomial in the n*n tree variables."""
+class XPolynomial(SparsePolynomial):
+    """Multilinear polynomial in the n*n tree variables.  A key is the
+    sorted tuple of distinct positions; keys sort by size, then position."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n",)
+    _SHAPE = ("n",)
+    _VARS, _FIELD = "x", "factors"
 
     def __init__(
         self,
@@ -91,25 +94,18 @@ class XPolynomial:
         if n < 1:
             raise ValueError("the tree needs n >= 1")
         self.n = n
-        acc: dict[XMonomial, Fraction] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for positions, coeff in items:
-            key = tuple(sorted(set(int(p) for p in positions)))
-            for p in key:
-                if not 1 <= p <= n * n:
-                    raise ValueError(f"position {p} outside 1..{n * n}")
-            acc[key] = acc.get(key, Fraction(0)) + Fraction(coeff)
-        self.terms = {mono: c for mono, c in acc.items() if c != 0}
+        super().__init__(terms)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, XPolynomial):
-            return NotImplemented
-        return (self.n, self.terms) == (other.n, other.terms)
+    def _key(self, positions: Iterable[int]) -> XMonomial:
+        key = tuple(sorted(set(int(p) for p in positions)))
+        for p in key:
+            if not 1 <= p <= self.n * self.n:
+                raise ValueError(f"position {p} outside 1..{self.n * self.n}")
+        return key
 
-    def degree(self) -> Optional[int]:
-        if not self.terms:
-            return None
-        return max(len(mono) for mono in self.terms)
+    @staticmethod
+    def _show(mono: XMonomial) -> str:
+        return "*".join(f"x{p}" for p in mono)
 
     def evaluate(self, x: BoolAssignment) -> Fraction:
         if x.n != self.n:
@@ -119,42 +115,6 @@ class XPolynomial:
             if all(x.bits[p - 1] for p in mono):
                 total += c
         return total
-
-    def sorted_terms(self) -> list[tuple[XMonomial, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
-    def to_dict(self) -> dict:
-        return {
-            "vars": "x",
-            "n": self.n,
-            "terms": [
-                {"factors": list(mono), "coeff": str(c)}
-                for mono, c in self.sorted_terms()
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "XPolynomial":
-        if data.get("vars") != "x":
-            raise ValueError(f"expected an x-polynomial, got vars={data.get('vars')!r}")
-        try:
-            n = int(data["n"])
-            terms = [
-                (tuple(int(p) for p in entry["factors"]), Fraction(entry["coeff"]))
-                for entry in data["terms"]
-            ]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed x-polynomial object: {exc}") from exc
-        return cls(n, terms)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return f"XPolynomial({self.n}, 0)"
-        parts = []
-        for mono, c in self.sorted_terms():
-            factors = "*".join(f"x{p}" for p in mono) or "1"
-            parts.append(f"{c}*{factors}")
-        return f"XPolynomial({self.n}, {' + '.join(parts)})"
 
 
 def substitute(p: XPolynomial) -> YPolynomial:

@@ -3,7 +3,7 @@ and brute-force verification.
 
 Every subcommand prints deterministic output: JSON for single results and
 reports, CSV (fixed column order, mandatory header) for sweeps, with
---json switching any subcommand to machine-readable JSON.  All rationals
+`sweep --json` switching the sweep to JSON.  All rationals
 cross the boundary as exact "p/q" strings.  Exit codes: 0 success, 1 a
 requested assertion failed (--assert-flat, or a failing verify), 2 bad
 arguments or malformed input files, 3 enumeration budget exceeded.
@@ -223,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True, help="range size")
     p.add_argument("--eps", type=_fraction, default=Fraction(1, 3), help="error bound (exact rational, default 1/3)")
     p.add_argument("--output", type=Path, help="write here instead of stdout")
-    p.add_argument("--json", action="store_true", help="JSON output (the default for this command)")
     p.set_defaults(handler=cmd_degree)
 
     p = sub.add_parser("sweep", help="certify degrees across a range of m values")
@@ -239,28 +238,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("symmetrize", help="average a y-polynomial into a z-polynomial")
     p.add_argument("--input", type=Path, required=True)
     p.add_argument("--output", type=Path, help="write here instead of stdout")
-    p.add_argument("--json", action="store_true", help="JSON output (the default for this command)")
     p.set_defaults(handler=cmd_symmetrize)
 
     p = sub.add_parser("extend", help="reinterpret a z-polynomial over more variables")
     p.add_argument("--input", type=Path, required=True)
     p.add_argument("--target-m", type=int, required=True, help="new variable count")
     p.add_argument("--output", type=Path, help="write here instead of stdout")
-    p.add_argument("--json", action="store_true", help="JSON output (the default for this command)")
     p.set_defaults(handler=cmd_extend)
 
     p = sub.add_parser("restrict", help="drop the z-polynomial variables beyond a count")
     p.add_argument("--input", type=Path, required=True)
     p.add_argument("--target-m", type=int, required=True, help="new variable count")
     p.add_argument("--output", type=Path, help="write here instead of stdout")
-    p.add_argument("--json", action="store_true", help="JSON output (the default for this command)")
     p.set_defaults(handler=cmd_restrict)
 
     p = sub.add_parser("andor-reduce", help="substitute indicators into an x-polynomial")
     p.add_argument("--input", type=Path, required=True)
     p.add_argument("--n", type=int, help="cross-check the file's group count")
     p.add_argument("--output", type=Path, help="write here instead of stdout")
-    p.add_argument("--json", action="store_true", help="JSON output (the default for this command)")
     p.set_defaults(handler=cmd_andor_reduce)
 
     p = sub.add_parser("verify", help="brute-force check of an approximation claim")
@@ -269,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="domain size (required for z-polynomials)")
     p.add_argument("--eps", type=_fraction, default=Fraction(1, 3), help="error bound (exact rational, default 1/3)")
     p.add_argument("--output", type=Path, help="write here instead of stdout")
-    p.add_argument("--json", action="store_true", help="JSON output (the default for this command)")
     p.set_defaults(handler=cmd_verify)
 
     return parser

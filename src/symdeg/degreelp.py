@@ -27,7 +27,7 @@ from itertools import combinations, product
 from typing import Optional
 
 from .lp import LinearProgram, solve
-from .properties import Label, PropertySpec, enumerate_classes
+from .properties import Label, PropertySpec, bounds_for, enumerate_classes
 from .sympoly import (
     FrequencyVector,
     Partition,
@@ -35,7 +35,7 @@ from .sympoly import (
     eval_msym,
     partitions,
 )
-from .ypoly import FunctionTable, Monomial, YPolynomial
+from .ypoly import FunctionTable, Monomial
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,16 @@ def coefficient_basis(n: int, m: int, degree: int) -> tuple[Partition, ...]:
     )
 
 
+def _add_bound_rows(program: LinearProgram, row: list[Fraction], label: Label) -> None:
+    """The two rows lower(eps) <= value <= upper(eps) of one class or function.
+    Each bound is affine in eps, so moving it to the left side puts
+    bound(0) - bound(1) in the eps column and bound(0) on the right."""
+    lower0, upper0 = bounds_for(label, Fraction(0))
+    lower1, upper1 = bounds_for(label, Fraction(1))
+    program.add_row([lower0 - lower1] + row, ">=", lower0)
+    program.add_row([upper0 - upper1] + row, "<=", upper0)
+
+
 def build_lp(prop: PropertySpec, n: int, m: int, degree: int) -> LPInstance:
     """Assemble the minimum-error LP for the property at the given degree.
     Row and column order are fixed, so instances are deterministic."""
@@ -77,16 +87,7 @@ def build_lp(prop: PropertySpec, n: int, m: int, degree: int) -> LPInstance:
     )
     for lam_class, label in classes:
         z = FrequencyVector(m, lam_class)
-        row = [eval_msym(lam, z) for lam in lambdas]
-        if label is Label.ONE:
-            program.add_row([Fraction(1)] + row, ">=", 1)   # value + eps >= 1
-            program.add_row([Fraction(0)] + row, "<=", 1)
-        elif label is Label.ZERO:
-            program.add_row([Fraction(0)] + row, ">=", 0)
-            program.add_row([Fraction(-1)] + row, "<=", 0)  # value - eps <= 0
-        else:
-            program.add_row([Fraction(0)] + row, ">=", 0)
-            program.add_row([Fraction(0)] + row, "<=", 1)
+        _add_bound_rows(program, [eval_msym(lam, z) for lam in lambdas], label)
     return LPInstance(prop.name, n, m, degree, lambdas, classes, program)
 
 
@@ -163,7 +164,7 @@ class DegreeCertificate:
             ],
             "optimal_coefficients": [
                 {"partition": list(lam), "coeff": str(c)}
-                for lam, c in self.optimal_polynomial().sorted_coeffs()
+                for lam, c in self.optimal_polynomial().sorted_terms()
             ],
         }
 
@@ -234,15 +235,7 @@ def eps_min_indicator_basis(prop: PropertySpec, n: int, m: int, degree: int) -> 
             Fraction(1) if all(f.values[i - 1] == j for i, j in mono) else Fraction(0)
             for mono in monos
         ]
-        if label is Label.ONE:
-            program.add_row([Fraction(1)] + row, ">=", 1)
-            program.add_row([Fraction(0)] + row, "<=", 1)
-        elif label is Label.ZERO:
-            program.add_row([Fraction(0)] + row, ">=", 0)
-            program.add_row([Fraction(-1)] + row, "<=", 0)
-        else:
-            program.add_row([Fraction(0)] + row, ">=", 0)
-            program.add_row([Fraction(0)] + row, "<=", 1)
+        _add_bound_rows(program, row, label)
     solution = solve(program)
     if solution.status != "optimal":
         raise RuntimeError(f"indicator-basis LP came back {solution.status}")

@@ -16,8 +16,8 @@ from typing import Iterator, Union
 
 from .budget import check_budget
 from .degreelp import DegreeCertificate, approx_degree
-from .properties import Label, PropertySpec
-from .sympoly import FrequencyVector, SymPolynomial
+from .properties import Label, PropertySpec, bounds_for
+from .sympoly import FrequencyVector, SymPolynomial, partitions
 from .ypoly import FunctionTable, YPolynomial
 
 
@@ -28,15 +28,6 @@ def enumerate_functions(n: int, m: int, budget: int | None = None) -> Iterator[F
         raise ValueError("function enumeration needs n >= 1 and m >= 1")
     check_budget(m**n, budget)
     yield from FunctionTable.all(n, m)
-
-
-def bounds_for(label: Label, eps: Fraction) -> tuple[Fraction, Fraction]:
-    """The closed interval an approximating polynomial must hit for a label."""
-    if label is Label.ONE:
-        return Fraction(1) - eps, Fraction(1)
-    if label is Label.ZERO:
-        return Fraction(0), eps
-    return Fraction(0), Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -89,55 +80,42 @@ def verify_approximation(
     eps = Fraction(eps)
     if not 0 <= eps < 1:
         raise ValueError(f"eps must lie in [0, 1), got {eps}")
-    violations: list[Violation] = []
-    table: list[dict] = []
     if isinstance(poly, SymPolynomial):
         if poly.m != m:
             raise ValueError(f"polynomial over {poly.m} variables, expected {m}")
-        from .sympoly import partitions
-
-        for lam in partitions(n, max_parts=m):
-            z = FrequencyVector(m, lam)
-            label = prop.classify(z)
-            value = poly.evaluate(z)
-            lower, upper = bounds_for(label, eps)
-            ok = lower <= value <= upper
-            table.append(
-                {
-                    "kind": "class",
-                    "where": list(lam),
-                    "label": label.value,
-                    "value": str(value),
-                    "ok": ok,
-                }
-            )
-            if not ok:
-                violations.append(Violation("class", lam, label, value, lower, upper))
+        kind = "class"
+        classes = (FrequencyVector(m, lam) for lam in partitions(n, max_parts=m))
+        points = ((z.parts, z, z) for z in classes)
     elif isinstance(poly, YPolynomial):
         if (poly.n, poly.m) != (n, m):
             raise ValueError(
                 f"polynomial over the {poly.n}x{poly.m} grid, expected {n}x{m}"
             )
-        for f in enumerate_functions(n, m, budget):
-            label = prop.classify(FrequencyVector.of_function(f))
-            value = poly.evaluate(f)
-            lower, upper = bounds_for(label, eps)
-            ok = lower <= value <= upper
-            table.append(
-                {
-                    "kind": "function",
-                    "where": list(f.values),
-                    "label": label.value,
-                    "value": str(value),
-                    "ok": ok,
-                }
-            )
-            if not ok:
-                violations.append(
-                    Violation("function", f.values, label, value, lower, upper)
-                )
+        kind = "function"
+        points = (
+            (f.values, FrequencyVector.of_function(f), f)
+            for f in enumerate_functions(n, m, budget)
+        )
     else:
         raise TypeError(f"cannot verify a {type(poly).__name__}")
+    violations: list[Violation] = []
+    table: list[dict] = []
+    for where, z, point in points:
+        label = prop.classify(z)
+        value = poly.evaluate(point)
+        lower, upper = bounds_for(label, eps)
+        ok = lower <= value <= upper
+        table.append(
+            {
+                "kind": kind,
+                "where": list(where),
+                "label": label.value,
+                "value": str(value),
+                "ok": ok,
+            }
+        )
+        if not ok:
+            violations.append(Violation(kind, where, label, value, lower, upper))
     return Report(not violations, tuple(violations), tuple(table))
 
 

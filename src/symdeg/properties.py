@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
@@ -23,6 +24,15 @@ class Label(enum.Enum):
     ONE = "One"
     ZERO = "Zero"
     UNDEFINED = "Undefined"
+
+
+def bounds_for(label: Label, eps: Fraction) -> tuple[Fraction, Fraction]:
+    """The closed interval an approximating polynomial must hit for a label."""
+    if label is Label.ONE:
+        return Fraction(1) - eps, Fraction(1)
+    if label is Label.ZERO:
+        return Fraction(0), eps
+    return Fraction(0), Fraction(1)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ def restrict(q: SymPolynomial, n_target: int) -> SymPolynomial:
         )
     return SymPolynomial(
         n_target,
-        {lam: c for lam, c in q.coeffs.items() if len(lam) <= n_target},
+        {lam: c for lam, c in q.terms.items() if len(lam) <= n_target},
     )
 
 
@@ -51,7 +51,7 @@ def extend(q: SymPolynomial, m_target: int) -> SymPolynomial:
         raise ValueError(
             f"cannot extend {q.m} variables down to {m_target}; use restrict instead"
         )
-    return SymPolynomial(m_target, dict(q.coeffs))
+    return SymPolynomial(m_target, dict(q.terms))
 
 
 @dataclass(frozen=True)

@@ -87,9 +87,8 @@ def desymmetrize(q: SymPolynomial, n: int) -> YPolynomial:
         for j in range(1, m + 1)
     }
     result = YPolynomial.zero(n, m)
-    for lam, coeff in q.sorted_coeffs():
-        expansion = msym_to_zpoly(lam, m)
-        for zmono, zcoeff in sorted(expansion.terms.items()):
+    for lam, coeff in q.sorted_terms():
+        for zmono, zcoeff in msym_to_zpoly(lam, m).sorted_terms():
             term = YPolynomial.constant(n, m, coeff * zcoeff)
             for var, exp in zmono:
                 for _ in range(exp):

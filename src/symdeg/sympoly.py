@@ -22,12 +22,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby, permutations
 from math import factorial
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
+from .sparse import CoeffLike, SparsePolynomial, concat_product
 from .ypoly import FunctionTable
 
 Partition = tuple[int, ...]
-CoeffLike = Union[Fraction, int, str]
 
 
 def check_partition(parts: Iterable[int]) -> Partition:
@@ -145,10 +145,13 @@ def eval_msym(lam: Partition, z: FrequencyVector) -> Fraction:
 ZMonomial = tuple[tuple[int, int], ...]  # sorted ((variable, exponent), ...), exponents >= 1
 
 
-class ZPolynomial:
-    """Polynomial in the named variables z_1..z_m with integer exponents."""
+class ZPolynomial(SparsePolynomial):
+    """Polynomial in the named variables z_1..z_m with integer exponents.
+    A key is the sorted tuple of (variable, exponent) pairs; keys sort
+    plainly.  It has no JSON form."""
 
-    __slots__ = ("m", "terms")
+    __slots__ = ("m",)
+    _SHAPE = ("m",)
 
     def __init__(
         self,
@@ -158,19 +161,28 @@ class ZPolynomial:
         if m < 1:
             raise ValueError("a z-polynomial needs m >= 1 variables")
         self.m = m
-        acc: dict[ZMonomial, Fraction] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for mono, coeff in items:
-            merged: dict[int, int] = {}
-            for var, exp in mono:
-                if not 1 <= var <= m:
-                    raise ValueError(f"variable z_{var} outside 1..{m}")
-                if exp < 1:
-                    raise ValueError(f"exponent {exp} must be >= 1")
-                merged[var] = merged.get(var, 0) + exp
-            key = tuple(sorted(merged.items()))
-            acc[key] = acc.get(key, Fraction(0)) + Fraction(coeff)
-        self.terms = {mono: c for mono, c in acc.items() if c != 0}
+        super().__init__(terms)
+
+    def _key(self, mono: Iterable[tuple[int, int]]) -> ZMonomial:
+        merged: dict[int, int] = {}
+        for var, exp in mono:
+            if not 1 <= var <= self.m:
+                raise ValueError(f"variable z_{var} outside 1..{self.m}")
+            if exp < 1:
+                raise ValueError(f"exponent {exp} must be >= 1")
+            merged[var] = merged.get(var, 0) + exp
+        return tuple(sorted(merged.items()))
+
+    @staticmethod
+    def _key_degree(mono: ZMonomial) -> int:
+        return sum(e for _, e in mono)
+
+    def _order(self, mono: ZMonomial) -> ZMonomial:
+        return mono
+
+    @staticmethod
+    def _show(mono: ZMonomial) -> str:
+        return "*".join(f"z{var}^{exp}" for var, exp in mono)
 
     @classmethod
     def constant(cls, m: int, value: CoeffLike) -> "ZPolynomial":
@@ -180,41 +192,7 @@ class ZPolynomial:
     def variable(cls, m: int, var: int) -> "ZPolynomial":
         return cls(m, [(((var, 1),), 1)])
 
-    def _check_same_vars(self, other: "ZPolynomial") -> None:
-        if self.m != other.m:
-            raise ValueError(f"variable count mismatch: {self.m} vs {other.m}")
-
-    def __add__(self, other: "ZPolynomial") -> "ZPolynomial":
-        self._check_same_vars(other)
-        merged = dict(self.terms)
-        for mono, c in other.terms.items():
-            merged[mono] = merged.get(mono, Fraction(0)) + c
-        return ZPolynomial(self.m, merged)
-
-    def __sub__(self, other: "ZPolynomial") -> "ZPolynomial":
-        return self + other.scale(-1)
-
-    def __mul__(self, other: "ZPolynomial") -> "ZPolynomial":
-        self._check_same_vars(other)
-        raw: list[tuple[ZMonomial, Fraction]] = []
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                raw.append((ma + mb, ca * cb))
-        return ZPolynomial(self.m, raw)
-
-    def scale(self, factor: CoeffLike) -> "ZPolynomial":
-        factor = Fraction(factor)
-        return ZPolynomial(self.m, {mono: c * factor for mono, c in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ZPolynomial):
-            return NotImplemented
-        return (self.m, self.terms) == (other.m, other.terms)
-
-    def degree(self) -> Optional[int]:
-        if not self.terms:
-            return None
-        return max(sum(e for _, e in mono) for mono in self.terms)
+    __mul__ = concat_product
 
     def evaluate(self, values: Sequence[CoeffLike]) -> Fraction:
         """Value at the ordered point (z_1, ..., z_m)."""
@@ -228,15 +206,6 @@ class ZPolynomial:
                 term *= point[var - 1] ** exp
             total += term
         return total
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return f"ZPolynomial({self.m}, 0)"
-        parts = []
-        for mono, c in sorted(self.terms.items()):
-            factors = "*".join(f"z{var}^{exp}" for var, exp in mono) or "1"
-            parts.append(f"{c}*{factors}")
-        return f"ZPolynomial({self.m}, {' + '.join(parts)})"
 
 
 def msym_to_zpoly(lam: Partition, m: int) -> ZPolynomial:
@@ -252,10 +221,14 @@ def msym_to_zpoly(lam: Partition, m: int) -> ZPolynomial:
     return ZPolynomial(m, [(mono, 1) for mono in sorted(monos)])
 
 
-class SymPolynomial:
-    """Symmetric polynomial over m frequency variables in the m_lambda basis."""
+class SymPolynomial(SparsePolynomial):
+    """Symmetric polynomial over m frequency variables in the m_lambda basis.
+    A key is a partition; a partition longer than m is the zero basis
+    element and vanishes.  Keys sort by weight, then reverse-lex parts."""
 
-    __slots__ = ("m", "coeffs")
+    __slots__ = ("m",)
+    _SHAPE = ("m",)
+    _VARS, _FIELD = "z", "partition"
 
     def __init__(
         self,
@@ -265,15 +238,23 @@ class SymPolynomial:
         if m < 1:
             raise ValueError("a symmetric polynomial needs m >= 1 variables")
         self.m = m
-        acc: dict[Partition, Fraction] = {}
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        for lam, coeff in items:
-            lam = check_partition(lam)
-            if len(lam) > m:
-                # the zero basis element over m variables
-                continue
-            acc[lam] = acc.get(lam, Fraction(0)) + Fraction(coeff)
-        self.coeffs = {lam: c for lam, c in acc.items() if c != 0}
+        super().__init__(coeffs)
+
+    def _key(self, lam: Iterable[int]) -> Optional[Partition]:
+        lam = check_partition(lam)
+        return lam if len(lam) <= self.m else None
+
+    _key_degree = staticmethod(sum)
+
+    def _order(self, lam: Partition) -> tuple:
+        return (sum(lam), tuple(-p for p in lam))
+
+    @staticmethod
+    def _show(lam: Partition) -> str:
+        return f"m{list(lam)}"
+
+    coeffs = property(lambda self: self.terms, doc="The coefficient map, by partition.")
+    sorted_coeffs = SparsePolynomial.sorted_terms
 
     @classmethod
     def zero(cls, m: int) -> "SymPolynomial":
@@ -287,85 +268,22 @@ class SymPolynomial:
     def basis(cls, m: int, lam: Iterable[int]) -> "SymPolynomial":
         return cls(m, [(tuple(lam), 1)])
 
-    def _check_same_vars(self, other: "SymPolynomial") -> None:
-        if self.m != other.m:
-            raise ValueError(f"variable count mismatch: {self.m} vs {other.m}")
-
-    def __add__(self, other: "SymPolynomial") -> "SymPolynomial":
-        self._check_same_vars(other)
-        merged = dict(self.coeffs)
-        for lam, c in other.coeffs.items():
-            merged[lam] = merged.get(lam, Fraction(0)) + c
-        return SymPolynomial(self.m, merged)
-
-    def __sub__(self, other: "SymPolynomial") -> "SymPolynomial":
-        return self + other.scale(-1)
-
-    def scale(self, factor: CoeffLike) -> "SymPolynomial":
-        factor = Fraction(factor)
-        return SymPolynomial(self.m, {lam: c * factor for lam, c in self.coeffs.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SymPolynomial):
-            return NotImplemented
-        return (self.m, self.coeffs) == (other.m, other.coeffs)
-
-    def degree(self) -> Optional[int]:
-        """Largest partition weight with a nonzero coefficient; None if zero."""
-        if not self.coeffs:
-            return None
-        return max(sum(lam) for lam in self.coeffs)
-
     def evaluate(self, z: FrequencyVector) -> Fraction:
         """Value at a frequency class (well defined: the polynomial is
         symmetric, so any ordering of the class's counts gives the same value)."""
         if z.m != self.m:
             raise ValueError(f"point has {z.m} variables but polynomial has {self.m}")
         total = Fraction(0)
-        for lam, c in self.coeffs.items():
+        for lam, c in self.terms.items():
             total += c * eval_msym(lam, z)
         return total
 
     def to_zpoly(self) -> ZPolynomial:
         """Expansion into named variables (used by tests and desymmetrization)."""
         result = ZPolynomial(self.m)
-        for lam, c in sorted(self.coeffs.items()):
+        for lam, c in sorted(self.terms.items()):
             result = result + msym_to_zpoly(lam, self.m).scale(c)
         return result
-
-    def sorted_coeffs(self) -> list[tuple[Partition, Fraction]]:
-        """Coefficients in canonical order: by weight, then reverse-lex parts."""
-        return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), tuple(-p for p in kv[0])))
-
-    def to_dict(self) -> dict:
-        return {
-            "vars": "z",
-            "m": self.m,
-            "terms": [
-                {"partition": list(lam), "coeff": str(c)}
-                for lam, c in self.sorted_coeffs()
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SymPolynomial":
-        if data.get("vars", "z") != "z":
-            raise ValueError(f"expected a z-polynomial, got vars={data.get('vars')!r}")
-        try:
-            m = int(data["m"])
-            coeffs = [
-                (tuple(int(p) for p in entry["partition"]), Fraction(entry["coeff"]))
-                for entry in data["terms"]
-            ]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed z-polynomial object: {exc}") from exc
-        return cls(m, coeffs)
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return f"SymPolynomial({self.m}, 0)"
-        parts = [f"{c}*m{list(lam)}" if lam else str(c) for lam, c in self.sorted_coeffs()]
-        return f"SymPolynomial({self.m}, {' + '.join(parts)})"
 
 
 def symmetrize_variables(p: ZPolynomial) -> SymPolynomial:

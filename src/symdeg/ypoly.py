@@ -19,11 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional
+
+from .sparse import CoeffLike, SparsePolynomial, concat_product
 
 Factor = tuple[int, int]
 Monomial = tuple[Factor, ...]
-CoeffLike = Union[Fraction, int, str]
 
 
 @dataclass(frozen=True)
@@ -96,15 +97,18 @@ def evaluate_factors(factors: Iterable[Factor], f: FunctionTable) -> int:
     return result
 
 
-class YPolynomial:
+class YPolynomial(SparsePolynomial):
     """Sparse polynomial in the indicators y[i,j], kept in normal form.
 
     Construction normalizes every monomial, merges duplicates and drops
     zero coefficients, so the invariants (distinct rows per monomial,
-    no zero terms) hold structurally.
+    no zero terms) hold structurally.  Terms sort by factor count, then
+    row-major factors.
     """
 
-    __slots__ = ("n", "m", "terms")
+    __slots__ = ("n", "m")
+    _SHAPE = ("n", "m")
+    _VARS, _FIELD = "y", "factors"
 
     def __init__(
         self,
@@ -116,18 +120,27 @@ class YPolynomial:
             raise ValueError("polynomial dimensions need n >= 1 and m >= 1")
         self.n = n
         self.m = m
-        acc: dict[Monomial, Fraction] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for factors, coeff in items:
-            factors = tuple(factors)
-            for i, j in factors:
-                if not (1 <= i <= n and 1 <= j <= m):
-                    raise ValueError(f"factor ({i},{j}) outside the {n}x{m} grid")
-            mono = normalize_monomial(factors)
-            if mono is None:
-                continue
-            acc[mono] = acc.get(mono, Fraction(0)) + Fraction(coeff)
-        self.terms = {mono: c for mono, c in acc.items() if c != 0}
+        super().__init__(terms)
+
+    def _key(self, factors: Iterable[Factor]) -> Optional[Monomial]:
+        factors = tuple(factors)
+        n, m = self.n, self.m
+        for i, j in factors:
+            if not (1 <= i <= n and 1 <= j <= m):
+                raise ValueError(f"factor ({i},{j}) outside the {n}x{m} grid")
+        return normalize_monomial(factors)
+
+    @staticmethod
+    def _show(mono: Monomial) -> str:
+        return "*".join(f"y[{i},{j}]" for i, j in mono)
+
+    @staticmethod
+    def _encode(mono: Monomial) -> list:
+        return [[i, j] for i, j in mono]
+
+    @staticmethod
+    def _decode(value) -> Monomial:
+        return tuple((int(i), int(j)) for i, j in value)
 
     @classmethod
     def zero(cls, n: int, m: int) -> "YPolynomial":
@@ -142,50 +155,7 @@ class YPolynomial:
         """The single indicator y[i,j]."""
         return cls(n, m, [(((i, j),), 1)])
 
-    def _check_same_grid(self, other: "YPolynomial") -> None:
-        if (self.n, self.m) != (other.n, other.m):
-            raise ValueError(
-                f"dimension mismatch: {self.n}x{self.m} vs {other.n}x{other.m}"
-            )
-
-    def __add__(self, other: "YPolynomial") -> "YPolynomial":
-        self._check_same_grid(other)
-        merged = dict(self.terms)
-        for mono, c in other.terms.items():
-            merged[mono] = merged.get(mono, Fraction(0)) + c
-        return YPolynomial(self.n, self.m, merged)
-
-    def __neg__(self) -> "YPolynomial":
-        return self.scale(-1)
-
-    def __sub__(self, other: "YPolynomial") -> "YPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "YPolynomial") -> "YPolynomial":
-        self._check_same_grid(other)
-        raw: list[tuple[Monomial, Fraction]] = []
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                raw.append((ma + mb, ca * cb))
-        return YPolynomial(self.n, self.m, raw)
-
-    def scale(self, factor: CoeffLike) -> "YPolynomial":
-        factor = Fraction(factor)
-        return YPolynomial(
-            self.n, self.m, {mono: c * factor for mono, c in self.terms.items()}
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, YPolynomial):
-            return NotImplemented
-        return (self.n, self.m, self.terms) == (other.n, other.m, other.terms)
-
-    def degree(self) -> Optional[int]:
-        """Largest number of factors in a surviving term; None for the zero
-        polynomial (kept non-numeric so it cannot leak into arithmetic)."""
-        if not self.terms:
-            return None
-        return max(len(mono) for mono in self.terms)
+    __mul__ = concat_product
 
     def evaluate(self, f: FunctionTable) -> Fraction:
         """Value at the indicator assignment of f."""
@@ -198,42 +168,3 @@ class YPolynomial:
             if all(f.values[i - 1] == j for i, j in mono):
                 total += c
         return total
-
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        """Terms in canonical order: by factor count, then row-major factors."""
-        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
-    def to_dict(self) -> dict:
-        """JSON-ready form; round-trips bit-exactly through from_dict."""
-        return {
-            "vars": "y",
-            "n": self.n,
-            "m": self.m,
-            "terms": [
-                {"factors": [[i, j] for i, j in mono], "coeff": str(c)}
-                for mono, c in self.sorted_terms()
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "YPolynomial":
-        if data.get("vars", "y") != "y":
-            raise ValueError(f"expected a y-polynomial, got vars={data.get('vars')!r}")
-        try:
-            n, m = int(data["n"]), int(data["m"])
-            terms = [
-                (tuple((int(i), int(j)) for i, j in entry["factors"]), Fraction(entry["coeff"]))
-                for entry in data["terms"]
-            ]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed y-polynomial object: {exc}") from exc
-        return cls(n, m, terms)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return f"YPolynomial({self.n}, {self.m}, 0)"
-        parts = []
-        for mono, c in self.sorted_terms():
-            factors = "*".join(f"y[{i},{j}]" for i, j in mono) or "1"
-            parts.append(f"{c}*{factors}")
-        return f"YPolynomial({self.n}, {self.m}, {' + '.join(parts)})"

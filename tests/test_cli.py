@@ -110,6 +110,12 @@ def test_unknown_property_is_a_usage_error():
     assert info.value.code == 2
 
 
+def test_json_flag_is_only_for_sweep():
+    with pytest.raises(SystemExit) as info:
+        main(["degree", "--property", "ed", "--n", "2", "--m", "2", "--json"])
+    assert info.value.code == 2
+
+
 def test_property_and_file_are_exclusive(wavy_file):
     with pytest.raises(SystemExit) as info:
         main(["degree", "--property", "ed", "--property-file", str(wavy_file),

@@ -62,6 +62,16 @@ def test_build_lp_is_deterministic():
     assert a == b
 
 
+def test_build_lp_bound_rows_per_label():
+    # classes (3) Zero, (2,1) Undefined, (1,1,1) One; columns eps, m_(), m_(1)
+    program = build_lp(MODIFIED_ELEMENT_DISTINCTNESS, 3, 3, 1).program
+    assert list(zip(program.lhs, program.rel, program.rhs)) == [
+        ([0, 1, 3], ">=", 0), ([-1, 1, 3], "<=", 0),
+        ([0, 1, 3], ">=", 0), ([0, 1, 3], "<=", 1),
+        ([1, 1, 3], ">=", 1), ([0, 1, 3], "<=", 1),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # frozen optima
 
@@ -123,6 +133,31 @@ def test_med_degrees():
 def test_collision_even_degrees():
     got = [approx_degree(COLLISION, n, n, THIRD).degree for n in (2, 4)]
     assert got == [2, 3]
+
+
+GOLDEN_EPS_MIN = {
+    (ELEMENT_DISTINCTNESS, 3): "1/2,1/2,2/5,0",
+    (ELEMENT_DISTINCTNESS, 4): "1/2,1/2,5/11,1/3",
+    (ELEMENT_DISTINCTNESS, 5): "1/2,1/2,9/19,21/52,1/4",
+    (ELEMENT_DISTINCTNESS, 6): "1/2,1/2,14/29,18/41,27/79,1/5",
+    (ELEMENT_DISTINCTNESS, 7): "1/2,1/2,20/41,36/79,3650/9551,108/409",
+    (MODIFIED_ELEMENT_DISTINCTNESS, 3): "1/2,1/2,0",
+    (MODIFIED_ELEMENT_DISTINCTNESS, 4): "1/2,1/2,1/3",
+    (MODIFIED_ELEMENT_DISTINCTNESS, 5): "1/2,1/2,7/17,3/13",
+    (MODIFIED_ELEMENT_DISTINCTNESS, 6): "1/2,1/2,4/9,1/3",
+    (MODIFIED_ELEMENT_DISTINCTNESS, 7): "1/2,1/2,6/13,11/29,1469/6529",
+    (COLLISION, 4): "1/2,1/2,2/5,0",
+    (COLLISION, 6): "1/2,1/2,4/9,5/21",
+}
+
+
+@pytest.mark.parametrize(
+    "prop,n", list(GOLDEN_EPS_MIN), ids=lambda v: getattr(v, "name", v)
+)
+def test_golden_eps_min_tables(prop, n):
+    # pinned optima at n = m, eps = 1/3; the witness may be any optimal vertex
+    cert = approx_degree(prop, n, n, THIRD)
+    assert ",".join(str(step.eps_min) for step in cert.steps) == GOLDEN_EPS_MIN[prop, n]
 
 
 def test_eps_min_table_is_non_increasing():

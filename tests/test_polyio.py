@@ -70,6 +70,14 @@ def test_unknown_tag_rejected():
         polynomial_from_dict(["not", "an", "object"])
 
 
+@pytest.mark.parametrize("poly", [SAMPLES[0], SAMPLES[2], SAMPLES[4]], ids=lambda p: type(p).__name__)
+def test_from_dict_requires_vars_tag(poly):
+    data = poly.to_dict()
+    del data["vars"]
+    with pytest.raises(ValueError):
+        type(poly).from_dict(data)
+
+
 def test_serialize_rejects_foreign_types():
     with pytest.raises(TypeError):
         polynomial_to_dict({"vars": "y"})
