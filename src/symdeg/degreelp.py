@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Optional
 
-from .lp import LinearProgram, solve
+from .lp import LinearProgram, Simplex, solve
 from .properties import Label, PropertySpec, bounds_for, enumerate_classes
 from .sympoly import (
     FrequencyVector,
@@ -91,12 +91,16 @@ def build_lp(prop: PropertySpec, n: int, m: int, degree: int) -> LPInstance:
     return LPInstance(prop.name, n, m, degree, lambdas, classes, program)
 
 
-def solve_lp(inst: LPInstance) -> tuple[Fraction, dict[Partition, Fraction]]:
+def solve_lp(
+    inst: LPInstance, simplex: Optional[Simplex] = None
+) -> tuple[Fraction, dict[Partition, Fraction]]:
     """Optimal (eps_min, coefficient map).  The LP is always feasible (the
     constant 1/2 with eps = 1/2 satisfies every row) and bounded (eps >= 0),
     and the pivot rule is deterministic, so the answer is a function of the
-    instance alone."""
-    solution = solve(inst.program)
+    instance alone, or, warm from `simplex`, of the instances it solved
+    before.  eps_min is the same either way; the coefficients may be
+    another optimal vertex."""
+    solution = solve(inst.program, simplex)
     if solution.status != "optimal":
         raise RuntimeError(
             f"minimum-error LP came back {solution.status}; it must be optimal"
@@ -180,6 +184,12 @@ def approx_degree(
     weight-n indicator polynomials of a class and averaging interpolates
     any labeling at degree n), so running past it signals a solver bug, as
     does any increase of eps_min with d.
+
+    The LP at d + 1 is the LP at d with the columns of the new partitions
+    appended (its rows are the same, and `coefficient_basis(d)` is a prefix
+    of `coefficient_basis(d + 1)`), so one `Simplex` carries the whole
+    search: phase 1 runs at d = 0 only, and each later degree re-optimizes
+    from the previous optimal basis.
     """
     eps = Fraction(eps)
     if not 0 <= eps < Fraction(1, 2):
@@ -190,8 +200,9 @@ def approx_degree(
     cap = max(n, len(classes))
     steps: list[DegreeStep] = []
     previous: Optional[Fraction] = None
+    simplex = Simplex()
     for d in range(cap + 1):
-        eps_min, coeffs = solve_lp(build_lp(prop, n, m, d))
+        eps_min, coeffs = solve_lp(build_lp(prop, n, m, d), simplex)
         if previous is not None and eps_min > previous:
             raise RuntimeError(
                 f"eps_min increased from {previous} to {eps_min} at degree {d}; "

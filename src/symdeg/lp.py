@@ -1,11 +1,26 @@
 """Exact linear programming over the rationals.
 
-A dense two-phase simplex on Fraction arithmetic.  Pivoting follows
-Bland's smallest-index rule for both the entering column and the leaving
-row, which rules out cycling, so the solver terminates on every instance
-and, because the rule is deterministic, always returns the same optimal
-basic solution for the same instance.  Instances here are tiny
-(tens of rows), so the dense tableau is the simple and fast-enough choice.
+A two-phase simplex on Fraction arithmetic.  Pivoting follows Bland's
+smallest-index rule for both the entering column and the leaving row,
+which rules out cycling, so the solver terminates on every instance and,
+because the rule is deterministic, always returns the same optimal basic
+solution for the same sequence of programs.
+
+The tableau is a list of Fraction rows, updated in place and sparsely: a
+pivot subtracts the pivot row only from the rows with a nonzero in the
+pivot column, and only over the pivot row's nonzero columns.  In the
+degree searches of element distinctness at n = 8 and 9 about one entry in
+eight of a pivot row is nonzero, and the Fraction products of this update
+are most of the solver's time.
+
+A `Simplex` keeps the tableau between solves.  Given a program that
+repeats the previous one's rows and appends columns, it reads B^-1 off
+the columns that formed the starting identity (each row's slack, or its
+artificial for a >= or == row), appends B^-1 a for every new column a,
+and re-optimizes from the current basis, which stays primal feasible, so
+phase 1 does not run again (after an infeasible program, phase 1 resumes
+with the new columns).  `solve` without a `Simplex` is the cold entry to
+the same code: a fresh tableau for one program.
 
 Free variables are split into positive and negative parts internally;
 callers see only the original variable order.
@@ -20,6 +35,7 @@ from typing import Optional, Sequence
 Relation = str  # "<=", ">=", "=="
 
 _RELATIONS = ("<=", ">=", "==")
+_FLIPPED = {"<=": ">=", ">=": "<=", "==": "=="}
 
 
 @dataclass
@@ -55,162 +71,163 @@ class LPSolution:
     x: Optional[list[Fraction]]
 
 
-def _pivot(tableau: list[list[Fraction]], costrow: list[Fraction], basis: list[int], row: int, col: int) -> None:
-    pivot = tableau[row][col]
-    tableau[row] = [v / pivot for v in tableau[row]]
-    pivot_row = tableau[row]
-    for r, other in enumerate(tableau):
-        if r == row:
-            continue
-        factor = other[col]
-        if factor != 0:
-            tableau[r] = [a - factor * b for a, b in zip(other, pivot_row)]
-    factor = costrow[col]
-    if factor != 0:
-        costrow[:] = [a - factor * b for a, b in zip(costrow, pivot_row)]
-    basis[row] = col
+def _prefix(lp: LinearProgram, k: int) -> tuple:
+    """Everything of the program that concerns its first k variables."""
+    return (list(lp.rel), list(lp.rhs), lp.objective[:k], lp.free[:k], [row[:k] for row in lp.lhs])
 
 
-def _run_simplex(
-    tableau: list[list[Fraction]],
-    costrow: list[Fraction],
-    basis: list[int],
-    allowed: Sequence[int],
-) -> str:
-    while True:
-        entering = None
-        for j in allowed:  # Bland: smallest eligible index enters
-            if costrow[j] < 0:
-                entering = j
-                break
-        if entering is None:
-            return "optimal"
-        leaving = None
-        best: Optional[Fraction] = None
-        for r, row in enumerate(tableau):
-            a = row[entering]
-            if a > 0:
-                ratio = row[-1] / a
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[r] < basis[leaving])
-                ):
-                    best = ratio
-                    leaving = r
-        if leaving is None:
-            return "unbounded"
-        _pivot(tableau, costrow, basis, leaving, entering)
+class Simplex:
+    """The tableau kept between the solves of a sequence of programs, each
+    one the previous program with variables appended (same rows, same
+    first variables).
 
+    The first solve builds the tableau and runs both phases; each later
+    one extends it by the new columns and runs phase 2 from the optimal
+    basis it had.  Columns are numbered in the order they were added, which
+    is the order Bland's rule scans them in.
+    """
 
-def _price_out(tableau: list[list[Fraction]], basis: list[int], costs: list[Fraction]) -> list[Fraction]:
-    """Reduced-cost row for the given per-column costs and current basis."""
-    costrow = list(costs) + [Fraction(0)]
-    for r, bv in enumerate(basis):
-        factor = costrow[bv]
-        if factor != 0:
-            costrow = [a - factor * b for a, b in zip(costrow, tableau[r])]
-    return costrow
+    def __init__(self) -> None:
+        self.rows: list[list[Fraction]] = []  # tableau rows, right-hand side last
+        self.costrow: list[Fraction] = []  # reduced costs, minus the objective last
+        self.basis: list[int] = []
+        self.cost: list[Fraction] = []  # phase-2 cost of every column
+        self.artificial: list[bool] = []
+        self.identity: list[int] = []  # per row: the column that started as its unit vector
+        self.sign: list[int] = []  # per row: -1 if it was negated to make its rhs >= 0
+        self.col_of: list[tuple[int, Optional[int]]] = []  # per variable: plus, minus column
+        self.phase = 1
+        self.status = ""
+        self.program: Optional[tuple] = None
 
+    def _solve(self, lp: LinearProgram) -> LPSolution:
+        if self.program is None:
+            self._start(lp)
+        elif _prefix(lp, len(self.col_of)) != self.program:
+            raise ValueError("a warm solve needs the previous program with columns appended")
+        self._append(lp)
+        self.program = _prefix(lp, lp.num_vars)
+        self._optimize()
+        if self.status != "optimal":
+            return LPSolution(self.status, None, None)
+        values = [Fraction(0)] * len(self.cost)
+        for row, bv in zip(self.rows, self.basis):
+            values[bv] = row[-1]
+        x = [values[plus] - (0 if minus is None else values[minus]) for plus, minus in self.col_of]
+        return LPSolution("optimal", -self.costrow[-1], x)
 
-def solve(lp: LinearProgram) -> LPSolution:
-    """Two-phase simplex; exact, deterministic, cycle-free."""
-    # split free variables into u - v
-    col_of: list[tuple[int, Optional[int]]] = []
-    expanded_cost: list[Fraction] = []
-    for j in range(lp.num_vars):
-        plus = len(expanded_cost)
-        expanded_cost.append(lp.objective[j])
-        if lp.free[j]:
-            expanded_cost.append(-lp.objective[j])
-            col_of.append((plus, plus + 1))
-        else:
-            col_of.append((plus, None))
-    num_structural = len(expanded_cost)
+    def _start(self, lp: LinearProgram) -> None:
+        """The tableau of the slack and artificial columns alone: every row
+        oriented to a non-negative right-hand side, basis = identity."""
+        self.sign = [-1 if rhs < 0 else 1 for rhs in lp.rhs]
+        rels = [_FLIPPED[rel] if s < 0 else rel for rel, s in zip(lp.rel, self.sign)]
+        slack_rows = [r for r, rel in enumerate(rels) if rel != "=="]
+        artificial_rows = [r for r, rel in enumerate(rels) if rel != "<="]
+        width = len(slack_rows) + len(artificial_rows)
+        self.rows = [[Fraction(0)] * width + [abs(rhs)] for rhs in lp.rhs]
+        self.identity = [0] * len(self.rows)
+        for j, r in enumerate(slack_rows):
+            self.rows[r][j] = Fraction(1 if rels[r] == "<=" else -1)
+            self.identity[r] = j
+        for j, r in enumerate(artificial_rows, start=len(slack_rows)):
+            self.rows[r][j] = Fraction(1)
+            self.identity[r] = j
+        self.basis = list(self.identity)
+        self.cost = [Fraction(0)] * width
+        self.artificial = [False] * len(slack_rows) + [True] * len(artificial_rows)
 
-    # orient every row to have a non-negative right-hand side
-    rows: list[tuple[list[Fraction], Relation, Fraction]] = []
-    for coeffs, rel, rhs in zip(lp.lhs, lp.rel, lp.rhs):
-        expanded = []
-        for j in range(lp.num_vars):
-            expanded.append(coeffs[j])
-            if lp.free[j]:
-                expanded.append(-coeffs[j])
-        if rhs < 0:
-            expanded = [-c for c in expanded]
-            rhs = -rhs
-            rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
-        rows.append((expanded, rel, rhs))
+    def _append(self, lp: LinearProgram) -> None:
+        """Add the columns of lp's variables not yet in the tableau, as
+        B^-1 a; B^-1's column i is the tableau column identity[i].  A free
+        variable's minus column is the negated plus column."""
+        new_vars = range(len(self.col_of), lp.num_vars)
+        columns = [[s * row[j] for s, row in zip(self.sign, lp.lhs)] for j in new_vars]
+        for row in self.rows:
+            inverse = [(i, row[col]) for i, col in enumerate(self.identity) if row[col]]
+            entries: list[Fraction] = []
+            for j, a in zip(new_vars, columns):
+                entry = sum((b * a[i] for i, b in inverse if a[i]), Fraction(0))
+                entries += (entry, -entry) if lp.free[j] else (entry,)
+            row[-1:-1] = entries
+        for j in new_vars:
+            plus = len(self.cost)
+            self.col_of.append((plus, plus + 1 if lp.free[j] else None))
+            cost = lp.objective[j]
+            self.cost += (cost, -cost) if lp.free[j] else (cost,)
+        self.artificial += [False] * (len(self.cost) - len(self.artificial))
 
-    num_slack = sum(1 for _, rel, _ in rows if rel != "==")
-    slack_base = num_structural
-    art_base = num_structural + num_slack
-
-    tableau: list[list[Fraction]] = []
-    basis: list[int] = []
-    artificial_cols: list[int] = []
-    slack_idx = 0
-    for expanded, rel, rhs in rows:
-        row = list(expanded) + [Fraction(0)] * num_slack
-        if rel != "==":
-            row[slack_base + slack_idx] = Fraction(1) if rel == "<=" else Fraction(-1)
-            slack_idx += 1
-        if rel == "<=":
-            basis.append(slack_base + slack_idx - 1)
-        else:
-            basis.append(-1)  # placeholder: needs an artificial
-        tableau.append(row + [rhs])
-
-    for r in range(len(tableau)):
-        if basis[r] == -1:
-            col = art_base + len(artificial_cols)
-            artificial_cols.append(col)
-            basis[r] = col
-    total_cols = art_base + len(artificial_cols)
-    for r, row in enumerate(tableau):
-        rhs = row.pop()
-        row.extend([Fraction(0)] * (total_cols - len(row)))
-        if basis[r] >= art_base:
-            row[basis[r]] = Fraction(1)
-        row.append(rhs)
-
-    if artificial_cols:
-        phase1_costs = [Fraction(0)] * total_cols
-        for col in artificial_cols:
-            phase1_costs[col] = Fraction(1)
-        costrow = _price_out(tableau, basis, phase1_costs)
-        status = _run_simplex(tableau, costrow, basis, range(total_cols))
-        assert status == "optimal"  # phase 1 is bounded below by 0
-        if -costrow[-1] != 0:
-            return LPSolution("infeasible", None, None)
-        # remove lingering artificials from the basis (they sit at value 0)
-        r = 0
-        while r < len(tableau):
-            if basis[r] >= art_base:
+    def _optimize(self) -> None:
+        """Run what is left of phase 1, then phase 2, from the current basis."""
+        if self.phase == 1:
+            self.costrow = self._price_out([Fraction(int(a)) for a in self.artificial])
+            self._run(range(len(self.cost)))  # bounded below by 0
+            if self.costrow[-1] != 0:
+                self.status = "infeasible"
+                return
+            self.phase = 2
+        self.costrow = self._price_out(self.cost)
+        # A basic artificial left at 0 leaves on any nonzero entry of its row
+        # (the pivot is degenerate); an all-zero row is redundant and keeps it.
+        for r, row in enumerate(self.rows):
+            if self.artificial[self.basis[r]]:
                 target = next(
-                    (j for j in range(art_base) if tableau[r][j] != 0), None
+                    (j for j, v in enumerate(row[:-1]) if v and not self.artificial[j]), None
                 )
-                if target is None:
-                    del tableau[r]  # the row is redundant
-                    del basis[r]
-                    continue
-                _pivot(tableau, costrow, basis, r, target)
-            r += 1
+                if target is not None:
+                    self._pivot(r, target)
+        self.status = self._run([j for j, art in enumerate(self.artificial) if not art])
 
-    phase2_costs = expanded_cost + [Fraction(0)] * (total_cols - num_structural)
-    costrow = _price_out(tableau, basis, phase2_costs)
-    status = _run_simplex(tableau, costrow, basis, range(art_base))
-    if status == "unbounded":
-        return LPSolution("unbounded", None, None)
+    def _price_out(self, costs: list[Fraction]) -> list[Fraction]:
+        """Reduced-cost row for the given per-column costs and current basis."""
+        costrow = list(costs) + [Fraction(0)]
+        for row, bv in zip(self.rows, self.basis):
+            factor = costrow[bv]
+            if factor:
+                for j, v in enumerate(row):
+                    if v:
+                        costrow[j] -= factor * v
+        return costrow
 
-    expanded_x = [Fraction(0)] * total_cols
-    for r, bv in enumerate(basis):
-        expanded_x[bv] = tableau[r][-1]
-    x = []
-    for plus, minus in col_of:
-        value = expanded_x[plus]
-        if minus is not None:
-            value -= expanded_x[minus]
-        x.append(value)
-    value = sum((c * v for c, v in zip(lp.objective, x)), Fraction(0))
-    return LPSolution("optimal", value, x)
+    def _run(self, allowed: Sequence[int]) -> str:
+        costrow, rows, basis = self.costrow, self.rows, self.basis
+        while True:
+            # Bland: the smallest eligible column enters
+            entering = next((j for j in allowed if costrow[j] < 0), None)
+            if entering is None:
+                return "optimal"
+            leaving = None
+            best: Optional[Fraction] = None
+            for r, row in enumerate(rows):
+                a = row[entering]
+                if a > 0:
+                    ratio = row[-1] / a
+                    if (
+                        best is None
+                        or ratio < best
+                        or (ratio == best and basis[r] < basis[leaving])
+                    ):
+                        best = ratio
+                        leaving = r
+            if leaving is None:
+                return "unbounded"
+            self._pivot(leaving, entering)
+
+    def _pivot(self, row: int, col: int) -> None:
+        pivot_row = self.rows[row]
+        pivot = pivot_row[col]
+        nonzero = [(j, v / pivot) for j, v in enumerate(pivot_row) if v]
+        for j, v in nonzero:
+            pivot_row[j] = v
+        for other in (*self.rows, self.costrow):
+            factor = other[col]
+            if factor and other is not pivot_row:
+                for j, v in nonzero:
+                    other[j] -= factor * v
+        self.basis[row] = col
+
+
+def solve(lp: LinearProgram, simplex: Optional[Simplex] = None) -> LPSolution:
+    """Two-phase simplex; exact, deterministic, cycle-free.  Given the
+    `Simplex` of an earlier solve, `lp` must be that program with variables
+    appended, and the solve starts from its optimal basis."""
+    return (Simplex() if simplex is None else simplex)._solve(lp)

@@ -5,6 +5,7 @@ cross-checked against the unrestricted per-function LP and a float solver;
 they are asserted as exact rationals.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from symdeg.properties import (
     MODIFIED_ELEMENT_DISTINCTNESS,
     property_from_classes,
 )
-from symdeg.sympoly import FrequencyVector
+from symdeg.sympoly import FrequencyVector, partitions
 
 
 THIRD = Fraction(1, 3)
@@ -141,13 +142,16 @@ GOLDEN_EPS_MIN = {
     (ELEMENT_DISTINCTNESS, 5): "1/2,1/2,9/19,21/52,1/4",
     (ELEMENT_DISTINCTNESS, 6): "1/2,1/2,14/29,18/41,27/79,1/5",
     (ELEMENT_DISTINCTNESS, 7): "1/2,1/2,20/41,36/79,3650/9551,108/409",
+    (ELEMENT_DISTINCTNESS, 8): "1/2,1/2,27/55,50/107,636/1553,1851/5708",
     (MODIFIED_ELEMENT_DISTINCTNESS, 3): "1/2,1/2,0",
     (MODIFIED_ELEMENT_DISTINCTNESS, 4): "1/2,1/2,1/3",
     (MODIFIED_ELEMENT_DISTINCTNESS, 5): "1/2,1/2,7/17,3/13",
     (MODIFIED_ELEMENT_DISTINCTNESS, 6): "1/2,1/2,4/9,1/3",
     (MODIFIED_ELEMENT_DISTINCTNESS, 7): "1/2,1/2,6/13,11/29,1469/6529",
+    (MODIFIED_ELEMENT_DISTINCTNESS, 8): "1/2,1/2,25/53,16/39,393/1388",
     (COLLISION, 4): "1/2,1/2,2/5,0",
     (COLLISION, 6): "1/2,1/2,4/9,5/21",
+    (COLLISION, 8): "1/2,1/2,6/13,7/22",
 }
 
 
@@ -208,21 +212,46 @@ def test_eps_accepts_strings_and_ints():
     assert cert.eps == 0
 
 
+BUMPY = property_from_classes(
+    "bumpy",
+    4,
+    {
+        (4,): Label.ONE,
+        (3, 1): Label.ZERO,
+        (2, 2): Label.ONE,
+    },
+)
+
+
 def test_search_needs_high_degree_when_classes_are_few():
     """A labeling whose class count is far below the needed degree: the cap
     must come from n, not from the number of classes."""
-    bumpy = property_from_classes(
-        "bumpy",
-        4,
-        {
-            (4,): Label.ONE,
-            (3, 1): Label.ZERO,
-            (2, 2): Label.ONE,
-        },
-    )
-    cert = approx_degree(bumpy, 4, 2, THIRD)  # only 3 classes exist at m = 2
+    cert = approx_degree(BUMPY, 4, 2, THIRD)  # only 3 classes exist at m = 2
     assert cert.degree == 4
-    assert verify_approximation(cert.optimal_polynomial(), bumpy, 4, 2, THIRD).passed
+    assert verify_approximation(cert.optimal_polynomial(), BUMPY, 4, 2, THIRD).passed
+
+
+def seeded_labeling(seed, n):
+    rng = random.Random(seed)
+    return property_from_classes(
+        f"seeded-{seed}", n, {lam: rng.choice(list(Label)) for lam in partitions(n)}
+    )
+
+
+@pytest.mark.parametrize(
+    "prop,n,m",
+    [(prop, n, n) for prop in (ELEMENT_DISTINCTNESS, MODIFIED_ELEMENT_DISTINCTNESS, COLLISION)
+     for n in range(3, 7)]
+    + [(BUMPY, 4, 2), (seeded_labeling(1, 5), 5, 5), (seeded_labeling(2, 5), 5, 4)],
+    ids=lambda v: getattr(v, "name", v),
+)
+def test_warm_search_matches_cold_solves(prop, n, m):
+    # the search re-optimizes one tableau across degrees; every optimum must
+    # equal a fresh solve of that degree's LP
+    cert = approx_degree(prop, n, m, THIRD)
+    for step in cert.steps:
+        assert step.eps_min == solve_lp(build_lp(prop, n, m, step.degree))[0]
+    assert verify_approximation(cert.optimal_polynomial(), prop, n, m, THIRD).passed
 
 
 def test_certificate_to_dict_shape():
@@ -271,3 +300,11 @@ def test_indicator_basis_matches_symmetric_optimum():
             unrestricted = eps_min_indicator_basis(prop, n, m, degree)
             symmetric = solve_lp(build_lp(prop, n, m, degree))[0]
             assert unrestricted == symmetric
+
+
+def test_indicator_basis_at_range_above_n():
+    # the m >= n side of range invariance with no symmetry assumed: over all
+    # 4**3 functions, the best degree-2 error is the symmetric one at m = n
+    # (degrees 0 and 1 give 1/2 on both sides)
+    unrestricted = eps_min_indicator_basis(ELEMENT_DISTINCTNESS, 3, 4, 2)
+    assert unrestricted == Fraction(2, 5) == solve_lp(build_lp(ELEMENT_DISTINCTNESS, 3, 3, 2))[0]

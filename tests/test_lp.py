@@ -3,8 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from symdeg.lp import LinearProgram, solve
+from symdeg.lp import LinearProgram, Simplex, solve
 
 
 def make_lp(num_vars, objective, free=None):
@@ -128,6 +130,90 @@ def test_row_validation():
         lp.add_row([1, 1], ">", 0)
     with pytest.raises(ValueError):
         LinearProgram(num_vars=2, objective=[1], free=[False, False])
+
+
+# ---------------------------------------------------------------------------
+# warm solves of a program widened by columns
+
+
+def first_columns(lp, k):
+    narrow = make_lp(k, lp.objective[:k], lp.free[:k])
+    for coeffs, rel, rhs in zip(lp.lhs, lp.rel, lp.rhs):
+        narrow.add_row(coeffs[:k], rel, rhs)
+    return narrow
+
+
+def satisfies(lp, x):
+    holds = {"<=": lambda a, b: a <= b, ">=": lambda a, b: a >= b, "==": lambda a, b: a == b}
+    return all(v >= 0 for v, f in zip(x, lp.free) if not f) and all(
+        holds[rel](sum(c * v for c, v in zip(coeffs, x)), rhs)
+        for coeffs, rel, rhs in zip(lp.lhs, lp.rel, lp.rhs)
+    )
+
+
+def check_warm_against_cold(lp, widths):
+    simplex = Simplex()
+    for k in widths:
+        narrow = first_columns(lp, k)
+        warm = solve(narrow, simplex)
+        cold = solve(narrow)
+        assert (warm.status, warm.value) == (cold.status, cold.value)
+        if warm.status == "optimal":
+            assert satisfies(narrow, warm.x)
+            assert sum(c * v for c, v in zip(narrow.objective, warm.x)) == warm.value
+
+
+@st.composite
+def widened_programs(draw):
+    widths = [draw(st.integers(1, 3))]
+    for extra in draw(st.lists(st.integers(1, 2), min_size=1, max_size=3)):
+        widths.append(widths[-1] + extra)
+    num_vars = widths[-1]
+    small = st.integers(-3, 3)
+    lp = make_lp(
+        num_vars,
+        draw(st.lists(st.integers(-2, 2), min_size=num_vars, max_size=num_vars)),
+        draw(st.lists(st.booleans(), min_size=num_vars, max_size=num_vars)),
+    )
+    for _ in range(draw(st.integers(1, 4))):
+        lp.add_row(
+            draw(st.lists(small, min_size=num_vars, max_size=num_vars)),
+            draw(st.sampled_from(["<=", ">=", "=="])),
+            draw(small),
+        )
+    return lp, widths
+
+
+@settings(max_examples=300, deadline=None)
+@given(widened_programs())
+def test_warm_solves_match_cold_solves(case):
+    check_warm_against_cold(*case)
+
+
+def test_warm_solve_through_a_redundant_row():
+    # the repeated row keeps its artificial basic at 0 after phase 1; the
+    # third column gives that row a nonzero, so the artificial must leave
+    # (z = 0 is forced, which an artificial left in the basis would miss)
+    lp = make_lp(3, [1, 0, -1])
+    lp.add_row([1, 1, 0], "==", 1)
+    lp.add_row([1, 1, -1], "==", 1)
+    lp.add_row([1, -1, 0], ">=", 0)
+    simplex = Simplex()
+    solve(first_columns(lp, 2), simplex)
+    warm = solve(lp, simplex)
+    assert warm == solve(lp)
+    assert warm.x == [Fraction(1, 2), Fraction(1, 2), Fraction(0)]
+
+
+def test_warm_solve_needs_the_previous_rows():
+    lp = make_lp(1, [1])
+    lp.add_row([1], ">=", 2)
+    simplex = Simplex()
+    solve(lp, simplex)
+    other = make_lp(2, [1, 0])
+    other.add_row([1, 1], ">=", 3)
+    with pytest.raises(ValueError):
+        solve(other, simplex)
 
 
 # ---------------------------------------------------------------------------
