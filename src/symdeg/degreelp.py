@@ -32,7 +32,7 @@ from .sympoly import (
     FrequencyVector,
     Partition,
     SymPolynomial,
-    eval_msym,
+    msym_values,
     partitions,
 )
 from .ypoly import FunctionTable, Monomial
@@ -86,8 +86,8 @@ def build_lp(prop: PropertySpec, n: int, m: int, degree: int) -> LPInstance:
         free=[False] + [True] * len(lambdas),
     )
     for lam_class, label in classes:
-        z = FrequencyVector(m, lam_class)
-        _add_bound_rows(program, [eval_msym(lam, z) for lam in lambdas], label)
+        values = msym_values(FrequencyVector(m, lam_class), degree)
+        _add_bound_rows(program, [values.get(lam, 0) for lam in lambdas], label)
     return LPInstance(prop.name, n, m, degree, lambdas, classes, program)
 
 

@@ -9,6 +9,17 @@ over distinct variable indices, each distinct monomial counted once.
 A partition longer than the variable count denotes the zero basis element
 and is never stored.
 
+Every m_lambda at a point z comes out of one generating function,
+
+    prod_i (1 + sum_{p >= 1} z_i^p x_p) = sum_lambda m_lambda(z) prod_{p in lambda} x_p,
+
+because each factor picks at most one exponent for its coordinate, so a
+product term is one distinct monomial.  `msym_values` expands it over the
+nonzero coordinates, truncated at a weight bound d: with k nonzero
+coordinates and P(d) partitions of weight <= d, that is O(k * P(d) * d)
+exact integer multiply-adds, and it yields every m_lambda with
+|lambda| <= d at once.
+
 `ZPolynomial` is the non-symmetric companion: a polynomial in the named
 variables z_1..z_M with arbitrary integer exponents.  It appears as the
 intermediate of the symmetrization pipeline and as the input of
@@ -119,27 +130,42 @@ class FrequencyVector:
         return self.parts + (0,) * (self.m - len(self.parts))
 
 
+def msym_values(z: FrequencyVector, degree: int) -> dict[Partition, int]:
+    """m_lambda(z) for every partition lambda of weight <= degree, from one
+    truncated expansion of prod_i (1 + sum_p z_i^p x_p) over the nonzero
+    coordinates of z (see the module docstring).  A partition missing from
+    the result has value 0: it is longer than z's support."""
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    values: dict[Partition, int] = {(): 1}
+    for v in z.parts:
+        grown = dict(values)
+        for lam, c in values.items():
+            room = degree - sum(lam)
+            power = c
+            for p in range(1, room + 1):
+                power *= v
+                i = 0
+                while i < len(lam) and lam[i] >= p:
+                    i += 1
+                key = lam[:i] + (p,) + lam[i:]
+                grown[key] = grown.get(key, 0) + power
+        values = grown
+    return values
+
+
 def eval_msym(lam: Partition, z: FrequencyVector) -> Fraction:
     """Value of the monomial symmetric basis element m_lambda at z.
 
-    Sums over all assignments of lambda's parts to distinct coordinates,
-    counting each distinct monomial once (ordered assignments divided by
-    the automorphisms of equal parts).  A lambda longer than the number of
-    variables evaluates to 0 by convention.  Coordinates equal to zero
-    never contribute because every part is positive.
+    The coefficient of prod_{p in lambda} x_p in the expansion of
+    `msym_values` at weight |lambda|: O(len(z.parts) * P(|lambda|) * |lambda|)
+    integer operations, P(w) the number of partitions of weight <= w.
+    The empty partition evaluates to 1, and a lambda longer than the number
+    of nonzero coordinates to 0 (for one longer than m, by convention).
+    To evaluate many partitions at one point, call `msym_values` once.
     """
     lam = check_partition(lam)
-    if not lam:
-        return Fraction(1)
-    if len(lam) > z.m or len(lam) > len(z.parts):
-        return Fraction(0)
-    total = 0
-    for chosen in permutations(z.parts, len(lam)):
-        term = 1
-        for value, exponent in zip(chosen, lam):
-            term *= value**exponent
-        total += term
-    return Fraction(total, partition_automorphisms(lam))
+    return Fraction(msym_values(z, sum(lam)).get(lam, 0))
 
 
 ZMonomial = tuple[tuple[int, int], ...]  # sorted ((variable, exponent), ...), exponents >= 1
@@ -273,10 +299,8 @@ class SymPolynomial(SparsePolynomial):
         symmetric, so any ordering of the class's counts gives the same value)."""
         if z.m != self.m:
             raise ValueError(f"point has {z.m} variables but polynomial has {self.m}")
-        total = Fraction(0)
-        for lam, c in self.terms.items():
-            total += c * eval_msym(lam, z)
-        return total
+        values = msym_values(z, self.degree() or 0)
+        return sum((c * values.get(lam, 0) for lam, c in self.terms.items()), Fraction(0))
 
     def to_zpoly(self) -> ZPolynomial:
         """Expansion into named variables (used by tests and desymmetrization)."""

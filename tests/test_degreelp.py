@@ -30,6 +30,8 @@ from symdeg.properties import (
 )
 from symdeg.sympoly import FrequencyVector, partitions
 
+from test_sympoly import direct_msym_value
+
 
 THIRD = Fraction(1, 3)
 
@@ -71,6 +73,22 @@ def test_build_lp_bound_rows_per_label():
         ([0, 1, 3], ">=", 0), ([0, 1, 3], "<=", 1),
         ([1, 1, 3], ">=", 1), ([0, 1, 3], "<=", 1),
     ]
+
+
+@pytest.mark.parametrize(
+    "prop", [ELEMENT_DISTINCTNESS, MODIFIED_ELEMENT_DISTINCTNESS, COLLISION]
+)
+def test_build_lp_rows_match_direct_expansion(prop):
+    # each class's two rows carry m_lambda(z) in every coefficient column,
+    # checked against the monomial-by-monomial oracle
+    n = m = 6
+    for d in range(n + 1):
+        inst = build_lp(prop, n, m, d)
+        for k, (lam_class, _) in enumerate(inst.classes):
+            counts = FrequencyVector(m, lam_class).counts()
+            expected = [direct_msym_value(lam, counts) for lam in inst.lambdas]
+            for row in inst.program.lhs[2 * k : 2 * k + 2]:
+                assert row[1:] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -308,3 +326,11 @@ def test_indicator_basis_at_range_above_n():
     # (degrees 0 and 1 give 1/2 on both sides)
     unrestricted = eps_min_indicator_basis(ELEMENT_DISTINCTNESS, 3, 4, 2)
     assert unrestricted == Fraction(2, 5) == solve_lp(build_lp(ELEMENT_DISTINCTNESS, 3, 3, 2))[0]
+
+
+@pytest.mark.parametrize("degree, expected", [(1, Fraction(1, 2)), (2, Fraction(0))])
+def test_indicator_basis_at_range_above_n_med(degree, expected):
+    # the same check for MED over all 4**3 functions: degree 2 interpolates it
+    unrestricted = eps_min_indicator_basis(MODIFIED_ELEMENT_DISTINCTNESS, 3, 4, degree)
+    symmetric = solve_lp(build_lp(MODIFIED_ELEMENT_DISTINCTNESS, 3, 3, degree))[0]
+    assert unrestricted == expected == symmetric

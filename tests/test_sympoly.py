@@ -16,6 +16,7 @@ from symdeg.sympoly import (
     check_partition,
     eval_msym,
     msym_to_zpoly,
+    msym_values,
     partition_automorphisms,
     partitions,
     symmetrize_variables,
@@ -156,6 +157,44 @@ def test_eval_msym_matches_direct_expansion():
                 for lam in partitions(weight):
                     for z in classes:
                         assert eval_msym(lam, z) == direct_msym_value(lam, z.counts())
+
+
+def test_msym_values_matches_direct_expansion_exhaustively():
+    # every class of weight n <= 7, without and with a zero coordinate,
+    # against every partition of weight <= n
+    for n in range(0, 8):
+        for parts in partitions(n):
+            for m in (len(parts), len(parts) + 1):
+                if m < 1:
+                    continue
+                z = FrequencyVector(m, parts)
+                values = msym_values(z, n)
+                for weight in range(n + 1):
+                    for lam in partitions(weight):
+                        assert values.get(lam, 0) == direct_msym_value(lam, z.counts())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(0, 3) | st.integers(0, 10**12), min_size=1, max_size=5),
+    st.integers(0, 6),
+)
+def test_msym_values_matches_direct_expansion_on_arbitrary_counts(counts, degree):
+    values = msym_values(FrequencyVector.from_counts(counts), degree)
+    assert all(sum(lam) <= degree for lam in values)
+    for weight in range(degree + 1):
+        for lam in partitions(weight):
+            assert values.get(lam, 0) == direct_msym_value(lam, counts)
+
+
+def test_msym_values_rejects_negative_degree():
+    with pytest.raises(ValueError):
+        msym_values(FrequencyVector.from_counts((1, 1)), -1)
+
+
+def test_eval_msym_long_all_ones_partition():
+    # C(11, 8) distinct monomials, each equal to 1
+    assert eval_msym((1,) * 8, FrequencyVector(11, (1,) * 11)) == comb(11, 8) == 165
 
 
 def test_eval_msym_bound():
