@@ -21,13 +21,13 @@ from .degreelp import (
     build_lp,
     eps_min_indicator_basis,
     solve_lp,
+    sweep,
 )
 from .oracle import (
     Report,
     Violation,
     enumerate_functions,
     verify_approximation,
-    verify_range_invariance,
 )
 from .polyio import (
     dump_polynomial,
@@ -117,10 +117,10 @@ __all__ = [
     "restrict",
     "solve_lp",
     "substitute",
+    "sweep",
     "symmetrize",
     "symmetrize_monomial",
     "symmetrize_variables",
     "transfer_approximation",
     "verify_approximation",
-    "verify_range_invariance",
 ]

@@ -3,10 +3,13 @@ and brute-force verification.
 
 Every subcommand prints deterministic output: JSON for single results and
 reports, CSV (fixed column order, mandatory header) for sweeps, with
-`sweep --json` switching the sweep to JSON.  All rationals
-cross the boundary as exact "p/q" strings.  Exit codes: 0 success, 1 a
-requested assertion failed (--assert-flat, or a failing verify), 2 bad
-arguments or malformed input files, 3 enumeration budget exceeded.
+`sweep --json` switching the sweep to JSON.  All rationals cross the
+boundary as exact "p/q" strings.  The library validates every instance
+(`properties.check_instance`), and `sweep` is one call to
+`degreelp.sweep`, which solves each distinct LP once.  Exit codes: 0
+success, 1 a requested assertion failed (--assert-flat, or a failing
+verify), 2 bad arguments or malformed input files, 3 enumeration budget
+exceeded.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Optional, Sequence
 
 from .andor import XPolynomial, substitute
 from .budget import BudgetExceededError
-from .degreelp import approx_degree
+from .degreelp import approx_degree, sweep
 from .oracle import verify_approximation
 from .properties import (
     BUILTIN_PROPERTIES,
@@ -81,18 +84,6 @@ def _resolve_property(args: argparse.Namespace) -> PropertySpec:
     return property_from_file(args.property_file)
 
 
-def _check_instance(prop: PropertySpec, n: int, m: int, eps: Fraction) -> None:
-    if n < 1 or m < 1:
-        raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    if not 0 <= eps < Fraction(1, 2):
-        raise ValueError(f"eps must lie in [0, 1/2), got {eps}")
-    if prop.requires_m_ge_n and m < n:
-        raise ValueError(
-            f"property {prop.name!r} tests one-to-one behaviour and needs m >= n, "
-            f"got n={n}, m={m}"
-        )
-
-
 def _emit(text: str, output: Optional[Path]) -> None:
     if output is None:
         sys.stdout.write(text)
@@ -102,7 +93,6 @@ def _emit(text: str, output: Optional[Path]) -> None:
 
 def cmd_degree(args: argparse.Namespace) -> int:
     prop = _resolve_property(args)
-    _check_instance(prop, args.n, args.m, args.eps)
     cert = approx_degree(prop, args.n, args.m, args.eps)
     _emit(json.dumps(cert.to_dict(), indent=2) + "\n", args.output)
     return 0
@@ -120,10 +110,7 @@ _SWEEP_COLUMNS = (
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    prop = _resolve_property(args)
-    for m in args.m:
-        _check_instance(prop, args.n, m, args.eps)
-    certs = [approx_degree(prop, args.n, m, args.eps) for m in args.m]
+    certs = sweep(_resolve_property(args), args.n, args.m, args.eps)
     if args.json:
         text = json.dumps([cert.to_dict() for cert in certs], indent=2) + "\n"
     else:
@@ -145,7 +132,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         text = buffer.getvalue()
     _emit(text, args.output)
     if args.assert_flat:
-        degrees = sorted(set(cert.degree for cert in certs))
+        degrees = sorted({cert.degree for cert in certs})
         if len(degrees) > 1:
             print(
                 f"assert-flat failed: degrees {degrees} across m={args.m[0]}..{args.m[-1]}",
@@ -200,8 +187,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         n, m = args.n, poly.m
     else:
         raise ValueError("verify expects a y- or z-polynomial file")
-    if not 0 <= args.eps < Fraction(1, 2):
-        raise ValueError(f"eps must lie in [0, 1/2), got {args.eps}")
     report = verify_approximation(poly, prop, n, m, args.eps)
     _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.output)
     return 0 if report.passed else 1

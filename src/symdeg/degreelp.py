@@ -13,6 +13,9 @@ requested eps.  eps_min is non-increasing in d (the feasible sets nest),
 the search is capped by an exact-interpolation bound, and every quantity
 is an exact rational, so certificates are reproducible bit for bit.
 
+`sweep` runs the search across range sizes m, once per distinct LP: for
+m >= n every m gives the same LP, which is the paper's collapse.
+
 `eps_min_indicator_basis` solves the same question without the symmetry
 restriction, over all normalized indicator monomials and all individual
 functions; agreement of the two optima is the checkable form of the
@@ -21,13 +24,13 @@ functions; agreement of the two optima is the checkable form of the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Optional
+from typing import Iterable, Optional
 
 from .lp import LinearProgram, Simplex, solve
-from .properties import Label, PropertySpec, bounds_for, enumerate_classes
+from .properties import Label, PropertySpec, bounds_for, check_instance, enumerate_classes
 from .sympoly import (
     FrequencyVector,
     Partition,
@@ -191,11 +194,7 @@ def approx_degree(
     search: phase 1 runs at d = 0 only, and each later degree re-optimizes
     from the previous optimal basis.
     """
-    eps = Fraction(eps)
-    if not 0 <= eps < Fraction(1, 2):
-        raise ValueError(f"eps must lie in [0, 1/2), got {eps}")
-    if n < 1 or m < 1:
-        raise ValueError("degree search needs n >= 1 and m >= 1")
+    eps = check_instance(prop, n, m, eps)
     classes = enumerate_classes(prop, n, m)
     cap = max(n, len(classes))
     steps: list[DegreeStep] = []
@@ -216,6 +215,33 @@ def approx_degree(
         f"no degree up to the interpolation cap {cap} reached eps = {eps}; "
         "the solver must be broken"
     )
+
+
+def sweep(
+    prop: PropertySpec, n: int, ms: Iterable[int], eps: Fraction | int | str = Fraction(1, 3)
+) -> tuple[DegreeCertificate, ...]:
+    """`approx_degree(prop, n, m, eps)` for each m in `ms`, every instance
+    checked before anything is solved.
+
+    The LP reads m only through the labelled classes and the column cap
+    min(n, m) (`msym_values` sees a class's nonzero counts alone), so two
+    range sizes with the same (classes, cap) key share the LP at every
+    degree, and each key is searched once.  For m >= n that key is the
+    same for a built-in property: all partitions of n, cap n.  This is the
+    paper's collapse of every range M >= N onto M = N.  The labels are
+    compared, not assumed, since a custom rule may read m.
+    """
+    ms = list(ms)
+    for m in ms:
+        eps = check_instance(prop, n, m, eps)
+    solved: dict[tuple, DegreeCertificate] = {}
+    certs = []
+    for m in ms:
+        key = (tuple(enumerate_classes(prop, n, m)), min(n, m))
+        if key not in solved:
+            solved[key] = approx_degree(prop, n, m, eps)
+        certs.append(replace(solved[key], m=m))
+    return tuple(certs)
 
 
 def indicator_monomials(n: int, m: int, degree: int) -> tuple[Monomial, ...]:

@@ -15,8 +15,7 @@ from fractions import Fraction
 from typing import Iterator, Union
 
 from .budget import check_budget
-from .degreelp import DegreeCertificate, approx_degree
-from .properties import Label, PropertySpec, bounds_for
+from .properties import Label, PropertySpec, bounds_for, check_instance
 from .sympoly import FrequencyVector, SymPolynomial, partitions
 from .ypoly import FunctionTable, YPolynomial
 
@@ -75,11 +74,10 @@ def verify_approximation(
     """Check that `poly` eps-approximates the property over [n] -> [m].
 
     Symmetric polynomials are checked class by class (cheap); indicator
-    polynomials function by function (budgeted at m**n).
+    polynomials function by function (budgeted at m**n).  The instance
+    must pass `check_instance`, as for the degree search.
     """
-    eps = Fraction(eps)
-    if not 0 <= eps < 1:
-        raise ValueError(f"eps must lie in [0, 1), got {eps}")
+    eps = check_instance(prop, n, m, eps)
     if isinstance(poly, SymPolynomial):
         if poly.m != m:
             raise ValueError(f"polynomial over {poly.m} variables, expected {m}")
@@ -116,48 +114,4 @@ def verify_approximation(
         )
         if not ok:
             violations.append(Violation(kind, where, label, value, lower, upper))
-    return Report(not violations, tuple(violations), tuple(table))
-
-
-def verify_range_invariance(
-    prop: PropertySpec,
-    n: int,
-    m_max: int,
-    eps: Fraction | int | str = Fraction(1, 3),
-) -> Report:
-    """Certify d* for every range size m = n..m_max and report whether the
-    degree stays flat, as it must for every symmetric property."""
-    if m_max < n:
-        raise ValueError(f"m_max = {m_max} must be at least n = {n}")
-    certificates: list[DegreeCertificate] = [
-        approx_degree(prop, n, m, eps) for m in range(n, m_max + 1)
-    ]
-    reference = certificates[0].degree
-    violations: list[Violation] = []
-    table: list[dict] = []
-    for cert in certificates:
-        ok = cert.degree == reference
-        table.append(
-            {
-                "kind": "range",
-                "m": cert.m,
-                "degree": cert.degree,
-                "query_lower_bound": cert.query_lower_bound,
-                "eps_min_by_degree": [
-                    {"degree": s.degree, "eps_min": str(s.eps_min)} for s in cert.steps
-                ],
-                "ok": ok,
-            }
-        )
-        if not ok:
-            violations.append(
-                Violation(
-                    "range",
-                    (cert.m,),
-                    Label.UNDEFINED,
-                    Fraction(cert.degree),
-                    Fraction(reference),
-                    Fraction(reference),
-                )
-            )
     return Report(not violations, tuple(violations), tuple(table))

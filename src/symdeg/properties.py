@@ -40,8 +40,8 @@ class PropertySpec:
     """A named property: a classification rule over frequency classes.
 
     `requires_m_ge_n` marks properties whose One side is "f is one-to-one";
-    they make no sense when the range is smaller than the domain, and the
-    CLI rejects such instances up front.
+    they make no sense when the range is smaller than the domain, and
+    `check_instance` rejects such instances up front.
     """
 
     name: str
@@ -102,6 +102,27 @@ def get_property(name: str) -> PropertySpec:
     except KeyError:
         known = ", ".join(sorted(set(BUILTIN_PROPERTIES)))
         raise ValueError(f"unknown property {name!r}; known: {known}") from None
+
+
+def check_instance(prop: PropertySpec, n: int, m: int, eps: Fraction | int | str) -> Fraction:
+    """The validity rule of an instance, shared by the degree search, the
+    sweep and the verifier; returns eps as a Fraction.  A float is refused:
+    its binary value, not the decimal the caller meant, would reach the answer."""
+    if isinstance(eps, float):
+        raise ValueError(
+            f"eps must be exact: pass a Fraction or a 'p/q' string, got the float {eps!r}"
+        )
+    eps = Fraction(eps)
+    if n < 1 or m < 1:
+        raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+    if not 0 <= eps < Fraction(1, 2):
+        raise ValueError(f"eps must lie in [0, 1/2), got {eps}")
+    if prop.requires_m_ge_n and m < n:
+        raise ValueError(
+            f"property {prop.name!r} tests one-to-one behaviour and needs m >= n, "
+            f"got n={n}, m={m}"
+        )
+    return eps
 
 
 def enumerate_classes(prop: PropertySpec, n: int, m: int) -> list[tuple[Partition, Label]]:

@@ -127,9 +127,23 @@ def test_property_and_file_are_exclusive(wavy_file):
 # sweep
 
 
+# the README's example
+COLLISION_SWEEP_CSV = (
+    "property,n,m,eps,d_star,query_lower_bound,eps_min_by_degree\n"
+    "collision,4,4,1/3,3,2,0=1/2;1=1/2;2=2/5;3=0\n"
+    "collision,4,5,1/3,3,2,0=1/2;1=1/2;2=2/5;3=0\n"
+    "collision,4,6,1/3,3,2,0=1/2;1=1/2;2=2/5;3=0\n"
+    "collision,4,7,1/3,3,2,0=1/2;1=1/2;2=2/5;3=0\n"
+)
+
+
 def test_sweep_csv_exact_bytes(capsys):
-    assert main(["sweep", "--property", "ed", "--n", "2", "--m", "2..4"]) == 0
-    assert capsys.readouterr().out == ED_SWEEP_CSV
+    for prop, n, ms, expected in [
+        ("ed", "2", "2..4", ED_SWEEP_CSV),
+        ("collision", "4", "4..7", COLLISION_SWEEP_CSV),
+    ]:
+        assert main(["sweep", "--property", prop, "--n", n, "--m", ms]) == 0
+        assert capsys.readouterr().out == expected
 
 
 def test_sweep_single_m(capsys):

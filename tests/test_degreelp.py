@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import symdeg.degreelp as degreelp
 from symdeg.degreelp import (
     DegreeCertificate,
     approx_degree,
@@ -18,6 +19,7 @@ from symdeg.degreelp import (
     eps_min_indicator_basis,
     indicator_monomials,
     solve_lp,
+    sweep,
 )
 from symdeg.oracle import verify_approximation
 from symdeg.properties import (
@@ -26,9 +28,10 @@ from symdeg.properties import (
     ELEMENT_DISTINCTNESS,
     Label,
     MODIFIED_ELEMENT_DISTINCTNESS,
+    PropertySpec,
     property_from_classes,
 )
-from symdeg.sympoly import FrequencyVector, partitions
+from symdeg.sympoly import FrequencyVector, SymPolynomial, partitions
 
 from test_sympoly import direct_msym_value
 
@@ -223,6 +226,18 @@ def test_eps_validation():
         approx_degree(ELEMENT_DISTINCTNESS, 0, 2)
 
 
+def test_float_eps_is_rejected():
+    # 0.3 is not 3/10 in binary; the exact value must come as a Fraction or "p/q"
+    q = SymPolynomial(2, {(1, 1): 1})
+    for call in (
+        lambda: approx_degree(ELEMENT_DISTINCTNESS, 3, 3, 0.3),
+        lambda: sweep(ELEMENT_DISTINCTNESS, 3, [3, 4], 0.3),
+        lambda: verify_approximation(q, ELEMENT_DISTINCTNESS, 2, 2, 0.3),
+    ):
+        with pytest.raises(ValueError, match="Fraction"):
+            call()
+
+
 def test_eps_accepts_strings_and_ints():
     cert = approx_degree(ELEMENT_DISTINCTNESS, 2, 2, "1/3")
     assert cert.eps == THIRD
@@ -247,6 +262,64 @@ def test_search_needs_high_degree_when_classes_are_few():
     cert = approx_degree(BUMPY, 4, 2, THIRD)  # only 3 classes exist at m = 2
     assert cert.degree == 4
     assert verify_approximation(cert.optimal_polynomial(), BUMPY, 4, 2, THIRD).passed
+
+
+# ---------------------------------------------------------------------------
+# range sweeps
+
+
+@pytest.mark.parametrize(
+    "prop", [ELEMENT_DISTINCTNESS, MODIFIED_ELEMENT_DISTINCTNESS, COLLISION],
+    ids=lambda p: p.name,
+)
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_build_lp_is_the_same_for_every_m_at_least_n(prop, n):
+    # the paper's collapse, literally: for m >= n no degree's LP depends on m
+    for d in range(n + 1):
+        base = build_lp(prop, n, n, d)
+        for m in (n + 1, n + 2):
+            inst = build_lp(prop, n, m, d)
+            assert inst.lambdas == base.lambdas
+            assert inst.classes == base.classes
+            assert inst.program == base.program
+
+
+# ED while the range is at most 2, always One above: the rule reads z.m, so
+# m = 2, 3 have the same partitions and cap but different labels
+RANGE_AWARE = PropertySpec(
+    "range-aware",
+    lambda z: Label.ONE if z.m > 2 else ELEMENT_DISTINCTNESS.classify(z),
+)
+
+
+@pytest.mark.parametrize(
+    "prop, n, ms, searched",
+    [
+        (ELEMENT_DISTINCTNESS, 2, [2, 3, 4], [2]),
+        (BUMPY, 4, [1, 2, 3, 4, 5], [1, 2, 3, 4]),
+        (RANGE_AWARE, 2, [1, 2, 3, 4], [1, 2, 3]),
+    ],
+    ids=lambda v: getattr(v, "name", None),
+)
+def test_sweep_searches_each_lp_once(monkeypatch, prop, n, ms, searched):
+    calls = []
+
+    def counting(prop, n, m, eps):
+        calls.append(m)
+        return approx_degree(prop, n, m, eps)
+
+    monkeypatch.setattr(degreelp, "approx_degree", counting)
+    certs = sweep(prop, n, ms, THIRD)
+    assert calls == searched
+    assert certs == tuple(approx_degree(prop, n, m, THIRD) for m in ms)
+
+
+def test_sweep_checks_every_m_before_solving(monkeypatch):
+    monkeypatch.setattr(
+        degreelp, "approx_degree", lambda *args: pytest.fail("searched before m = 2 was checked")
+    )
+    with pytest.raises(ValueError, match="m >= n"):
+        sweep(ELEMENT_DISTINCTNESS, 3, [3, 2])
 
 
 def seeded_labeling(seed, n):

@@ -5,13 +5,12 @@ from fractions import Fraction
 import pytest
 
 from symdeg.budget import BudgetExceededError
-from symdeg.degreelp import approx_degree
+from symdeg.degreelp import approx_degree, sweep
 from symdeg.oracle import (
     Report,
     bounds_for,
     enumerate_functions,
     verify_approximation,
-    verify_range_invariance,
 )
 from symdeg.properties import (
     ALWAYS_ONE,
@@ -77,10 +76,11 @@ def test_constant_half_fails_both_sides():
     }
 
 
-def test_constant_half_passes_at_eps_half():
+def test_eps_half_is_rejected():
+    # the verifier takes eps from [0, 1/2), like the degree search and the CLI
     q = SymPolynomial.constant(2, Fraction(1, 2))
-    report = verify_approximation(q, ELEMENT_DISTINCTNESS, 2, 2, Fraction(1, 2))
-    assert report.passed
+    with pytest.raises(ValueError, match=r"\[0, 1/2\)"):
+        verify_approximation(q, ELEMENT_DISTINCTNESS, 2, 2, Fraction(1, 2))
 
 
 def test_sym_route_argument_validation():
@@ -166,20 +166,20 @@ def test_report_to_dict_shape():
 
 
 def test_range_invariance_ed():
-    report = verify_range_invariance(ELEMENT_DISTINCTNESS, 2, 4, THIRD)
-    assert report.passed
-    assert [entry["m"] for entry in report.table] == [2, 3, 4]
-    assert all(entry["degree"] == 2 for entry in report.table)
-    assert all(entry["kind"] == "range" for entry in report.table)
-
-
-def test_range_invariance_rejects_small_m_max():
-    with pytest.raises(ValueError):
-        verify_range_invariance(ELEMENT_DISTINCTNESS, 3, 2, THIRD)
+    certs = sweep(ELEMENT_DISTINCTNESS, 2, range(2, 5), THIRD)
+    assert [cert.m for cert in certs] == [2, 3, 4]
+    assert all(cert.degree == 2 for cert in certs)
+    # the polynomial found once for m = n must pass the oracle at every m
+    for cert in certs:
+        poly = cert.optimal_polynomial()
+        assert verify_approximation(poly, ELEMENT_DISTINCTNESS, 2, cert.m, THIRD).passed
 
 
 def test_range_invariance_report_serializes():
-    report = verify_range_invariance(COLLISION, 2, 3, THIRD)
-    data = report.to_dict()
-    assert data["pass"] is True
-    assert len(data["table"]) == 2
+    certs = sweep(COLLISION, 2, [2, 3], THIRD)
+    data = [cert.to_dict() for cert in certs]
+    assert [entry["m"] for entry in data] == [2, 3]
+    assert [entry["degree"] for entry in data] == [2, 2]
+    for cert in certs:
+        report = verify_approximation(cert.optimal_polynomial(), COLLISION, 2, cert.m, THIRD)
+        assert report.to_dict()["pass"] is True

@@ -1,6 +1,7 @@
 """Tests for class labelings: built-in properties and explicit tables."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ from symdeg.properties import (
     Label,
     MODIFIED_ELEMENT_DISTINCTNESS,
     PropertySpec,
+    check_instance,
     enumerate_classes,
     get_property,
     property_from_classes,
@@ -61,6 +63,21 @@ def test_always_one():
 def test_one_to_one_properties_flagged():
     for prop in (COLLISION, ELEMENT_DISTINCTNESS, MODIFIED_ELEMENT_DISTINCTNESS):
         assert prop.requires_m_ge_n
+
+
+def test_check_instance():
+    assert check_instance(ELEMENT_DISTINCTNESS, 3, 3, "1/3") == Fraction(1, 3)
+    assert check_instance(ALWAYS_ONE, 3, 1, 0) == 0  # no m >= n rule here
+    for prop, n, m, eps, message in [
+        (ALWAYS_ONE, 0, 2, 0, "n >= 1"),
+        (ALWAYS_ONE, 2, 0, 0, "m >= 1"),
+        (ALWAYS_ONE, 2, 2, Fraction(1, 2), r"\[0, 1/2\)"),
+        (ALWAYS_ONE, 2, 2, -1, r"\[0, 1/2\)"),
+        (ELEMENT_DISTINCTNESS, 3, 2, 0, "m >= n"),
+        (ALWAYS_ONE, 2, 2, 0.25, "Fraction"),  # exact in binary, still refused
+    ]:
+        with pytest.raises(ValueError, match=message):
+            check_instance(prop, n, m, eps)
 
 
 def test_get_property_aliases():
