@@ -180,6 +180,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     prop = _resolve_property(args)
     poly = load_polynomial(args.input)
     if isinstance(poly, YPolynomial):
+        if args.n is not None and args.n != poly.n:
+            raise ValueError(f"--n {args.n} does not match the file's n = {poly.n}")
         n, m = poly.n, poly.m
     elif isinstance(poly, SymPolynomial):
         if args.n is None:
@@ -246,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="brute-force check of an approximation claim")
     _add_property_arguments(p)
     p.add_argument("--input", type=Path, required=True)
-    p.add_argument("--n", type=int, help="domain size (required for z-polynomials)")
+    p.add_argument("--n", type=int, help="domain size (required for z-polynomials; must match a y-polynomial file)")
     p.add_argument("--eps", type=_fraction, default=Fraction(1, 3), help="error bound (exact rational, default 1/3)")
     p.add_argument("--output", type=Path, help="write here instead of stdout")
     p.set_defaults(handler=cmd_verify)

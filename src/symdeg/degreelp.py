@@ -30,6 +30,7 @@ from itertools import combinations, product
 from typing import Iterable, Optional
 
 from .lp import LinearProgram, Simplex, solve
+from .oracle import enumerate_functions
 from .properties import Label, PropertySpec, bounds_for, check_instance, enumerate_classes
 from .sympoly import (
     FrequencyVector,
@@ -38,7 +39,7 @@ from .sympoly import (
     msym_values,
     partitions,
 )
-from .ypoly import FunctionTable, Monomial
+from .ypoly import Monomial
 
 
 @dataclass(frozen=True)
@@ -259,14 +260,15 @@ def eps_min_indicator_basis(prop: PropertySpec, n: int, m: int, degree: int) -> 
     """Best error over *all* polynomials of the given degree in the
     indicators, one bound row pair per individual function.  No symmetry is
     imposed; matching `solve_lp` optima shows none was needed.  Exhaustive
-    over m**n functions, so keep n and m small."""
+    over m**n functions, so the function count must fit the enumeration
+    budget (which does not bound the LP's own cost: keep n and m small)."""
     monos = indicator_monomials(n, m, degree)
     program = LinearProgram(
         num_vars=1 + len(monos),
         objective=[Fraction(1)] + [Fraction(0)] * len(monos),
         free=[False] + [True] * len(monos),
     )
-    for f in FunctionTable.all(n, m):
+    for f in enumerate_functions(n, m):
         label = prop.classify(FrequencyVector.of_function(f))
         row = [
             Fraction(1) if all(f.values[i - 1] == j for i, j in mono) else Fraction(0)

@@ -17,6 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
+from .sparse import json_int
 from .sympoly import FrequencyVector, Partition, check_partition, partitions
 
 
@@ -152,9 +153,10 @@ def property_from_classes(
 
 
 def property_from_dict(data: dict, name: str = "custom") -> PropertySpec:
-    """Parse {"n": N, "classes": [{"partition": [...], "label": "One"}, ...]}."""
+    """Parse {"n": N, "classes": [{"partition": [...], "label": "One"}, ...]};
+    n and every part must be JSON integers."""
     try:
-        n = int(data["n"])
+        n = json_int(data["n"], "n")
         entries = list(data["classes"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed property object: {exc}") from exc
@@ -163,7 +165,7 @@ def property_from_dict(data: dict, name: str = "custom") -> PropertySpec:
     labeled: dict[Partition, Label] = {}
     for entry in entries:
         try:
-            lam = check_partition(entry["partition"])
+            lam = check_partition(json_int(p, "each part") for p in entry["partition"])
             label = Label(entry["label"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed class entry {entry!r}: {exc}") from exc

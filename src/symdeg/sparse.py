@@ -18,6 +18,10 @@ normalizer and a few one-line hooks:
 - `_VARS`, `_FIELD`, `_encode(key)` and `_decode(value)`: the JSON tag,
   the term field holding the key, and the key's JSON codec (by default a
   list of ints).  A kind without a JSON form leaves out the tag and field.
+
+Reading JSON is strict: a coefficient is a "p/q" string or a JSON integer
+and every integer field a JSON integer (`json_fraction`, `json_int`), so a
+float can neither reach a coefficient as its binary value nor be truncated.
 """
 
 from __future__ import annotations
@@ -26,6 +30,25 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
 CoeffLike = Union[Fraction, int, str]
+
+
+def json_int(value: object, what: str) -> int:
+    """A JSON integer field; a float, string or boolean is refused."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def json_fraction(value: object) -> Fraction:
+    """An exact coefficient from JSON: a "p/q" string or a JSON integer."""
+    if type(value) is int:
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"coeff must be a 'p/q' string or a JSON integer, got {value!r}")
 
 
 class SparsePolynomial:
@@ -95,7 +118,7 @@ class SparsePolynomial:
 
     @staticmethod
     def _decode(value) -> tuple:
-        return tuple(int(v) for v in value)
+        return tuple(json_int(v, "each entry") for v in value)
 
     def to_dict(self) -> dict:
         """JSON-ready form; round-trips bit-exactly through from_dict."""
@@ -112,11 +135,14 @@ class SparsePolynomial:
         if data.get("vars") != cls._VARS:
             raise ValueError(f"expected vars={cls._VARS!r}, got vars={data.get('vars')!r}")
         try:
-            shape = [int(data[name]) for name in cls._SHAPE]
-            terms = [
-                (cls._decode(entry[cls._FIELD]), Fraction(entry["coeff"]))
-                for entry in data["terms"]
-            ]
+            shape = [json_int(data[name], name) for name in cls._SHAPE]
+            terms = []
+            for entry in data["terms"]:
+                try:
+                    key = cls._decode(entry[cls._FIELD])
+                    terms.append((key, json_fraction(entry["coeff"])))
+                except ValueError as exc:
+                    raise ValueError(f"bad term {entry!r}: {exc}") from None
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed {cls._VARS}-polynomial object: {exc}") from exc
         return cls(*shape, terms)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .sparse import CoeffLike, SparsePolynomial, concat_product
+from .sparse import CoeffLike, SparsePolynomial, concat_product, json_int
 
 Factor = tuple[int, int]
 Monomial = tuple[Factor, ...]
@@ -140,7 +140,7 @@ class YPolynomial(SparsePolynomial):
 
     @staticmethod
     def _decode(value) -> Monomial:
-        return tuple((int(i), int(j)) for i, j in value)
+        return tuple((json_int(i, "a row"), json_int(j, "a column")) for i, j in value)
 
     @classmethod
     def zero(cls, n: int, m: int) -> "YPolynomial":

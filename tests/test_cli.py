@@ -265,6 +265,17 @@ def test_malformed_input_file(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("coeff", [0.1, "1/0"])
+def test_inexact_coefficient_is_bad_input(tmp_path, capsys, coeff):
+    src = tmp_path / "q.json"
+    data = {"vars": "z", "m": 2, "terms": [{"partition": [1], "coeff": coeff}]}
+    src.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["extend", "--input", str(src), "--target-m", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "coeff must be a 'p/q' string or a JSON integer" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -289,6 +300,20 @@ def test_verify_failing_z_polynomial(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["pass"] is False
     assert len(data["violations"]) == 1  # the One class gets value 0
+
+
+def test_verify_y_polynomial_checks_n(tmp_path, capsys):
+    src = tmp_path / "p.json"
+    from symdeg.symmetrize import desymmetrize
+
+    dump_polynomial(desymmetrize(SymPolynomial(3, {(1, 1, 1): 1}), 3), src)
+    for wrong in ("7", "0"):
+        assert main(["verify", "--property", "ed", "--input", str(src), "--n", wrong]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "does not match the file's n = 3" in captured.err
+    assert main(["verify", "--property", "ed", "--input", str(src), "--n", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
 
 
 def test_verify_z_polynomial_needs_n(tmp_path, capsys):

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 import symdeg.degreelp as degreelp
+from symdeg.budget import BudgetExceededError
 from symdeg.degreelp import (
     DegreeCertificate,
     approx_degree,
@@ -407,3 +408,15 @@ def test_indicator_basis_at_range_above_n_med(degree, expected):
     unrestricted = eps_min_indicator_basis(MODIFIED_ELEMENT_DISTINCTNESS, 3, 4, degree)
     symmetric = solve_lp(build_lp(MODIFIED_ELEMENT_DISTINCTNESS, 3, 3, degree))[0]
     assert unrestricted == expected == symmetric
+
+
+def test_indicator_basis_checks_the_budget_first(monkeypatch):
+    # 3**3 = 27 functions over a budget of 20: refused before any row is built
+    def no_rows(*args):
+        raise AssertionError("a bound row was built past the budget")
+
+    monkeypatch.setenv("SYMDEG_BUDGET", "20")
+    monkeypatch.setattr(degreelp, "_add_bound_rows", no_rows)
+    with pytest.raises(BudgetExceededError) as info:
+        eps_min_indicator_basis(ELEMENT_DISTINCTNESS, 3, 3, 1)
+    assert (info.value.required, info.value.budget) == (27, 20)

@@ -113,6 +113,26 @@ def test_beale_cycling_instance_terminates():
     assert sol.x == [Fraction(1, 25), Fraction(0), Fraction(1), Fraction(0)]
 
 
+def test_degenerate_instance_with_a_free_column():
+    """Beale's instance with a free variable w in front (w >= -1): w enters
+    decreasing at the degenerate start, ends basic at -1, and the run
+    terminates at HiGHS's optimum."""
+    lp = make_lp(
+        5, [Fraction(1, 100), Fraction(-3, 4), 150, Fraction(-1, 50), 6], free=[True] + [False] * 4
+    )
+    lp.add_row([-1, Fraction(1, 4), -60, Fraction(-1, 25), 9], "<=", 0)
+    lp.add_row([1, Fraction(1, 2), -90, Fraction(-1, 50), 3], "<=", 0)
+    lp.add_row([0, 0, 0, 1, 0], "<=", 1)
+    lp.add_row([1, 0, 0, 0, 0], ">=", -1)
+    sol = solve(lp)
+    assert sol.status == "optimal"
+    assert sol.value == Fraction(-9, 100)
+    assert sol.x == [Fraction(-1), Fraction(492, 25), Fraction(49, 500), Fraction(1), Fraction(0)]
+    reference = scipy_solve(lp)
+    assert reference.status == 0
+    assert abs(float(sol.value) - reference.fun) < 1e-9
+
+
 def test_solver_is_deterministic():
     lp = make_lp(3, [1, 1, 1])
     lp.add_row([1, 2, 3], ">=", 6)
@@ -190,6 +210,32 @@ def test_warm_solves_match_cold_solves(case):
     check_warm_against_cold(*case)
 
 
+def reference_status(lp):
+    """HiGHS's verdict in this solver's terms.  Presolve is off: with it,
+    HiGHS 1.12 calls some unbounded programs (min x1 - x2 with x0 - x2 <= 1,
+    x0 + x1 - x2 >= 0) infeasible."""
+    result = scipy_solve(lp, presolve=False)
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(result.status)
+    assert status is not None, result.message
+    return status, result.fun
+
+
+@settings(max_examples=300, deadline=None)
+@given(widened_programs())
+def test_solves_match_highs(case):
+    # an independent reference for the free-column rule: every prefix of the
+    # program, warm and cold, against scipy's HiGHS
+    lp, widths = case
+    simplex = Simplex()
+    for k in widths:
+        narrow = first_columns(lp, k)
+        status, value = reference_status(narrow)
+        for exact in (solve(narrow, simplex), solve(narrow)):
+            assert exact.status == status
+            if status == "optimal":
+                assert abs(float(exact.value) - value) < 1e-9
+
+
 def test_warm_solve_through_a_redundant_row():
     # the repeated row keeps its artificial basic at 0 after phase 1; the
     # third column gives that row a nonzero, so the artificial must leave
@@ -220,7 +266,7 @@ def test_warm_solve_needs_the_previous_rows():
 # float cross-check on the instances this package actually produces
 
 
-def scipy_solve(lp: LinearProgram):
+def scipy_solve(lp: LinearProgram, presolve: bool = True):
     import numpy as np
     from scipy.optimize import linprog
 
@@ -245,6 +291,7 @@ def scipy_solve(lp: LinearProgram):
         b_eq=np.array(b_eq) if b_eq else None,
         bounds=bounds,
         method="highs",
+        options={"presolve": presolve},
     )
 
 

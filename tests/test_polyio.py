@@ -1,6 +1,7 @@
 """Tests for the shared polynomial file format."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -107,6 +108,30 @@ def test_bad_coefficient_string(tmp_path):
     path.write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(ValueError):
         load_polynomial(path)
+
+
+@pytest.mark.parametrize(
+    "data, named",
+    [
+        ({"vars": "z", "m": 2, "terms": [{"partition": [1], "coeff": 0.1}]}, "0.1"),
+        ({"vars": "z", "m": 2, "terms": [{"partition": [1], "coeff": "1/0"}]}, "1/0"),
+        ({"vars": "z", "m": 2, "terms": [{"partition": [1.9], "coeff": "1"}]}, "1.9"),
+        ({"vars": "y", "n": 2, "m": 2, "terms": [{"factors": [[1.5, 2]], "coeff": "1"}]}, "1.5"),
+        ({"vars": "z", "m": 3.7, "terms": []}, "3.7"),
+        ({"vars": "x", "n": 2, "terms": [{"factors": [1], "coeff": True}]}, "True"),
+    ],
+    ids=["float-coeff", "zero-denominator", "float-part", "float-factor", "float-m", "bool-coeff"],
+)
+def test_inexact_json_values_rejected(data, named):
+    # a float must not reach a coefficient as its binary value or be truncated
+    # to an index, and a zero denominator is bad input, not a crash
+    with pytest.raises(ValueError, match=re.escape(named)):
+        polynomial_from_dict(data)
+
+
+def test_integer_coefficients_accepted():
+    data = {"vars": "z", "m": 2, "terms": [{"partition": [1], "coeff": -3}]}
+    assert polynomial_from_dict(data) == SymPolynomial(2, {(1,): -3})
 
 
 def test_io_helpers_exported_at_package_root():

@@ -1,6 +1,7 @@
 """Tests for class labelings: built-in properties and explicit tables."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -229,6 +230,21 @@ def test_property_from_dict():
 )
 def test_property_from_dict_rejects_malformed(data):
     with pytest.raises(ValueError):
+        property_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "data, named",
+    [
+        ({"n": 3.7, "classes": []}, "3.7"),
+        ({"n": 3, "classes": [{"partition": [2.9, 1.2], "label": "One"}]}, "2.9"),
+        ({"n": "3", "classes": []}, "'3'"),
+    ],
+    ids=["float-n", "float-part", "string-n"],
+)
+def test_property_from_dict_rejects_non_integers(data, named):
+    # truncation would read n = 3.7 as 3 and the class (2.9, 1.2) as (2, 1)
+    with pytest.raises(ValueError, match=re.escape(named)):
         property_from_dict(data)
 
 
