@@ -97,11 +97,13 @@ class XPolynomial(SparsePolynomial):
         super().__init__(terms)
 
     def _key(self, positions: Iterable[int]) -> XMonomial:
-        key = tuple(sorted(set(int(p) for p in positions)))
+        key = set(positions)
         for p in key:
+            if type(p) is not int:
+                raise ValueError(f"position {p!r} is not an integer")
             if not 1 <= p <= self.n * self.n:
                 raise ValueError(f"position {p} outside 1..{self.n * self.n}")
-        return key
+        return tuple(sorted(key))
 
     @staticmethod
     def _show(mono: XMonomial) -> str:
@@ -110,11 +112,7 @@ class XPolynomial(SparsePolynomial):
     def evaluate(self, x: BoolAssignment) -> Fraction:
         if x.n != self.n:
             raise ValueError(f"assignment for n={x.n}, polynomial for n={self.n}")
-        total = Fraction(0)
-        for mono, c in self.terms.items():
-            if all(x.bits[p - 1] for p in mono):
-                total += c
-        return total
+        return self._value_at({p for p, bit in enumerate(x.bits, 1) if bit})
 
 
 def substitute(p: XPolynomial) -> YPolynomial:

@@ -2,9 +2,13 @@
 
 Every routine that enumerates function tables first computes exactly how
 many items the enumeration would visit and compares that against a budget,
-so oversized requests fail fast instead of running away.  The default is
-10**6 items and can be overridden per call or via the SYMDEG_BUDGET
-environment variable.
+so oversized requests fail fast instead of running away: all m**n
+functions (`oracle.enumerate_functions`, behind `verify_approximation` on
+an indicator polynomial, `transfer_approximation` and
+`eps_min_indicator_basis`), one frequency class (`functions_in_class`,
+`average_oracle`) and one ordered frequency vector (`average_over_counts`).
+The budget is 10**6 items unless the SYMDEG_BUDGET environment variable
+sets another; it is the one setting, read at each check.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ class BudgetExceededError(Exception):
     def __init__(self, required: int, budget: int):
         super().__init__(
             f"enumeration of {required} items exceeds the budget of {budget}"
-            f" (raise it via {BUDGET_ENV_VAR} or an explicit budget argument)"
+            f" (raise it via {BUDGET_ENV_VAR})"
         )
         self.required = required
         self.budget = budget
@@ -41,8 +45,8 @@ def default_budget() -> int:
     return value
 
 
-def check_budget(required: int, budget: int | None = None) -> None:
+def check_budget(required: int) -> None:
     """Raise BudgetExceededError if `required` items exceed the budget."""
-    limit = default_budget() if budget is None else budget
+    limit = default_budget()
     if required > limit:
         raise BudgetExceededError(required, limit)

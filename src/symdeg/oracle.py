@@ -20,12 +20,12 @@ from .sympoly import FrequencyVector, SymPolynomial, partitions
 from .ypoly import FunctionTable, YPolynomial
 
 
-def enumerate_functions(n: int, m: int, budget: int | None = None) -> Iterator[FunctionTable]:
+def enumerate_functions(n: int, m: int) -> Iterator[FunctionTable]:
     """All m**n function tables in lexicographic order, after checking the
     exact count against the enumeration budget."""
     if n < 1 or m < 1:
         raise ValueError("function enumeration needs n >= 1 and m >= 1")
-    check_budget(m**n, budget)
+    check_budget(m**n)
     yield from FunctionTable.all(n, m)
 
 
@@ -69,7 +69,6 @@ def verify_approximation(
     n: int,
     m: int,
     eps: Fraction | int | str,
-    budget: int | None = None,
 ) -> Report:
     """Check that `poly` eps-approximates the property over [n] -> [m].
 
@@ -92,7 +91,7 @@ def verify_approximation(
         kind = "function"
         points = (
             (f.values, FrequencyVector.of_function(f), f)
-            for f in enumerate_functions(n, m, budget)
+            for f in enumerate_functions(n, m)
         )
     else:
         raise TypeError(f"cannot verify a {type(poly).__name__}")

@@ -20,15 +20,11 @@ from .ypoly import YPolynomial
 
 Polynomial = Union[YPolynomial, SymPolynomial, XPolynomial]
 
-_KINDS = {
-    "y": YPolynomial,
-    "z": SymPolynomial,
-    "x": XPolynomial,
-}
+_KINDS = {kind._VARS: kind for kind in (YPolynomial, SymPolynomial, XPolynomial)}
 
 
 def polynomial_to_dict(poly: Polynomial) -> dict:
-    if isinstance(poly, (YPolynomial, SymPolynomial, XPolynomial)):
+    if isinstance(poly, tuple(_KINDS.values())):
         return poly.to_dict()
     raise TypeError(f"cannot serialize a {type(poly).__name__}")
 

@@ -182,5 +182,8 @@ def property_from_dict(data: dict, name: str = "custom") -> PropertySpec:
 def property_from_file(path: str | Path) -> PropertySpec:
     path = Path(path)
     with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     return property_from_dict(data, name=path.stem)

@@ -71,7 +71,6 @@ def transfer_approximation(
     prop: PropertySpec,
     m_target: int,
     eps: Fraction | int | str = Fraction(1, 3),
-    budget: int | None = None,
 ) -> TransferResult:
     """Carry an indicator polynomial approximating the property on [n] -> [n]
     over to the range m_target >= n, preserving degree and error."""
@@ -83,7 +82,7 @@ def transfer_approximation(
     extended = extend(symmetric, m_target)
     result = desymmetrize(extended, p.n)
     try:
-        report = verify_approximation(result, prop, p.n, m_target, eps, budget)
+        report = verify_approximation(result, prop, p.n, m_target, eps)
     except BudgetExceededError:
         return TransferResult(result, "unchecked", None)
     return TransferResult(result, "verified" if report.passed else "failed", report)

@@ -5,19 +5,26 @@ rational coefficients over a fixed shape: the n x m indicator grid, the
 m count variables, or the n*n tree variables.  The core owns what every
 kind does the same way: normalizing, merging and zero-dropping terms on
 construction, addition, scaling, equality, degree, canonical term order,
-the shared JSON envelope and the printed form.
+evaluation at a 0/1 point, the shared JSON envelope and the printed form.
+A sum of many pieces is one constructor call on all their terms, since
+the constructor already merges duplicate keys and drops zeros.
 
 A kind supplies its shape fields (`_SHAPE`, in constructor order), a key
 normalizer and a few one-line hooks:
 
 - `_key(raw)`: the canonical key of a raw monomial, or None when the
-  monomial vanishes; it raises ValueError for a monomial outside the shape;
+  monomial vanishes; it raises ValueError for a monomial outside the shape
+  or with an entry that is not an int (never truncating one);
 - `_key_degree(key)` and `_order(key)`: a key's degree and sort key
   (by default the key's length, then the key);
 - `_show(key)`: a non-constant key as text;
 - `_VARS`, `_FIELD`, `_encode(key)` and `_decode(value)`: the JSON tag,
   the term field holding the key, and the key's JSON codec (by default a
   list of ints).  A kind without a JSON form leaves out the tag and field.
+
+A multilinear kind (indicators y[i,j], tree positions x_p) evaluates at a
+0/1 point through `_value_at(true)`: the sum of the coefficients of the
+keys whose factors all lie in the set `true` of factors equal to 1 there.
 
 Reading JSON is strict: a coefficient is a "p/q" string or a JSON integer
 and every integer field a JSON integer (`json_fraction`, `json_int`), so a
@@ -98,6 +105,11 @@ class SparsePolynomial:
         if type(other) is not type(self):
             return NotImplemented
         return (self._shape(), self.terms) == (other._shape(), other.terms)
+
+    def _value_at(self, true: set) -> Fraction:
+        """Value of a multilinear kind at the 0/1 point whose true factors
+        are `true`: a key counts when all its factors are true."""
+        return sum((c for key, c in self.terms.items() if true.issuperset(key)), Fraction(0))
 
     def degree(self) -> Optional[int]:
         """Largest degree of a surviving term; None for the zero polynomial

@@ -22,7 +22,7 @@ what `symmetrize_monomial` returns.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from math import factorial
 from typing import Iterator, Sequence
 
@@ -31,6 +31,7 @@ from .sympoly import (
     FrequencyVector,
     SymPolynomial,
     ZPolynomial,
+    distinct_permutations,
     msym_to_zpoly,
     symmetrize_variables,
 )
@@ -70,10 +71,12 @@ def symmetrize(p: YPolynomial) -> SymPolynomial:
     of p over all functions in the class; the degree never grows (it may
     shrink through cancellation).
     """
-    result = SymPolynomial.zero(p.m)
-    for mono, coeff in p.sorted_terms():
-        result = result + symmetrize_monomial(mono, p.n, p.m).scale(coeff)
-    return result
+    terms = (
+        (lam, coeff * c)
+        for mono, coeff in p.terms.items()
+        for lam, c in symmetrize_monomial(mono, p.n, p.m).terms.items()
+    )
+    return SymPolynomial(p.m, terms)
 
 
 def desymmetrize(q: SymPolynomial, n: int) -> YPolynomial:
@@ -86,15 +89,15 @@ def desymmetrize(q: SymPolynomial, n: int) -> YPolynomial:
         j: YPolynomial(n, m, [(((i, j),), 1) for i in range(1, n + 1)])
         for j in range(1, m + 1)
     }
-    result = YPolynomial.zero(n, m)
-    for lam, coeff in q.sorted_terms():
-        for zmono, zcoeff in msym_to_zpoly(lam, m).sorted_terms():
+    terms: list = []
+    for lam, coeff in q.terms.items():
+        for zmono, zcoeff in msym_to_zpoly(lam, m).terms.items():
             term = YPolynomial.constant(n, m, coeff * zcoeff)
             for var, exp in zmono:
                 for _ in range(exp):
                     term = term * column_sums[var]
-            result = result + term
-    return result
+            terms.extend(term.terms.items())
+    return YPolynomial(n, m, terms)
 
 
 def class_size(z: FrequencyVector) -> int:
@@ -138,17 +141,15 @@ def functions_with_counts(counts: Sequence[int]) -> Iterator[FunctionTable]:
     yield from assign(1, tuple(range(1, n + 1)))
 
 
-def functions_in_class(z: FrequencyVector, budget: int | None = None) -> Iterator[FunctionTable]:
+def functions_in_class(z: FrequencyVector) -> Iterator[FunctionTable]:
     """All functions in the frequency class z, every output arrangement of the
     multiset included.  Checks the exact class size against the budget first."""
-    check_budget(class_size(z), budget)
-    for arrangement in sorted(set(permutations(z.counts()))):
+    check_budget(class_size(z))
+    for arrangement in distinct_permutations(z.counts()):
         yield from functions_with_counts(arrangement)
 
 
-def average_over_counts(
-    p: YPolynomial, counts: Sequence[int], budget: int | None = None
-) -> Fraction:
+def average_over_counts(p: YPolynomial, counts: Sequence[int]) -> Fraction:
     """Exact average of p over the functions with one ordered frequency
     vector; equals `monomial_class_expectation` evaluated at that vector."""
     counts = tuple(int(c) for c in counts)
@@ -159,7 +160,7 @@ def average_over_counts(
     size = factorial(p.n)
     for c in counts:
         size //= factorial(c)
-    check_budget(size, budget)
+    check_budget(size)
     total = Fraction(0)
     seen = 0
     for f in functions_with_counts(counts):
@@ -169,9 +170,7 @@ def average_over_counts(
     return total / size
 
 
-def average_oracle(
-    p: YPolynomial, z: FrequencyVector, budget: int | None = None
-) -> Fraction:
+def average_oracle(p: YPolynomial, z: FrequencyVector) -> Fraction:
     """Exact average of p over every function in the frequency class z, by
     explicit enumeration.  This is the ground truth that `symmetrize` must
     reproduce; it is exact, and guarded by the enumeration budget."""
@@ -183,7 +182,7 @@ def average_oracle(
     size = class_size(z)
     total = Fraction(0)
     seen = 0
-    for f in functions_in_class(z, budget):
+    for f in functions_in_class(z):
         total += p.evaluate(f)
         seen += 1
     assert seen == size

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, groupby, permutations
+from itertools import combinations, groupby
 from math import factorial
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -43,7 +43,9 @@ Partition = tuple[int, ...]
 
 def check_partition(parts: Iterable[int]) -> Partition:
     """Validate and return a partition: positive parts, non-increasing."""
-    parts = tuple(int(p) for p in parts)
+    parts = tuple(parts)
+    if not all(type(p) is int for p in parts):
+        raise ValueError(f"partition parts must be integers, got {parts}")
     for a, b in zip(parts, parts[1:]):
         if a < b:
             raise ValueError(f"partition parts must be non-increasing, got {parts}")
@@ -74,6 +76,25 @@ def partitions(total: int, max_parts: int | None = None, max_part: int | None = 
                 yield (head,) + tail
 
     yield from rec(total, first_cap, slots)
+
+
+def distinct_permutations(items: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """The distinct orderings of a multiset, each once, in lexicographic
+    order.  Each step is the classical next-permutation move, so the cost
+    grows with the number of distinct orderings, not with len(items)!."""
+    a = sorted(items)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = reversed(a[i + 1 :])
 
 
 def partition_automorphisms(lam: Partition) -> int:
@@ -240,11 +261,13 @@ def msym_to_zpoly(lam: Partition, m: int) -> ZPolynomial:
     lam = check_partition(lam)
     if len(lam) > m:
         return ZPolynomial(m)
-    monos: set[ZMonomial] = set()
-    for positions in combinations(range(1, m + 1), len(lam)):
-        for exps in set(permutations(lam)):
-            monos.add(tuple(sorted(zip(positions, exps))))
-    return ZPolynomial(m, [(mono, 1) for mono in sorted(monos)])
+    arrangements = list(distinct_permutations(lam))
+    terms = (
+        (tuple(zip(positions, exps)), 1)
+        for positions in combinations(range(1, m + 1), len(lam))
+        for exps in arrangements
+    )
+    return ZPolynomial(m, terms)
 
 
 class SymPolynomial(SparsePolynomial):
@@ -259,12 +282,12 @@ class SymPolynomial(SparsePolynomial):
     def __init__(
         self,
         m: int,
-        coeffs: Mapping[Iterable[int], CoeffLike] | Iterable[tuple[Iterable[int], CoeffLike]] = (),
+        terms: Mapping[Iterable[int], CoeffLike] | Iterable[tuple[Iterable[int], CoeffLike]] = (),
     ):
         if m < 1:
             raise ValueError("a symmetric polynomial needs m >= 1 variables")
         self.m = m
-        super().__init__(coeffs)
+        super().__init__(terms)
 
     def _key(self, lam: Iterable[int]) -> Optional[Partition]:
         lam = check_partition(lam)
@@ -278,9 +301,6 @@ class SymPolynomial(SparsePolynomial):
     @staticmethod
     def _show(lam: Partition) -> str:
         return f"m{list(lam)}"
-
-    coeffs = property(lambda self: self.terms, doc="The coefficient map, by partition.")
-    sorted_coeffs = SparsePolynomial.sorted_terms
 
     @classmethod
     def zero(cls, m: int) -> "SymPolynomial":
@@ -303,11 +323,14 @@ class SymPolynomial(SparsePolynomial):
         return sum((c * values.get(lam, 0) for lam, c in self.terms.items()), Fraction(0))
 
     def to_zpoly(self) -> ZPolynomial:
-        """Expansion into named variables (used by tests and desymmetrization)."""
-        result = ZPolynomial(self.m)
-        for lam, c in sorted(self.terms.items()):
-            result = result + msym_to_zpoly(lam, self.m).scale(c)
-        return result
+        """Expansion into named variables: the sum of each m_lambda expansion,
+        scaled by its coefficient (used by tests)."""
+        terms = (
+            (mono, c * k)
+            for lam, c in self.terms.items()
+            for mono, k in msym_to_zpoly(lam, self.m).terms.items()
+        )
+        return ZPolynomial(self.m, terms)
 
 
 def symmetrize_variables(p: ZPolynomial) -> SymPolynomial:

@@ -126,6 +126,8 @@ class YPolynomial(SparsePolynomial):
         factors = tuple(factors)
         n, m = self.n, self.m
         for i, j in factors:
+            if not (type(i) is int and type(j) is int):
+                raise ValueError(f"factor ({i!r},{j!r}) needs an integer row and column")
             if not (1 <= i <= n and 1 <= j <= m):
                 raise ValueError(f"factor ({i},{j}) outside the {n}x{m} grid")
         return normalize_monomial(factors)
@@ -163,8 +165,4 @@ class YPolynomial(SparsePolynomial):
             raise ValueError(
                 f"function is {f.n}->{f.m} but polynomial is over the {self.n}x{self.m} grid"
             )
-        total = Fraction(0)
-        for mono, c in self.terms.items():
-            if all(f.values[i - 1] == j for i, j in mono):
-                total += c
-        return total
+        return self._value_at(set(enumerate(f.values, 1)))

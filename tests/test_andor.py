@@ -3,8 +3,11 @@
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symdeg.andor import (
     BoolAssignment,
@@ -106,6 +109,32 @@ def test_xpoly_is_multilinear_and_deduped():
 def test_xpoly_position_bounds():
     with pytest.raises(ValueError):
         XPolynomial(2, [((5,), 1)])
+
+
+def test_xpoly_rejects_non_integer_positions():
+    # int() would truncate 1.5 to 1
+    with pytest.raises(ValueError, match="position 1.5 is not an integer"):
+        XPolynomial(2, {(1.5, 3): 1})
+
+
+@st.composite
+def raw_xpolynomials(draw):
+    """n <= 2 and unnormalized position lists, repeats allowed."""
+    n = draw(st.integers(1, 2))
+    positions = st.lists(st.integers(1, n * n), max_size=5)
+    coeffs = st.builds(Fraction, st.integers(-10, 10), st.integers(1, 7))
+    return n, draw(st.lists(st.tuples(positions, coeffs), max_size=6))
+
+
+@given(raw_xpolynomials())
+@settings(max_examples=200, deadline=None)
+def test_xpoly_evaluate_matches_product_of_bits(drawn):
+    n, raw = drawn
+    p = XPolynomial(n, raw)
+    for bits in itertools.product((0, 1), repeat=n * n):
+        x = BoolAssignment(n, bits)
+        expected = sum(c * prod(x.bit(pos) for pos in positions) for positions, c in raw)
+        assert p.evaluate(x) == expected
 
 
 def test_xpoly_evaluate():

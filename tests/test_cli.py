@@ -226,7 +226,7 @@ def test_extend_then_restrict_round_trip(tmp_path, capsys):
     assert main(["extend", "--input", str(src), "--target-m", "5",
                  "--output", str(wide_path)]) == 0
     wide = load_polynomial(wide_path)
-    assert wide.m == 5 and wide.coeffs == original.coeffs
+    assert wide.m == 5 and wide.terms == original.terms
 
     assert main(["restrict", "--input", str(wide_path), "--target-m", "2"]) == 0
     back = json.loads(capsys.readouterr().out)
@@ -263,6 +263,16 @@ def test_malformed_input_file(tmp_path, capsys):
     src.write_text("not json at all", encoding="utf-8")
     assert main(["symmetrize", "--input", str(src)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_malformed_property_file(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("{ nope", encoding="utf-8")
+    args = ["degree", "--property-file", str(path), "--n", "3", "--m", "3"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{path}: not valid JSON" in captured.err
 
 
 @pytest.mark.parametrize("coeff", [0.1, "1/0"])

@@ -38,9 +38,10 @@ def test_enumerate_functions_counts_and_order():
     assert values == sorted(values)
 
 
-def test_enumerate_functions_budget():
+def test_enumerate_functions_budget(monkeypatch):
+    monkeypatch.setenv("SYMDEG_BUDGET", "80")
     with pytest.raises(BudgetExceededError) as info:
-        list(enumerate_functions(4, 3, budget=80))
+        list(enumerate_functions(4, 3))
     assert info.value.required == 81
     with pytest.raises(ValueError):
         list(enumerate_functions(0, 2))
@@ -121,10 +122,11 @@ def test_indicator_route_dimension_check():
         verify_approximation(p, ELEMENT_DISTINCTNESS, 2, 2, THIRD)
 
 
-def test_indicator_route_budget():
+def test_indicator_route_budget(monkeypatch):
+    monkeypatch.setenv("SYMDEG_BUDGET", "26")
     p = YPolynomial.zero(3, 3)
     with pytest.raises(BudgetExceededError):
-        verify_approximation(p, ELEMENT_DISTINCTNESS, 3, 3, THIRD, budget=26)
+        verify_approximation(p, ELEMENT_DISTINCTNESS, 3, 3, THIRD)
 
 
 def test_routes_agree_through_desymmetrize():

@@ -248,6 +248,13 @@ def test_property_from_dict_rejects_non_integers(data, named):
         property_from_dict(data)
 
 
+def test_property_from_file_names_bad_json(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("{ nope", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: not valid JSON: ")):
+        property_from_file(path)
+
+
 def test_property_from_file(tmp_path):
     path = tmp_path / "steps.json"
     path.write_text(

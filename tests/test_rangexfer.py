@@ -24,7 +24,7 @@ def test_extend_keeps_coefficients():
     q = SymPolynomial(2, {(2, 1): 1, (1,): Fraction(-1, 2)})
     wide = extend(q, 4)
     assert wide.m == 4
-    assert wide.coeffs == q.coeffs
+    assert wide.terms == q.terms
 
 
 def test_extend_same_size_is_identity():
@@ -36,7 +36,7 @@ def test_restrict_drops_long_partitions():
     q = SymPolynomial(4, {(1, 1, 1): 1, (2,): 5})
     narrow = restrict(q, 2)
     assert narrow.m == 2
-    assert narrow.coeffs == {(2,): Fraction(5)}
+    assert narrow.terms == {(2,): Fraction(5)}
 
 
 def test_restrict_rejects_bad_targets():
@@ -81,8 +81,8 @@ def test_extension_preserves_values_on_narrow_classes():
 def test_restriction_changes_nothing_within_reach():
     q = SymPolynomial(4, {(2, 1): 1, (1, 1, 1): 4})
     narrow = restrict(q, 3)
-    assert narrow.coeffs == q.coeffs  # all partitions fit in 3 variables
-    assert restrict(q, 2).coeffs == {(2, 1): Fraction(1)}
+    assert narrow.terms == q.terms  # all partitions fit in 3 variables
+    assert restrict(q, 2).terms == {(2, 1): Fraction(1)}
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +121,11 @@ def test_transfer_flags_bad_input():
     assert result.report is not None and not result.report.passed
 
 
-def test_transfer_reports_unchecked_when_over_budget():
+def test_transfer_reports_unchecked_when_over_budget(monkeypatch):
+    monkeypatch.setenv("SYMDEG_BUDGET", "3")
     cert = approx_degree(ELEMENT_DISTINCTNESS, 2, 2, THIRD)
     p = desymmetrize(cert.optimal_polynomial(), 2)
-    result = transfer_approximation(p, ELEMENT_DISTINCTNESS, 5, THIRD, budget=3)
+    result = transfer_approximation(p, ELEMENT_DISTINCTNESS, 5, THIRD)
     assert result.status == "unchecked"
     assert result.report is None
     assert result.poly.m == 5  # the polynomial is still produced

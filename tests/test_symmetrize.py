@@ -200,18 +200,29 @@ def test_class_sizes_partition_function_space():
             assert total == m**n
 
 
-def test_functions_in_class_budget():
+def test_functions_in_class_budget(monkeypatch):
+    monkeypatch.setenv("SYMDEG_BUDGET", "5")
     z = FrequencyVector(3, (2, 1, 1))
     with pytest.raises(BudgetExceededError) as info:
-        list(functions_in_class(z, budget=5))
+        list(functions_in_class(z))
     assert info.value.required == class_size(z)
     assert info.value.budget == 5
 
 
-def test_average_oracle_budget_propagates():
+def test_functions_in_class_wide_range():
+    # (2,) over 12 outputs has 12 functions; the arrangements of its 12
+    # counts are generated once each, not as 12! permutations
+    z = FrequencyVector(12, (2,))
+    fs = list(functions_in_class(z))
+    assert len(fs) == class_size(z) == 12
+    assert len(set(fs)) == 12
+
+
+def test_average_oracle_budget_propagates(monkeypatch):
+    monkeypatch.setenv("SYMDEG_BUDGET", "2")
     p = YPolynomial(4, 3, {((1, 1),): 1})
     with pytest.raises(BudgetExceededError):
-        average_oracle(p, FrequencyVector(3, (2, 1, 1)), budget=2)
+        average_oracle(p, FrequencyVector(3, (2, 1, 1)))
 
 
 # ---------------------------------------------------------------------------

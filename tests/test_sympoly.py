@@ -14,6 +14,7 @@ from symdeg.sympoly import (
     SymPolynomial,
     ZPolynomial,
     check_partition,
+    distinct_permutations,
     eval_msym,
     msym_to_zpoly,
     msym_values,
@@ -64,6 +65,14 @@ def test_check_partition_rejects_bad_input():
         check_partition((2, 0))
 
 
+def test_distinct_permutations_match_set_of_permutations():
+    for size in range(7):
+        for items in itertools.combinations_with_replacement(range(4), size):
+            expected = sorted(set(itertools.permutations(items)))
+            assert list(distinct_permutations(items)) == expected
+            assert list(distinct_permutations(reversed(items))) == expected
+
+
 def test_partition_automorphisms():
     assert partition_automorphisms(()) == 1
     assert partition_automorphisms((3, 1)) == 1
@@ -96,6 +105,11 @@ def test_of_function():
     f = FunctionTable(3, 2, (2, 1, 2))
     v = FrequencyVector.of_function(f)
     assert v == FrequencyVector(2, (2, 1))
+
+
+def test_frequency_vector_rejects_non_integer_parts():
+    with pytest.raises(ValueError, match="partition parts must be integers"):
+        FrequencyVector(3, (2.5, 1))
 
 
 def test_too_many_parts_rejected():
@@ -265,7 +279,12 @@ def test_zpoly_rejects_bad_variables():
 
 def test_sym_constructor_drops_long_partitions():
     q = SymPolynomial(2, {(1, 1, 1): 5, (2,): 1})
-    assert q.coeffs == {(2,): Fraction(1)}
+    assert q.terms == {(2,): Fraction(1)}
+
+
+def test_sym_constructor_rejects_non_integer_parts():
+    with pytest.raises(ValueError, match="partition parts must be integers"):
+        SymPolynomial(2, {(1.9,): 1})
 
 
 def test_sym_evaluate_example():
@@ -282,7 +301,7 @@ def test_sym_degree_and_zero():
 
 def test_sym_sorted_coeffs_order():
     q = SymPolynomial(4, {(1, 1): 1, (2,): 1, (1,): 1, (): 1, (2, 1): 1})
-    assert [lam for lam, _ in q.sorted_coeffs()] == [
+    assert [lam for lam, _ in q.sorted_terms()] == [
         (),
         (1,),
         (2,),

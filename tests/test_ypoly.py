@@ -161,6 +161,33 @@ def test_variable_bounds_checked():
         YPolynomial(2, 2, {((1, 0),): 1})
 
 
+def test_non_integer_factor_rejected():
+    # the factor (1.5, 2) is inside the 2x2 grid's bounds but names no indicator
+    with pytest.raises(ValueError, match="integer row and column"):
+        YPolynomial(2, 2, {((1.5, 2),): 1})
+    with pytest.raises(ValueError, match="integer row and column"):
+        YPolynomial(2, 2, {((1, 2.0),): 1})
+
+
+@st.composite
+def raw_polynomials(draw):
+    """A grid up to 3x3 and unnormalized factor lists on it: repeated
+    rows, repeated columns and repeated factors all allowed."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    factors = st.lists(st.tuples(st.integers(1, n), st.integers(1, m)), max_size=5)
+    coeffs = st.builds(Fraction, st.integers(-10, 10), st.integers(1, 7))
+    return n, m, draw(st.lists(st.tuples(factors, coeffs), max_size=6))
+
+
+@given(raw_polynomials())
+@settings(max_examples=200, deadline=None)
+def test_evaluate_matches_raw_factor_products(drawn):
+    n, m, raw = drawn
+    p = YPolynomial(n, m, raw)
+    for f in FunctionTable.all(n, m):
+        assert p.evaluate(f) == sum(c * evaluate_factors(factors, f) for factors, c in raw)
+
+
 @given(factor_lists, factor_lists)
 @settings(max_examples=60)
 def test_product_degree_bound(fa, fb):
