@@ -17,22 +17,29 @@ column j_l.  `monomial_class_expectation` expands this product eagerly in
 the named variables; projecting onto the monomial symmetric basis then
 gives the average over the whole class (all orderings at once), which is
 what `symmetrize_monomial` returns.
+
+The enumeration half (`functions_with_counts`, `functions_in_class`,
+`class_size`, `average_over_counts`, `average_oracle`) is the ground truth
+the closed form is checked against.  The functions it averages over are
+orderings of multisets: `sympoly.distinct_permutations` is its one walk
+over them, and `sympoly.multinomial` its one count of them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
-from math import factorial
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .budget import check_budget
 from .sympoly import (
     FrequencyVector,
     SymPolynomial,
     ZPolynomial,
+    check_counts,
     distinct_permutations,
     msym_to_zpoly,
+    multinomial,
     symmetrize_variables,
 )
 from .ypoly import FunctionTable, Monomial, YPolynomial
@@ -44,10 +51,14 @@ def monomial_class_expectation(mono: Monomial, n: int, m: int) -> ZPolynomial:
 
     The product of the k linear factors is expanded eagerly; its degree is
     exactly k and its value at any ordered vector of weight n is the exact
-    conditional average (see `average_over_counts`).
+    conditional average (see `average_over_counts`).  The closed form holds
+    only for pairwise distinct rows in 1..n, so any other monomial is refused.
     """
-    if len(mono) > n:
-        raise ValueError(f"monomial has {len(mono)} factors but only {n} rows exist")
+    rows = [i for i, _ in mono]
+    if len(set(rows)) != len(rows) or not all(1 <= i <= n for i in rows):
+        raise ValueError(
+            f"monomial {mono} is not normalized: its rows must be distinct and lie in 1..{n}"
+        )
     result = ZPolynomial.constant(m, 1)
     seen_columns: list[int] = []
     for step, (_, j) in enumerate(mono, start=1):
@@ -103,42 +114,22 @@ def desymmetrize(q: SymPolynomial, n: int) -> YPolynomial:
 def class_size(z: FrequencyVector) -> int:
     """Number of functions in the class: the count of ordered arrangements of
     the multiset times the ways to distribute inputs for one arrangement."""
-    arrangements = factorial(z.m)
-    for _, reps in _value_multiplicities(z.counts()):
-        arrangements //= factorial(reps)
-    inputs = factorial(z.weight)
-    for part in z.parts:
-        inputs //= factorial(part)
-    return arrangements * inputs
-
-
-def _value_multiplicities(counts: Sequence[int]) -> list[tuple[int, int]]:
-    seen: dict[int, int] = {}
-    for c in counts:
-        seen[c] = seen.get(c, 0) + 1
-    return sorted(seen.items())
+    return multinomial(Counter(z.counts()).values()) * multinomial(z.parts)
 
 
 def functions_with_counts(counts: Sequence[int]) -> Iterator[FunctionTable]:
     """All functions with the exact ordered frequency vector `counts`
-    (counts[j-1] inputs mapping to output j), in a fixed deterministic order."""
-    counts = tuple(int(c) for c in counts)
+    (counts[j-1] inputs mapping to output j): one per distinct ordering of
+    the value multiset, in lexicographic order of the value tuples.  No
+    caller depends on that order, since every average over these functions
+    is an exact sum."""
+    counts = check_counts(counts)
     n, m = sum(counts), len(counts)
     if n < 1:
         raise ValueError("need at least one input")
-    values = [0] * n
-
-    def assign(j: int, remaining: tuple[int, ...]) -> Iterator[FunctionTable]:
-        if j > m:
-            yield FunctionTable(n, m, tuple(values))
-            return
-        for chosen in combinations(remaining, counts[j - 1]):
-            for i in chosen:
-                values[i - 1] = j
-            taken = set(chosen)
-            yield from assign(j + 1, tuple(i for i in remaining if i not in taken))
-
-    yield from assign(1, tuple(range(1, n + 1)))
+    values = [j for j, c in enumerate(counts, start=1) for _ in range(c)]
+    for v in distinct_permutations(values):
+        yield FunctionTable(n, m, v)
 
 
 def functions_in_class(z: FrequencyVector) -> Iterator[FunctionTable]:
@@ -152,22 +143,14 @@ def functions_in_class(z: FrequencyVector) -> Iterator[FunctionTable]:
 def average_over_counts(p: YPolynomial, counts: Sequence[int]) -> Fraction:
     """Exact average of p over the functions with one ordered frequency
     vector; equals `monomial_class_expectation` evaluated at that vector."""
-    counts = tuple(int(c) for c in counts)
+    counts = check_counts(counts)
     if len(counts) != p.m or sum(counts) != p.n:
         raise ValueError(
             f"counts {counts} do not describe functions on the {p.n}x{p.m} grid"
         )
-    size = factorial(p.n)
-    for c in counts:
-        size //= factorial(c)
+    size = multinomial(counts)
     check_budget(size)
-    total = Fraction(0)
-    seen = 0
-    for f in functions_with_counts(counts):
-        total += p.evaluate(f)
-        seen += 1
-    assert seen == size
-    return total / size
+    return _exact_mean(p, functions_with_counts(counts), size)
 
 
 def average_oracle(p: YPolynomial, z: FrequencyVector) -> Fraction:
@@ -179,10 +162,15 @@ def average_oracle(p: YPolynomial, z: FrequencyVector) -> Fraction:
             f"class over weight {z.weight}, {z.m} outputs does not match the "
             f"{p.n}x{p.m} grid"
         )
-    size = class_size(z)
+    return _exact_mean(p, functions_in_class(z), class_size(z))
+
+
+def _exact_mean(p: YPolynomial, functions: Iterable[FunctionTable], size: int) -> Fraction:
+    """Mean of p over `functions`, which must be exactly `size` functions;
+    they are counted as they come, so a wrong `size` cannot pass unnoticed."""
     total = Fraction(0)
     seen = 0
-    for f in functions_in_class(z):
+    for f in functions:
         total += p.evaluate(f)
         seen += 1
     assert seen == size

@@ -25,14 +25,20 @@ variables z_1..z_M with arbitrary integer exponents.  It appears as the
 intermediate of the symmetrization pipeline and as the input of
 `symmetrize_variables`, which averages it over all M! variable
 permutations and lands back in the m_lambda basis.
+
+The orbits behind every average here are orderings of a multiset: one walk,
+`distinct_permutations`, lists them, and one count, `multinomial`, gives
+how many there are.  Every class size and every orbit weight in the
+package is a `multinomial` call.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, groupby
-from math import factorial
+from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .sparse import CoeffLike, SparsePolynomial, concat_product
@@ -54,16 +60,24 @@ def check_partition(parts: Iterable[int]) -> Partition:
     return parts
 
 
-def partitions(total: int, max_parts: int | None = None, max_part: int | None = None) -> Iterator[Partition]:
+def check_counts(counts: Iterable[int]) -> tuple[int, ...]:
+    """Validate and return an ordered frequency vector: every count a
+    non-negative int (a bool is refused, as is any float)."""
+    counts = tuple(counts)
+    if not all(type(c) is int and c >= 0 for c in counts):
+        raise ValueError(f"counts must be non-negative integers, got {counts}")
+    return counts
+
+
+def partitions(total: int, max_parts: int | None = None) -> Iterator[Partition]:
     """Partitions of `total` in reverse-lexicographic order: (n), ..., (1,..,1).
 
-    `max_parts` bounds the number of parts, `max_part` the largest part.
-    total = 0 yields exactly the empty partition.
+    `max_parts` bounds the number of parts.  total = 0 yields exactly the
+    empty partition.
     """
     if total < 0:
         raise ValueError("cannot partition a negative total")
     slots = total if max_parts is None else min(max_parts, total)
-    first_cap = total if max_part is None else min(max_part, total)
 
     def rec(remaining: int, largest: int, room: int) -> Iterator[Partition]:
         if remaining == 0:
@@ -75,7 +89,7 @@ def partitions(total: int, max_parts: int | None = None, max_part: int | None = 
             for tail in rec(remaining - head, head, room - 1):
                 yield (head,) + tail
 
-    yield from rec(total, first_cap, slots)
+    yield from rec(total, total, slots)
 
 
 def distinct_permutations(items: Iterable[int]) -> Iterator[tuple[int, ...]]:
@@ -97,11 +111,14 @@ def distinct_permutations(items: Iterable[int]) -> Iterator[tuple[int, ...]]:
         a[i + 1 :] = reversed(a[i + 1 :])
 
 
-def partition_automorphisms(lam: Partition) -> int:
-    """Product of factorials of the multiplicities of equal parts."""
-    result = 1
-    for _, group in groupby(lam):
-        result *= factorial(sum(1 for _ in group))
+def multinomial(ks: Iterable[int]) -> int:
+    """(k1 + ... + kr)! / (k1! * ... * kr!): the number of distinct orderings
+    of a multiset whose distinct items occur k1, ..., kr times, which is the
+    number of tuples `distinct_permutations` yields for it."""
+    result, total = 1, 0
+    for k in ks:
+        total += k
+        result *= comb(total, k)
     return result
 
 
@@ -128,15 +145,10 @@ class FrequencyVector:
             )
 
     @classmethod
-    def from_counts(cls, counts: Sequence[int], m: int | None = None) -> "FrequencyVector":
+    def from_counts(cls, counts: Sequence[int]) -> "FrequencyVector":
         """Canonicalize an ordered tuple of per-output counts (zeros allowed)."""
-        counts = tuple(int(c) for c in counts)
-        if any(c < 0 for c in counts):
-            raise ValueError(f"counts must be non-negative, got {counts}")
-        size = len(counts) if m is None else m
-        if m is not None and len(counts) > m:
-            raise ValueError(f"{len(counts)} counts for {m} outputs")
-        return cls(size, tuple(sorted((c for c in counts if c > 0), reverse=True)))
+        counts = check_counts(counts)
+        return cls(len(counts), tuple(sorted((c for c in counts if c > 0), reverse=True)))
 
     @classmethod
     def of_function(cls, f: FunctionTable) -> "FrequencyVector":
@@ -336,17 +348,16 @@ class SymPolynomial(SparsePolynomial):
 def symmetrize_variables(p: ZPolynomial) -> SymPolynomial:
     """Average p over all m! permutations of its variables, in closed form.
 
-    A named monomial with exponent multiset lambda (length l over m
-    variables) averages to m_lambda * aut(lambda) * (m-l)! / m!: its orbit
-    under the symmetric group is uniform over the m!/(aut*(m-l)!) distinct
-    monomials of m_lambda.
+    A named monomial with exponent multiset lambda averages to m_lambda
+    divided by the number of distinct monomials of m_lambda: its orbit under
+    the symmetric group is uniform over them.  That number is the multinomial
+    of the multiplicities in its exponent vector padded with zeros to m.
     """
     m = p.m
     coeffs: dict[Partition, Fraction] = {}
     for mono, c in p.terms.items():
-        lam = tuple(sorted((exp for _, exp in mono), reverse=True))
-        weight = Fraction(
-            partition_automorphisms(lam) * factorial(m - len(lam)), factorial(m)
-        )
-        coeffs[lam] = coeffs.get(lam, Fraction(0)) + c * weight
+        exps = [exp for _, exp in mono]
+        lam = tuple(sorted(exps, reverse=True))
+        orbit = multinomial(Counter(exps + [0] * (m - len(exps))).values())
+        coeffs[lam] = coeffs.get(lam, Fraction(0)) + c / orbit
     return SymPolynomial(m, coeffs)

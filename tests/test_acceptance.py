@@ -8,13 +8,9 @@ arithmetic; there are no tolerances anywhere.
 
 import itertools
 import json
-import pathlib
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
-import symdeg
 from symdeg.andor import XPolynomial, f_to_assignment, substitute
 from symdeg.degreelp import (
     approx_degree,
@@ -38,11 +34,9 @@ from symdeg.symmetrize import (
 from symdeg.sympoly import FrequencyVector, SymPolynomial, partitions
 from symdeg.ypoly import FunctionTable, YPolynomial, normalize_monomial
 
-THIRD = Fraction(1, 3)
+from test_cli import run_module
 
-# The directory holding the symdeg under test (src/ in a checkout,
-# site-packages when installed), so subprocesses run that same copy.
-SYMDEG_PATH = str(pathlib.Path(symdeg.__file__).resolve().parent.parent)
+THIRD = Fraction(1, 3)
 
 
 def report(number, name, failures):
@@ -204,17 +198,7 @@ def test_criterion_8_deterministic_output():
     for args in runs:
         outputs = []
         for seed in ("0", "1"):
-            result = subprocess.run(
-                [sys.executable, "-m", "symdeg", *args],
-                capture_output=True,
-                text=True,
-                env={
-                    "PATH": "/usr/bin:/bin",
-                    "PYTHONHASHSEED": seed,
-                    "PYTHONPATH": SYMDEG_PATH,
-                },
-                cwd="/",
-            )
+            result = run_module(args, seed)
             if result.returncode != 0:
                 failures.append((args, seed, result.returncode, result.stderr))
             outputs.append(result.stdout)

@@ -352,13 +352,15 @@ def test_verify_budget_exceeded(tmp_path, capsys, monkeypatch):
 
 
 # The directory holding the symdeg under test (src/ in a checkout,
-# site-packages when installed), so the child runs that same copy.
+# site-packages when installed), so the child runs that same copy.  The
+# child gets -B because its bare environment drops PYTHONDONTWRITEBYTECODE:
+# without it, it would write bytecode into the checkout under test.
 SYMDEG_PATH = str(pathlib.Path(symdeg.__file__).resolve().parent.parent)
 
 
 def run_module(args, hashseed):
     return subprocess.run(
-        [sys.executable, "-m", "symdeg", *args],
+        [sys.executable, "-B", "-m", "symdeg", *args],
         capture_output=True,
         text=True,
         env={

@@ -97,8 +97,8 @@ def test_get_property_aliases():
 
 
 def test_label_ignores_count_order_and_padding():
-    a = FrequencyVector.from_counts((0, 1, 2), m=3)
-    b = FrequencyVector.from_counts((2, 1, 0), m=3)
+    a = FrequencyVector.from_counts((0, 1, 2))
+    b = FrequencyVector.from_counts((2, 1, 0))
     assert a == b
     for prop in (COLLISION, ELEMENT_DISTINCTNESS, MODIFIED_ELEMENT_DISTINCTNESS):
         assert prop.classify(a) is prop.classify(b)

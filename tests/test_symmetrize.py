@@ -74,6 +74,22 @@ def test_expectation_rejects_too_many_factors():
         monomial_class_expectation(((1, 1), (2, 1), (3, 1)), 2, 2)
 
 
+@pytest.mark.parametrize(
+    "mono",
+    [
+        ((1, 1), (1, 1)),  # a row repeated with the same column
+        ((1, 1), (1, 2)),  # a row repeated with different columns
+        ((0, 1),),  # row 0
+        ((3, 1),),  # row n + 1
+    ],
+)
+def test_symmetrize_monomial_refuses_unnormalized_monomials(mono):
+    # the closed form would give y11*y12 the average m[1, 1]/2, though it
+    # is 0 on every function
+    with pytest.raises(ValueError, match="not normalized"):
+        symmetrize_monomial(mono, 2, 2)
+
+
 def test_expectation_matches_ordered_average():
     n, m = 3, 2
     for mono in all_normalized_monomials(n, m, 2):
@@ -115,6 +131,13 @@ def test_average_argument_validation():
         average_over_counts(p, (2, 1))
     with pytest.raises(ValueError):
         average_oracle(p, FrequencyVector.from_counts((1, 1, 1)))
+
+
+@pytest.mark.parametrize("counts", [(1.7, 1.2), (True, 1), (2.0, 0), (3, -1)])
+def test_average_over_counts_rejects_invalid_counts(counts):
+    p = YPolynomial(2, 2, {((1, 1),): 1})
+    with pytest.raises(ValueError, match="counts must be non-negative integers"):
+        average_over_counts(p, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +200,24 @@ def test_functions_with_counts_explicit():
         (2, 1, 2),
         (2, 2, 1),
     ]
+
+
+def test_functions_with_counts_lists_each_function_once_in_order():
+    for m in range(1, 5):
+        for n in range(1, 6):
+            by_counts = {}
+            for f in FunctionTable.all(n, m):
+                by_counts.setdefault(f.frequency_counts(), []).append(f.values)
+            for counts in itertools.product(range(n + 1), repeat=m):
+                if sum(counts) == n:
+                    listed = [f.values for f in functions_with_counts(counts)]
+                    assert listed == sorted(by_counts[counts])
+
+
+@pytest.mark.parametrize("counts", [(1.9, 1), (True, 1), (1, 1.0)])
+def test_functions_with_counts_rejects_invalid_counts(counts):
+    with pytest.raises(ValueError, match="counts must be non-negative integers"):
+        list(functions_with_counts(counts))
 
 
 def test_class_size_matches_enumeration():

@@ -2,7 +2,7 @@
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +18,7 @@ from symdeg.sympoly import (
     eval_msym,
     msym_to_zpoly,
     msym_values,
-    partition_automorphisms,
+    multinomial,
     partitions,
     symmetrize_variables,
 )
@@ -38,10 +38,6 @@ def test_partitions_of_zero():
 
 def test_partitions_respect_max_parts():
     assert list(partitions(4, max_parts=2)) == [(4,), (3, 1), (2, 2)]
-
-
-def test_partitions_respect_max_part():
-    assert list(partitions(4, max_part=2)) == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
 
 def test_partitions_counts():
@@ -73,11 +69,11 @@ def test_distinct_permutations_match_set_of_permutations():
             assert list(distinct_permutations(reversed(items))) == expected
 
 
-def test_partition_automorphisms():
-    assert partition_automorphisms(()) == 1
-    assert partition_automorphisms((3, 1)) == 1
-    assert partition_automorphisms((2, 2, 1)) == 2
-    assert partition_automorphisms((1, 1, 1)) == 6
+def test_multinomial_counts_distinct_permutations():
+    for size in range(7):
+        for items in itertools.combinations_with_replacement(range(4), size):
+            ks = [items.count(v) for v in set(items)]
+            assert multinomial(ks) == len(list(distinct_permutations(items)))
 
 
 # ---------------------------------------------------------------------------
@@ -94,13 +90,6 @@ def test_from_counts_canonicalizes():
     assert a.counts() == (2, 1, 0)
 
 
-def test_from_counts_explicit_m_pads():
-    v = FrequencyVector.from_counts((2,), m=3)
-    assert v.m == 3 and v.parts == (2,)
-    with pytest.raises(ValueError):
-        FrequencyVector.from_counts((1, 1, 1), m=2)
-
-
 def test_of_function():
     f = FunctionTable(3, 2, (2, 1, 2))
     v = FrequencyVector.of_function(f)
@@ -110,6 +99,12 @@ def test_of_function():
 def test_frequency_vector_rejects_non_integer_parts():
     with pytest.raises(ValueError, match="partition parts must be integers"):
         FrequencyVector(3, (2.5, 1))
+
+
+@pytest.mark.parametrize("counts", [(2.5, 1), (True, 2), (1.0, 1), (-1, 2)])
+def test_from_counts_rejects_invalid_counts(counts):
+    with pytest.raises(ValueError, match="counts must be non-negative integers"):
+        FrequencyVector.from_counts(counts)
 
 
 def test_too_many_parts_rejected():
@@ -246,7 +241,7 @@ def test_msym_expansion_monomial_count():
                     expected = (
                         comb(m, len(lam))
                         * factorial(len(lam))
-                        // partition_automorphisms(lam)
+                        // prod(factorial(lam.count(p)) for p in set(lam))
                     )
                     assert len(p.terms) == expected
                     assert all(c == 1 for c in p.terms.values())
@@ -405,5 +400,5 @@ def test_expansion_evaluates_like_basis():
             for lam in partitions(weight, max_parts=m):
                 p = msym_to_zpoly(lam, m)
                 for counts in itertools.product(range(3), repeat=m):
-                    z = FrequencyVector.from_counts(counts, m=m)
+                    z = FrequencyVector.from_counts(counts)
                     assert p.evaluate(counts) == eval_msym(lam, z)
