@@ -66,14 +66,16 @@ def coefficient_basis(n: int, m: int, degree: int) -> tuple[Partition, ...]:
     )
 
 
-def _add_bound_rows(program: LinearProgram, row: list[Fraction], label: Label) -> None:
+def _add_bound_rows(program: LinearProgram, row: list[int], label: Label) -> None:
     """The two rows lower(eps) <= value <= upper(eps) of one class or function.
     Each bound is affine in eps, so moving it to the left side puts
-    bound(0) - bound(1) in the eps column and bound(0) on the right."""
+    bound(0) - bound(1) in the eps column and bound(0) on the right.  Every
+    bound is 0, 1, eps or 1 - eps, so these are ints, as is every entry of
+    `row`, and the simplex takes the rows without Fraction arithmetic."""
     lower0, upper0 = bounds_for(label, Fraction(0))
     lower1, upper1 = bounds_for(label, Fraction(1))
-    program.add_row([lower0 - lower1] + row, ">=", lower0)
-    program.add_row([upper0 - upper1] + row, "<=", upper0)
+    program.add_row([int(lower0 - lower1)] + row, ">=", int(lower0))
+    program.add_row([int(upper0 - upper1)] + row, "<=", int(upper0))
 
 
 def build_lp(prop: PropertySpec, n: int, m: int, degree: int) -> LPInstance:
@@ -270,10 +272,7 @@ def eps_min_indicator_basis(prop: PropertySpec, n: int, m: int, degree: int) -> 
     )
     for f in enumerate_functions(n, m):
         label = prop.classify(FrequencyVector.of_function(f))
-        row = [
-            Fraction(1) if all(f.values[i - 1] == j for i, j in mono) else Fraction(0)
-            for mono in monos
-        ]
+        row = [int(all(f.values[i - 1] == j for i, j in mono)) for mono in monos]
         _add_bound_rows(program, row, label)
     solution = solve(program)
     if solution.status != "optimal":

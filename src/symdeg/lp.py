@@ -1,17 +1,32 @@
 """Exact linear programming over the rationals.
 
-A two-phase simplex on Fraction arithmetic.  Pivoting follows Bland's
-smallest-index rule for both the entering column and the leaving row,
-which rules out cycling, so the solver terminates on every instance and,
-because the rule is deterministic, always returns the same optimal basic
-solution for the same sequence of programs.
+A two-phase simplex whose tableau holds integers.  Each row, and the
+reduced-cost row, is a list of Python ints over one denominator of its
+own, kept positive and in lowest terms: the gcd of the denominator and
+the row's entries is 1.  A pivot on entry p of a row replaces that row by
+sign(p) * row over |p|.  Every other row with a nonzero f in the pivot
+column becomes row * p' - f * pivot_row over den * p', where p' is the new
+pivot row's denominator (and its entry in the pivot column).  Each
+updated row is then divided once by its gcd.  This is fraction-free
+elimination (Edmonds 1967, Bareiss 1968): no Fraction is built inside the
+loop.  The ratio test compares rhs_r * a_s with rhs_s * a_r, since a
+row's denominator cancels from its own ratio, and a reduced cost has the
+sign of its integer.  Fraction appears only where a program's columns
+enter the tableau, scaled to ints by the lcm of their denominators, and
+where the solution is read out.
 
-The tableau is a list of Fraction rows, updated in place and sparsely: a
-pivot subtracts the pivot row only from the rows with a nonzero in the
-pivot column, and only over the pivot row's nonzero columns.  In the
-degree searches of element distinctness at n = 8 and 9, 11% and 13% of
-a pivot row's entries are nonzero, and the Fraction products of this
-update are most of the solver's time.
+The entering column has the reduced cost largest in size among the
+eligible ones (Dantzig's rule), the smallest index breaking ties.  After
+K_DEGENERATE degenerate pivots in a row (the leaving row's right-hand
+side is 0, so the basis changes and the point does not), the smallest
+eligible index enters instead (Bland's rule), until the next pivot that
+is not degenerate.  The leaving row has the smallest ratio, ties going
+to the smallest basic column.  The rule terminates: Bland's rule cannot
+cycle from any basis, so every run of degenerate pivots ends, and each
+pivot that is not degenerate strictly lowers the objective, so no basis
+recurs across them.  Hybrid rules of this kind go back to Terlaky and
+Zhang (1993).  The rule is deterministic, so the same sequence of
+programs always gives the same optimal basic solution.
 
 A `Simplex` keeps the tableau between solves.  Given a program that
 repeats the previous one's rows and appends columns, it reads B^-1 off
@@ -26,22 +41,31 @@ Every program variable has one tableau column, after the slack and
 artificial columns.  A free column is eligible to enter with a reduced
 cost of either sign (a positive one enters decreasing), and the ratio test
 skips the rows of free basic columns, so a free column never leaves once
-it is basic and its value may be negative.  Bland's rule stays finite:
+it is basic and its value may be negative.  Termination still holds:
 each pivot on a free entering column makes one more free column basic for
 good, and between two such pivots every entering and leaving column is
-sign-constrained, which is Bland's own setting.
+sign-constrained, which is the setting of the argument above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 Relation = str  # "<=", ">=", "=="
 
 _RELATIONS = ("<=", ">=", "==")
 _FLIPPED = {"<=": ">=", ">=": "<=", "==": "=="}
+
+K_DEGENERATE = 50  # degenerate pivots in a row before Bland's rule takes over
+
+
+def _exact(value: Fraction | int) -> Fraction | int:
+    """An int as it is (the tableau takes it without a Fraction), anything
+    else as a Fraction."""
+    return value if type(value) is int else Fraction(value)
 
 
 @dataclass
@@ -51,9 +75,9 @@ class LinearProgram:
     num_vars: int
     objective: list[Fraction]
     free: list[bool]
-    lhs: list[list[Fraction]] = field(default_factory=list)
+    lhs: list[list[Fraction | int]] = field(default_factory=list)
     rel: list[Relation] = field(default_factory=list)
-    rhs: list[Fraction] = field(default_factory=list)
+    rhs: list[Fraction | int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.objective = [Fraction(c) for c in self.objective]
@@ -65,9 +89,9 @@ class LinearProgram:
             raise ValueError(f"row has {len(coeffs)} coefficients, expected {self.num_vars}")
         if rel not in _RELATIONS:
             raise ValueError(f"unknown relation {rel!r}")
-        self.lhs.append([Fraction(c) for c in coeffs])
+        self.lhs.append([_exact(c) for c in coeffs])
         self.rel.append(rel)
-        self.rhs.append(Fraction(rhs))
+        self.rhs.append(_exact(rhs))
 
 
 @dataclass(frozen=True)
@@ -82,6 +106,28 @@ def _prefix(lp: LinearProgram, k: int) -> tuple:
     return (list(lp.rel), list(lp.rhs), lp.objective[:k], lp.free[:k], [row[:k] for row in lp.lhs])
 
 
+def _lowest(row: list[int], den: int) -> tuple[list[int], int]:
+    """row / den with the gcd of the denominator and the entries divided out."""
+    g = gcd(den, *row)
+    if g == 1:
+        return row, den
+    return [v // g for v in row], den // g
+
+
+def _eliminate(
+    row: list[int], den: int, pivot: list[tuple[int, int]], pivot_den: int, col: int
+) -> tuple[list[int], int]:
+    """row / den minus the multiple of the pivot row that clears column
+    col, in lowest terms.  The pivot row is given by its nonzero
+    (column, entry) pairs over pivot_den, and its entry in col equals
+    pivot_den."""
+    f = row[col]
+    new = [v * pivot_den for v in row] if pivot_den != 1 else row[:]
+    for j, w in pivot:
+        new[j] -= f * w
+    return _lowest(new, den * pivot_den)
+
+
 class Simplex:
     """The tableau kept between the solves of a sequence of programs, each
     one the previous program with variables appended (same rows, same
@@ -89,13 +135,21 @@ class Simplex:
 
     The first solve builds the tableau and runs both phases; each later
     one extends it by the new columns and runs phase 2 from the optimal
-    basis it had.  Columns are numbered in the order they were added, which
-    is the order Bland's rule scans them in.
+    basis it had.  Columns are numbered in the order they were added: the
+    slack and artificial columns, then one per program variable.
+
+    Row i of the tableau is `rows[i]` over `dens[i]`, and the reduced-cost
+    row is `costrow` over `costden`: Python ints over a denominator > 0,
+    with the gcd of the denominator and the entries 1.  A basic column's
+    entry in its own row equals that row's denominator.  `pivots` counts
+    the pivots made across all solves.
     """
 
     def __init__(self) -> None:
-        self.rows: list[list[Fraction]] = []  # tableau rows, right-hand side last
-        self.costrow: list[Fraction] = []  # reduced costs, minus the objective last
+        self.rows: list[list[int]] = []  # numerators of the tableau rows, right-hand side last
+        self.dens: list[int] = []  # per row: its denominator
+        self.costrow: list[int] = []  # numerators of the reduced costs, minus the objective last
+        self.costden = 1
         self.basis: list[int] = []
         self.cost: list[Fraction] = []  # phase-2 cost of every column
         self.artificial: list[bool] = []
@@ -106,6 +160,7 @@ class Simplex:
         self.phase = 1
         self.status = ""
         self.program: Optional[tuple] = None
+        self.pivots = 0
 
     def _solve(self, lp: LinearProgram) -> LPSolution:
         if self.program is None:
@@ -118,9 +173,9 @@ class Simplex:
         if self.status != "optimal":
             return LPSolution(self.status, None, None)
         values = [Fraction(0)] * len(self.cost)
-        for row, bv in zip(self.rows, self.basis):
-            values[bv] = row[-1]
-        return LPSolution("optimal", -self.costrow[-1], values[self.width :])
+        for row, den, bv in zip(self.rows, self.dens, self.basis):
+            values[bv] = Fraction(row[-1], den)
+        return LPSolution("optimal", Fraction(-self.costrow[-1], self.costden), values[self.width :])
 
     def _start(self, lp: LinearProgram) -> None:
         """The tableau of the slack and artificial columns alone: every row
@@ -130,13 +185,14 @@ class Simplex:
         slack_rows = [r for r, rel in enumerate(rels) if rel != "=="]
         artificial_rows = [r for r, rel in enumerate(rels) if rel != "<="]
         self.width = width = len(slack_rows) + len(artificial_rows)
-        self.rows = [[Fraction(0)] * width + [abs(rhs)] for rhs in lp.rhs]
+        self.dens = [rhs.denominator for rhs in lp.rhs]
+        self.rows = [[0] * width + [abs(rhs.numerator)] for rhs in lp.rhs]
         self.identity = [0] * len(self.rows)
         for j, r in enumerate(slack_rows):
-            self.rows[r][j] = Fraction(1 if rels[r] == "<=" else -1)
+            self.rows[r][j] = self.dens[r] if rels[r] == "<=" else -self.dens[r]
             self.identity[r] = j
         for j, r in enumerate(artificial_rows, start=len(slack_rows)):
-            self.rows[r][j] = Fraction(1)
+            self.rows[r][j] = self.dens[r]
             self.identity[r] = j
         self.basis = list(self.identity)
         self.cost = [Fraction(0)] * width
@@ -145,14 +201,19 @@ class Simplex:
 
     def _append(self, lp: LinearProgram) -> None:
         """Add the columns of lp's variables not yet in the tableau, as
-        B^-1 a; B^-1's column i is the tableau column identity[i]."""
+        B^-1 a; B^-1's column i is the tableau column identity[i].  The new
+        columns are scaled to ints by the lcm of their denominators, and
+        each row's denominator by the same factor."""
         new_vars = range(len(self.cost) - self.width, lp.num_vars)
         columns = [[s * row[j] for s, row in zip(self.sign, lp.lhs)] for j in new_vars]
-        for row in self.rows:
+        scale = lcm(*(a.denominator for column in columns for a in column))
+        columns = [[a.numerator * (scale // a.denominator) for a in column] for column in columns]
+        for r, row in enumerate(self.rows):
             inverse = [(i, row[col]) for i, col in enumerate(self.identity) if row[col]]
-            row[-1:-1] = [
-                sum((b * a[i] for i, b in inverse if a[i]), Fraction(0)) for a in columns
-            ]
+            entries = [sum(b * a[i] for i, b in inverse if a[i]) for a in columns]
+            row = [v * scale for v in row]
+            row[-1:-1] = entries
+            self.rows[r], self.dens[r] = _lowest(row, self.dens[r] * scale)
         self.cost += lp.objective[new_vars.start :]
         self.free += lp.free[new_vars.start :]
         self.artificial += [False] * len(new_vars)
@@ -160,13 +221,13 @@ class Simplex:
     def _optimize(self) -> None:
         """Run what is left of phase 1, then phase 2, from the current basis."""
         if self.phase == 1:
-            self.costrow = self._price_out([Fraction(int(a)) for a in self.artificial])
+            self._price_out([int(a) for a in self.artificial])
             self._run(range(len(self.cost)))  # bounded below by 0
             if self.costrow[-1] != 0:
                 self.status = "infeasible"
                 return
             self.phase = 2
-        self.costrow = self._price_out(self.cost)
+        self._price_out(self.cost)
         # A basic artificial left at 0 leaves on any nonzero entry of its row
         # (the pivot is degenerate); an all-zero row is redundant and keeps it.
         for r, row in enumerate(self.rows):
@@ -178,57 +239,75 @@ class Simplex:
                     self._pivot(r, target)
         self.status = self._run([j for j, art in enumerate(self.artificial) if not art])
 
-    def _price_out(self, costs: list[Fraction]) -> list[Fraction]:
-        """Reduced-cost row for the given per-column costs and current basis."""
-        costrow = list(costs) + [Fraction(0)]
-        for row, bv in zip(self.rows, self.basis):
-            factor = costrow[bv]
-            if factor:
-                for j, v in enumerate(row):
-                    if v:
-                        costrow[j] -= factor * v
-        return costrow
+    def _price_out(self, costs: Sequence[Fraction | int]) -> None:
+        """Set the reduced-cost row for the given per-column costs and the
+        current basis."""
+        den = lcm(*(c.denominator for c in costs))
+        costrow, den = _lowest([c.numerator * (den // c.denominator) for c in costs] + [0], den)
+        for row, row_den, bv in zip(self.rows, self.dens, self.basis):
+            if costrow[bv]:
+                nonzero = [(j, w) for j, w in enumerate(row) if w]
+                costrow, den = _eliminate(costrow, den, nonzero, row_den, bv)
+        self.costrow, self.costden = costrow, den
 
     def _run(self, allowed: Sequence[int]) -> str:
-        costrow, rows, basis, free = self.costrow, self.rows, self.basis, self.free
+        rows, basis, free = self.rows, self.basis, self.free
+        degenerate = 0  # degenerate pivots in a row
         while True:
-            # Bland: the smallest eligible column enters, a free one also
-            # on a positive reduced cost, and then decreasing
-            entering = next(
-                (j for j in allowed if costrow[j] < 0 or (free[j] and costrow[j] > 0)), None
-            )
+            costrow = self.costrow
+            # a column is eligible on a negative reduced cost, a free one also
+            # on a positive one, and then it enters decreasing
+            if degenerate < K_DEGENERATE:
+                # Dantzig: the largest reduced cost in size, the first on ties
+                entering, best = None, 0
+                for j in allowed:
+                    c = costrow[j]
+                    if c < 0:
+                        c = -c
+                    elif not free[j]:
+                        continue
+                    if c > best:
+                        entering, best = j, c
+            else:
+                # Bland: the first eligible column
+                entering = next(
+                    (j for j in allowed if costrow[j] < 0 or (free[j] and costrow[j] > 0)), None
+                )
             if entering is None:
                 return "optimal"
             increasing = costrow[entering] < 0
+            # the smallest ratio rhs / a leaves, ties to the smallest basic
+            # column; both sit over the row's denominator, which cancels
             leaving = None
-            best: Optional[Fraction] = None
             for r, row in enumerate(rows):
                 a = row[entering] if increasing else -row[entering]
                 if a > 0 and not free[basis[r]]:
-                    ratio = row[-1] / a
-                    if (
-                        best is None
-                        or ratio < best
-                        or (ratio == best and basis[r] < basis[leaving])
+                    b = row[-1]
+                    if leaving is None or b * best_a < best_b * a or (
+                        b * best_a == best_b * a and basis[r] < basis[leaving]
                     ):
-                        best = ratio
-                        leaving = r
+                        leaving, best_b, best_a = r, b, a
             if leaving is None:
                 return "unbounded"
+            degenerate = degenerate + 1 if best_b == 0 else 0
             self._pivot(leaving, entering)
 
-    def _pivot(self, row: int, col: int) -> None:
-        pivot_row = self.rows[row]
-        pivot = pivot_row[col]
-        nonzero = [(j, v / pivot) for j, v in enumerate(pivot_row) if v]
-        for j, v in nonzero:
-            pivot_row[j] = v
-        for other in (*self.rows, self.costrow):
-            factor = other[col]
-            if factor and other is not pivot_row:
-                for j, v in nonzero:
-                    other[j] -= factor * v
-        self.basis[row] = col
+    def _pivot(self, r: int, col: int) -> None:
+        rows, dens = self.rows, self.dens
+        pivot_row = rows[r]
+        p = pivot_row[col]
+        if p < 0:
+            pivot_row = [-v for v in pivot_row]
+        pivot_row, p = _lowest(pivot_row, abs(p))
+        rows[r], dens[r] = pivot_row, p
+        nonzero = [(j, w) for j, w in enumerate(pivot_row) if w]
+        for i, row in enumerate(rows):
+            if row[col] and i != r:
+                rows[i], dens[i] = _eliminate(row, dens[i], nonzero, p, col)
+        if self.costrow[col]:
+            self.costrow, self.costden = _eliminate(self.costrow, self.costden, nonzero, p, col)
+        self.basis[r] = col
+        self.pivots += 1
 
 
 def solve(lp: LinearProgram, simplex: Optional[Simplex] = None) -> LPSolution:

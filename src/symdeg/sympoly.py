@@ -78,18 +78,22 @@ def partitions(total: int, max_parts: int | None = None) -> Iterator[Partition]:
     if total < 0:
         raise ValueError("cannot partition a negative total")
     slots = total if max_parts is None else min(max_parts, total)
+    yield from _partitions(total, total, slots)
 
-    def rec(remaining: int, largest: int, room: int) -> Iterator[Partition]:
-        if remaining == 0:
-            yield ()
-            return
-        if room == 0:
-            return
-        for head in range(min(largest, remaining), 0, -1):
-            for tail in rec(remaining - head, head, room - 1):
-                yield (head,) + tail
 
-    yield from rec(total, total, slots)
+def _partitions(remaining: int, largest: int, room: int) -> Iterator[Partition]:
+    """Partitions of `remaining` into at most `room` parts, each at most
+    `largest`, in reverse-lexicographic order.  A module function, not a
+    closure: a recursive closure refers to itself, and each call would
+    leave a reference cycle for the cyclic collector."""
+    if remaining == 0:
+        yield ()
+        return
+    if room == 0:
+        return
+    for head in range(min(largest, remaining), 0, -1):
+        for tail in _partitions(remaining - head, head, room - 1):
+            yield (head,) + tail
 
 
 def distinct_permutations(items: Iterable[int]) -> Iterator[tuple[int, ...]]:

@@ -22,6 +22,7 @@ from symdeg.degreelp import (
     solve_lp,
     sweep,
 )
+from symdeg.lp import Simplex
 from symdeg.oracle import verify_approximation
 from symdeg.properties import (
     ALWAYS_ONE,
@@ -174,6 +175,26 @@ GOLDEN_EPS_MIN = {
     (COLLISION, 4): "1/2,1/2,2/5,0",
     (COLLISION, 6): "1/2,1/2,4/9,5/21",
     (COLLISION, 8): "1/2,1/2,6/13,7/22",
+    # the frontier; ED n = 14..16 is in ed_frontier.json, which CI checks
+    (ELEMENT_DISTINCTNESS, 9): "1/2,1/2,35/71,55/116,169/394,693/1901,15041/55280",
+    (ELEMENT_DISTINCTNESS, 10): "1/2,1/2,44/89,35/73,1310/2951,110902/283957,27134878/86902331",
+    (ELEMENT_DISTINCTNESS, 11): (
+        "1/2,1/2,54/109,156/323,705/1552,2093391/5128016,1044343604/3037116701,"
+        "166784126/641040197"
+    ),
+    (ELEMENT_DISTINCTNESS, 12): (
+        "1/2,1/2,65/131,189/389,34407/74447,82552/194609,82996528/225037371,"
+        "1598311145/5383931159"
+    ),
+    (ELEMENT_DISTINCTNESS, 13): (
+        "1/2,1/2,77/155,525/1076,2651/5667,2988328/6861145,109926573383/283679977665,"
+        "7562650300964/23587952728465"
+    ),
+    (MODIFIED_ELEMENT_DISTINCTNESS, 10): "1/2,1/2,14/29,35/79,95/268,4751/19301",
+    (MODIFIED_ELEMENT_DISTINCTNESS, 11): "1/2,1/2,52/107,105/232,3491/9231,20166587/71096785",
+    (MODIFIED_ELEMENT_DISTINCTNESS, 12): "1/2,1/2,21/43,64/139,1134/2851,1164/3709",
+    (COLLISION, 10): "1/2,1/2,8/17,9/25,57/595",
+    (COLLISION, 12): "1/2,1/2,10/21,22/57,5/27",
 }
 
 
@@ -344,6 +365,15 @@ def test_warm_search_matches_cold_solves(prop, n, m):
     for step in cert.steps:
         assert step.eps_min == solve_lp(build_lp(prop, n, m, step.degree))[0]
     assert verify_approximation(cert.optimal_polynomial(), prop, n, m, THIRD).passed
+
+
+def test_warm_search_pivot_count():
+    # the ED n = 9 search (d* = 6) on one tableau; Bland's rule alone
+    # makes 168 pivots here
+    simplex = Simplex()
+    for d in range(7):
+        solve_lp(build_lp(ELEMENT_DISTINCTNESS, 9, 9, d), simplex)
+    assert simplex.pivots == 93
 
 
 def test_certificate_to_dict_shape():

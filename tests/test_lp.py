@@ -1,12 +1,13 @@
 """Tests for the exact rational simplex solver."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symdeg.lp import LinearProgram, Simplex, solve
+from symdeg.lp import K_DEGENERATE, LinearProgram, Simplex, solve
 
 
 def make_lp(num_vars, objective, free=None):
@@ -101,13 +102,16 @@ def test_redundant_equality_rows_dropped():
 
 
 def test_beale_cycling_instance_terminates():
-    """Beale's classic degenerate instance loops under naive pivoting;
-    Bland's rule must terminate at the optimum."""
+    """Beale's classic degenerate instance cycles under Dantzig's rule;
+    after K_DEGENERATE degenerate pivots Bland's rule takes over, and the
+    run must terminate at the optimum."""
     lp = make_lp(4, [Fraction(-3, 4), 150, Fraction(-1, 50), 6])
     lp.add_row([Fraction(1, 4), -60, Fraction(-1, 25), 9], "<=", 0)
     lp.add_row([Fraction(1, 2), -90, Fraction(-1, 50), 3], "<=", 0)
     lp.add_row([0, 0, 1, 0], "<=", 1)
-    sol = solve(lp)
+    simplex = Simplex()
+    sol = solve(lp, simplex)
+    assert simplex.pivots > K_DEGENERATE  # the fallback ran
     assert sol.status == "optimal"
     assert sol.value == Fraction(-1, 20)
     assert sol.x == [Fraction(1, 25), Fraction(0), Fraction(1), Fraction(0)]
@@ -142,6 +146,16 @@ def test_solver_is_deterministic():
     assert first == second
 
 
+def test_add_row_keeps_ints():
+    # the tableau takes ints without a Fraction; anything else is converted
+    lp = make_lp(3, [1, 1, 1])
+    lp.add_row([1, Fraction(1, 2), Fraction(4, 2)], "<=", 3)
+    lp.add_row([-2, 0, True], ">=", Fraction(1, 3))
+    assert [type(c) for c in lp.lhs[0]] == [int, Fraction, Fraction]
+    assert [type(c) for c in lp.lhs[1]] == [int, int, Fraction]
+    assert [type(v) for v in lp.rhs] == [int, Fraction]
+
+
 def test_row_validation():
     lp = make_lp(2, [1, 1])
     with pytest.raises(ValueError):
@@ -171,11 +185,23 @@ def satisfies(lp, x):
     )
 
 
+def check_integer_tableau(simplex):
+    # every row over a positive denominator in lowest terms, and each basic
+    # column's entry in its own row equal to that denominator
+    rows = [*zip(simplex.rows, simplex.dens), (simplex.costrow, simplex.costden)]
+    for row, den in rows:
+        assert all(type(v) is int for v in row)
+        assert den > 0 and gcd(den, *row) == 1
+    for row, den, bv in zip(simplex.rows, simplex.dens, simplex.basis):
+        assert row[bv] == den
+
+
 def check_warm_against_cold(lp, widths):
     simplex = Simplex()
     for k in widths:
         narrow = first_columns(lp, k)
         warm = solve(narrow, simplex)
+        check_integer_tableau(simplex)
         cold = solve(narrow)
         assert (warm.status, warm.value) == (cold.status, cold.value)
         if warm.status == "optimal":
@@ -183,13 +209,18 @@ def check_warm_against_cold(lp, widths):
             assert sum(c * v for c, v in zip(narrow.objective, warm.x)) == warm.value
 
 
+# ints, and Fractions that make the tableau scale a column to ints
+INTS_AND_FRACTIONS = st.integers(-3, 3) | st.builds(
+    Fraction, st.integers(-12, 12), st.integers(1, 4)
+)
+
+
 @st.composite
-def widened_programs(draw):
+def widened_programs(draw, small=st.integers(-3, 3)):
     widths = [draw(st.integers(1, 3))]
     for extra in draw(st.lists(st.integers(1, 2), min_size=1, max_size=3)):
         widths.append(widths[-1] + extra)
     num_vars = widths[-1]
-    small = st.integers(-3, 3)
     lp = make_lp(
         num_vars,
         draw(st.lists(st.integers(-2, 2), min_size=num_vars, max_size=num_vars)),
@@ -205,7 +236,7 @@ def widened_programs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(widened_programs())
+@given(widened_programs(INTS_AND_FRACTIONS))
 def test_warm_solves_match_cold_solves(case):
     check_warm_against_cold(*case)
 
