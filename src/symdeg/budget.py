@@ -3,8 +3,8 @@
 Every routine that enumerates function tables first computes exactly how
 many items the enumeration would visit and compares that against a budget,
 so oversized requests fail fast instead of running away: all m**n
-functions (`oracle.enumerate_functions`, behind `verify_approximation` on
-an indicator polynomial, `transfer_approximation` and
+functions (`verify_approximation` on an indicator polynomial, and so
+`transfer_approximation`; `oracle.enumerate_functions`, behind
 `eps_min_indicator_basis`), one frequency class (`functions_in_class`,
 `average_oracle`) and one ordered frequency vector (`average_over_counts`).
 The budget is 10**6 items unless the SYMDEG_BUDGET environment variable

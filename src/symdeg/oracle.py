@@ -4,19 +4,23 @@
 symmetric polynomial it walks every frequency class, for an indicator
 polynomial every individual function table.  Indicator assignments that
 correspond to no function are never visited; the bounds simply do not
-apply there.  Everything is exact rational arithmetic; a report either
-passes or carries the concrete violating classes/functions.
+apply there.  The m^n values of an indicator polynomial come from one
+walk over the rows (`YPolynomial.evaluate_all`), and each frequency class
+is classified once, however many functions it holds.  Everything is exact
+rational arithmetic; a report either passes or carries the concrete
+violating classes/functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Iterator, Union
 
 from .budget import check_budget
 from .properties import Label, PropertySpec, bounds_for, check_instance
-from .sympoly import FrequencyVector, SymPolynomial, partitions
+from .sympoly import FrequencyVector, Partition, SymPolynomial, partitions
 from .ypoly import FunctionTable, YPolynomial
 
 
@@ -27,6 +31,12 @@ def enumerate_functions(n: int, m: int) -> Iterator[FunctionTable]:
         raise ValueError("function enumeration needs n >= 1 and m >= 1")
     check_budget(m**n)
     yield from FunctionTable.all(n, m)
+
+
+def _class_of(values: tuple[int, ...]) -> Partition:
+    """The frequency class of the function with these values: its sorted
+    nonzero counts."""
+    return tuple(sorted(map(values.count, set(values)), reverse=True))
 
 
 @dataclass(frozen=True)
@@ -73,34 +83,48 @@ def verify_approximation(
     """Check that `poly` eps-approximates the property over [n] -> [m].
 
     Symmetric polynomials are checked class by class (cheap); indicator
-    polynomials function by function (budgeted at m**n).  The instance
-    must pass `check_instance`, as for the degree search.
+    polynomials function by function, in lexicographic order, after
+    checking m**n against the budget: their values come from one walk over
+    the rows, and the property classifies each frequency class once, keyed
+    by its sorted nonzero counts.  The instance must pass
+    `check_instance`, as for the degree search.
     """
     eps = check_instance(prop, n, m, eps)
+    verdicts: dict[Partition, tuple[Label, Fraction, Fraction]] = {}
+
+    def verdict(parts: Partition) -> tuple[Label, Fraction, Fraction]:
+        """The label and bounds of a class, classified on first sight."""
+        found = verdicts.get(parts)
+        if found is None:
+            label = prop.classify(FrequencyVector(m, parts))
+            found = verdicts[parts] = (label, *bounds_for(label, eps))
+        return found
+
     if isinstance(poly, SymPolynomial):
         if poly.m != m:
             raise ValueError(f"polynomial over {poly.m} variables, expected {m}")
         kind = "class"
-        classes = (FrequencyVector(m, lam) for lam in partitions(n, max_parts=m))
-        points = ((z.parts, z, z) for z in classes)
+        points = (
+            (lam, verdict(lam), poly.evaluate(FrequencyVector(m, lam)))
+            for lam in partitions(n, max_parts=m)
+        )
     elif isinstance(poly, YPolynomial):
         if (poly.n, poly.m) != (n, m):
             raise ValueError(
                 f"polynomial over the {poly.n}x{poly.m} grid, expected {n}x{m}"
             )
+        check_budget(m**n)
         kind = "function"
+        functions = product(range(1, m + 1), repeat=n)  # the order of evaluate_all
         points = (
-            (f.values, FrequencyVector.of_function(f), f)
-            for f in enumerate_functions(n, m)
+            (values, verdict(_class_of(values)), value)
+            for values, value in zip(functions, poly.evaluate_all())
         )
     else:
         raise TypeError(f"cannot verify a {type(poly).__name__}")
     violations: list[Violation] = []
     table: list[dict] = []
-    for where, z, point in points:
-        label = prop.classify(z)
-        value = poly.evaluate(point)
-        lower, upper = bounds_for(label, eps)
+    for where, (label, lower, upper), value in points:
         ok = lower <= value <= upper
         table.append(
             {

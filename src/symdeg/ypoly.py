@@ -12,6 +12,13 @@ because a row selects exactly one column.  `normalize_monomial` applies
 both rules, so every stored monomial has pairwise distinct rows and at
 most N factors.  All coefficients are `fractions.Fraction`; no floats
 appear anywhere.
+
+`YPolynomial.evaluate(f)` is the value at one function.
+`YPolynomial.evaluate_all()` gives the values at all m^N functions, in
+the lexicographic order of `FunctionTable.all`, from one depth-first walk
+over the rows: a node for the prefix f(1..r) carries the sum of the terms
+that prefix already completes and the terms it still agrees with, so
+every term is looked at once per node, not once per function.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .sparse import CoeffLike, SparsePolynomial, concat_product, json_int
@@ -166,3 +174,59 @@ class YPolynomial(SparsePolynomial):
                 f"function is {f.n}->{f.m} but polynomial is over the {self.n}x{self.m} grid"
             )
         return self._value_at(set(enumerate(f.values, 1)))
+
+    def evaluate_all(self) -> list[Fraction]:
+        """Values at all m**n functions, in the order of `FunctionTable.all`.
+
+        One depth-first walk chooses f(1), f(2), ... in turn, over integer
+        coefficients with one common denominator.  The node for a prefix
+        f(1..r-1) holds the running sum of the terms whose every factor the
+        prefix matches, and the terms that agree with the prefix so far and
+        still have a factor at row r or later.  At row r a held term with
+        no factor there passes to every child, one with the factor (r, j)
+        only to child j, where it completes if r is its last row.  Beyond
+        the m**n values, the walk holds one node per row: O(n * terms)
+        extra memory.  No budget is checked here; the caller bounds m**n.
+        """
+        n, m = self.n, self.m
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        constant = 0
+        held = []  # (column of each row, last row, numerator) per non-constant term
+        for mono, c in self.terms.items():
+            num = c.numerator * (den // c.denominator)
+            if mono:
+                held.append((dict(mono), mono[-1][0], num))
+            else:
+                constant += num
+
+        def children(r: int, total: int, terms: list) -> Iterator[tuple[int, list]]:
+            """The running sum and held terms of each child f(r) = 1..m of
+            a node at row r, made one at a time."""
+            free, split = [], {}
+            for term in terms:
+                j = term[0].get(r)
+                if j is None:
+                    free.append(term)
+                else:
+                    split.setdefault(j, []).append(term)
+            for j in range(1, m + 1):
+                child_total, child_terms = total, list(free)
+                for term in split.get(j, ()):
+                    if term[1] == r:
+                        child_total += term[2]
+                    else:
+                        child_terms.append(term)
+                yield child_total, child_terms
+
+        sums: list[int] = []
+        path = [children(1, constant, held)]  # one generator per row of the prefix
+        while path:
+            child = next(path[-1], None)
+            if child is None:
+                path.pop()
+            elif len(path) == n:
+                sums.append(child[0])
+            else:
+                path.append(children(len(path) + 1, *child))
+        value = {s: Fraction(s, den) for s in set(sums)}
+        return [value[s] for s in sums]

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: output formats and exit codes."""
 
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -310,6 +311,32 @@ def test_verify_failing_z_polynomial(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["pass"] is False
     assert len(data["violations"]) == 1  # the One class gets value 0
+
+
+# stdout sha256 of `verify` on the 3x3 polynomial below, which fails at
+# some functions under each property (exit code 1)
+FAILING_Y_VERIFY_SHA256 = {
+    "ed": "946d789b05fb39405676a204902af1e8c229cd3181b182ddf8f97837c424c048",
+    "collision": "9b8bc0b00dc96ca35e6e57449720cff374042f4c6810f4a28020637895937458",
+    "med": "a1d191923b93707e0f0b5e4b80cf9b11286be3f79b73595159095a220360a56b",
+}
+
+
+@pytest.mark.parametrize("prop", sorted(FAILING_Y_VERIFY_SHA256))
+def test_verify_failing_y_polynomial_exact_bytes(tmp_path, capsys, prop):
+    src = tmp_path / "p.json"
+    p = YPolynomial(3, 3, {
+        (): Fraction(1, 2),
+        ((1, 1), (2, 2)): Fraction(1, 3),
+        ((1, 2),): Fraction(-1, 5),
+        ((2, 1), (3, 3)): Fraction(2, 7),
+    })
+    dump_polynomial(p, src)
+    assert main(["verify", "--property", prop, "--input", str(src)]) == 1
+    out = capsys.readouterr().out
+    data = json.loads(out)
+    assert len(data["table"]) == 27 and data["violations"]
+    assert hashlib.sha256(out.encode()).hexdigest() == FAILING_Y_VERIFY_SHA256[prop]
 
 
 def test_verify_y_polynomial_checks_n(tmp_path, capsys):

@@ -440,6 +440,15 @@ def test_indicator_basis_at_range_above_n_med(degree, expected):
     assert unrestricted == expected == symmetric
 
 
+@pytest.mark.parametrize("degree, expected", [(1, Fraction(1, 2)), (2, Fraction(2, 5))])
+def test_indicator_basis_at_range_above_n_ed_m5(degree, expected):
+    # ED over all 5**3 functions: the best error at each degree is the
+    # symmetric optimum at m = n = 3
+    unrestricted = eps_min_indicator_basis(ELEMENT_DISTINCTNESS, 3, 5, degree)
+    symmetric = solve_lp(build_lp(ELEMENT_DISTINCTNESS, 3, 3, degree))[0]
+    assert unrestricted == expected == symmetric
+
+
 def test_indicator_basis_checks_the_budget_first(monkeypatch):
     # 3**3 = 27 functions over a budget of 20: refused before any row is built
     def no_rows(*args):

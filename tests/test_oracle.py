@@ -1,5 +1,7 @@
 """Tests for the brute-force verification oracle."""
 
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from symdeg.budget import BudgetExceededError
 from symdeg.degreelp import approx_degree, sweep
 from symdeg.oracle import (
     Report,
+    Violation,
     bounds_for,
     enumerate_functions,
     verify_approximation,
@@ -16,11 +19,14 @@ from symdeg.properties import (
     ALWAYS_ONE,
     COLLISION,
     ELEMENT_DISTINCTNESS,
+    MODIFIED_ELEMENT_DISTINCTNESS,
     Label,
+    PropertySpec,
+    property_from_dict,
 )
 from symdeg.symmetrize import desymmetrize
-from symdeg.sympoly import SymPolynomial
-from symdeg.ypoly import YPolynomial
+from symdeg.sympoly import FrequencyVector, SymPolynomial, partitions
+from symdeg.ypoly import FunctionTable, YPolynomial
 
 THIRD = Fraction(1, 3)
 
@@ -127,6 +133,111 @@ def test_indicator_route_budget(monkeypatch):
     p = YPolynomial.zero(3, 3)
     with pytest.raises(BudgetExceededError):
         verify_approximation(p, ELEMENT_DISTINCTNESS, 3, 3, THIRD)
+
+
+def test_indicator_route_checks_the_budget_first(monkeypatch):
+    # 3**3 = 27 functions over a budget of 20: refused before the walk runs
+    def no_walk(self):
+        raise AssertionError("the polynomial was evaluated past the budget")
+
+    monkeypatch.setenv("SYMDEG_BUDGET", "20")
+    monkeypatch.setattr(YPolynomial, "evaluate_all", no_walk)
+    with pytest.raises(BudgetExceededError) as info:
+        verify_approximation(YPolynomial.constant(3, 3, 1), ELEMENT_DISTINCTNESS, 3, 3, THIRD)
+    assert (info.value.required, info.value.budget) == (27, 20)
+
+
+def per_function_report(p, prop, eps):
+    """The indicator route written out point by point: classify and
+    evaluate every function on its own."""
+    violations, table = [], []
+    for f in FunctionTable.all(p.n, p.m):
+        label = prop.classify(FrequencyVector.of_function(f))
+        value = p.evaluate(f)
+        lower, upper = bounds_for(label, eps)
+        ok = lower <= value <= upper
+        table.append(
+            {"kind": "function", "where": list(f.values), "label": label.value,
+             "value": str(value), "ok": ok}
+        )
+        if not ok:
+            violations.append(Violation("function", f.values, label, value, lower, upper))
+    return Report(not violations, tuple(violations), tuple(table))
+
+
+def random_labels(rng, n):
+    """A property over n given by a class table with random labels."""
+    labels = [label.value for label in Label]
+    classes = [{"partition": list(lam), "label": rng.choice(labels)} for lam in partitions(n)]
+    return property_from_dict({"n": n, "classes": classes}, name="random")
+
+
+def test_indicator_route_matches_the_per_function_reference():
+    rng = random.Random(2003)
+    failing = 0
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        m = rng.randint(n, 5)
+        raw = [
+            (
+                [(i, rng.randint(1, m)) for i in rng.sample(range(1, n + 1), rng.randint(0, n))],
+                Fraction(rng.randint(-6, 6), rng.randint(1, 6)),
+            )
+            for _ in range(rng.randint(0, 8))
+        ]
+        p = YPolynomial(n, m, raw)
+        props = [ELEMENT_DISTINCTNESS, MODIFIED_ELEMENT_DISTINCTNESS, COLLISION, random_labels(rng, n)]
+        for prop in props:
+            report = verify_approximation(p, prop, n, m, THIRD)
+            expected = per_function_report(p, prop, THIRD)
+            assert report.to_dict() == expected.to_dict()
+            assert report.violations == expected.violations
+            failing += not report.passed
+    assert failing > 100  # most of the 160 reports carry violations
+
+
+def test_indicator_route_classifies_each_class_once():
+    seen = []
+
+    def rule(z):
+        seen.append(z)
+        return ELEMENT_DISTINCTNESS.classify(z)
+
+    counting = PropertySpec("counting", rule)
+    report = verify_approximation(YPolynomial.constant(3, 4, 1), counting, 3, 4, THIRD)
+    assert len(report.table) == 64
+    # 64 functions, 3 classes, each classified when first met in lexicographic order
+    assert [z.parts for z in seen] == [(3,), (2, 1), (1, 1, 1)]
+    assert all(z.m == 4 for z in seen)
+
+
+def test_indicator_route_at_n_16_with_two_values():
+    # 2**16 functions, inside the default budget; the walk keeps one node
+    # per row, far from a table over all (m+1)**n = 3**16 partial points
+    p = YPolynomial(16, 2, {((1, 1), (5, 2)): 1, ((3, 2),): Fraction(1, 3), (): Fraction(-1, 7)})
+    balance = property_from_dict(
+        {"n": 16, "classes": [
+            {"partition": [16 - k, k] if k else [16],
+             "label": "One" if k >= 6 else "Zero" if k <= 2 else "Undefined"}
+            for k in range(9)
+        ]},
+        name="balance",
+    )
+    tracemalloc.start()
+    try:
+        values = p.evaluate_all()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(values) == 2**16
+    assert peak < 8 * 2**20
+    report = verify_approximation(p, balance, 16, 2, THIRD)
+    assert len(report.table) == 2**16
+    assert [row["value"] for row in report.table] == [str(v) for v in values]
+    assert report.table[0] == {
+        "kind": "function", "where": [1] * 16, "label": "Zero", "value": "-1/7", "ok": False,
+    }
+    assert len(report.violations) == sum(not row["ok"] for row in report.table) > 0
 
 
 def test_routes_agree_through_desymmetrize():

@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symdeg.ypoly import (
@@ -186,6 +186,42 @@ def test_evaluate_matches_raw_factor_products(drawn):
     p = YPolynomial(n, m, raw)
     for f in FunctionTable.all(n, m):
         assert p.evaluate(f) == sum(c * evaluate_factors(factors, f) for factors, c in raw)
+
+
+@st.composite
+def grid_polynomials(draw):
+    """A polynomial on a grid up to 4x4, m < n allowed, with up to 6 raw
+    terms of up to 4 factors; the zero polynomial and constant-only ones
+    come up as draws with no terms and with only empty factor lists."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    factors = st.lists(st.tuples(st.integers(1, n), st.integers(1, m)), max_size=4)
+    coeffs = st.builds(Fraction, st.integers(-10, 10), st.integers(1, 12))
+    return YPolynomial(n, m, draw(st.lists(st.tuples(factors, coeffs), max_size=6)))
+
+
+@given(grid_polynomials())
+@example(YPolynomial.zero(1, 1))
+@example(YPolynomial.zero(4, 2))
+@example(YPolynomial.constant(1, 4, Fraction(-3, 7)))
+@example(YPolynomial.constant(3, 1, 5))
+@example(YPolynomial(4, 1, {((1, 1), (4, 1)): Fraction(1, 2), (): 1}))
+@example(YPolynomial(3, 2, {((1, 2), (3, 1)): Fraction(2, 3), ((2, 2),): Fraction(-1, 6)}))
+@settings(max_examples=300, deadline=None)
+def test_evaluate_all_matches_evaluate_in_order(p):
+    values = p.evaluate_all()
+    assert values == [p.evaluate(f) for f in FunctionTable.all(p.n, p.m)]
+    assert all(type(v) is Fraction for v in values)
+
+
+def test_evaluate_all_on_every_monomial_of_the_2x3_grid():
+    # each row is either absent or picks one of the 3 columns: 16 monomials
+    rows = [[None, 1, 2, 3]] * 2
+    for cols in itertools.product(*rows):
+        mono = tuple((i, j) for i, j in enumerate(cols, 1) if j is not None)
+        p = YPolynomial(2, 3, {mono: Fraction(5, 3)})
+        expected = [p.evaluate(f) for f in FunctionTable.all(2, 3)]
+        assert p.evaluate_all() == expected
+        assert expected.count(Fraction(5, 3)) == 3 ** (2 - len(mono))
 
 
 @given(factor_lists, factor_lists)
