@@ -30,7 +30,7 @@ from itertools import combinations, product
 from typing import Iterable, Optional
 
 from .lp import LinearProgram, Simplex, solve
-from .oracle import enumerate_functions
+from .oracle import _class_of, enumerate_functions
 from .properties import Label, PropertySpec, bounds_for, check_instance, enumerate_classes
 from .sympoly import (
     FrequencyVector,
@@ -262,16 +262,21 @@ def eps_min_indicator_basis(prop: PropertySpec, n: int, m: int, degree: int) -> 
     """Best error over *all* polynomials of the given degree in the
     indicators, one bound row pair per individual function.  No symmetry is
     imposed; matching `solve_lp` optima shows none was needed.  Exhaustive
-    over m**n functions, so the function count must fit the enumeration
-    budget (which does not bound the LP's own cost: keep n and m small)."""
+    over m**n functions, each frequency class classified once, so the
+    function count must fit the enumeration budget (which does not bound
+    the LP's own cost: keep n and m small)."""
     monos = indicator_monomials(n, m, degree)
     program = LinearProgram(
         num_vars=1 + len(monos),
         objective=[Fraction(1)] + [Fraction(0)] * len(monos),
         free=[False] + [True] * len(monos),
     )
+    labels: dict[Partition, Label] = {}
     for f in enumerate_functions(n, m):
-        label = prop.classify(FrequencyVector.of_function(f))
+        parts = _class_of(f.values)
+        label = labels.get(parts)
+        if label is None:
+            label = labels[parts] = prop.classify(FrequencyVector(m, parts))
         row = [int(all(f.values[i - 1] == j for i, j in mono)) for mono in monos]
         _add_bound_rows(program, row, label)
     solution = solve(program)

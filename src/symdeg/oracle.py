@@ -86,8 +86,9 @@ def verify_approximation(
     polynomials function by function, in lexicographic order, after
     checking m**n against the budget: their values come from one walk over
     the rows, and the property classifies each frequency class once, keyed
-    by its sorted nonzero counts.  The instance must pass
-    `check_instance`, as for the degree search.
+    by its sorted nonzero counts.  A point's bounds depend only on its
+    label, so each distinct (label, value) pair is judged and formatted once.
+    The instance must pass `check_instance`, as for the degree search.
     """
     eps = check_instance(prop, n, m, eps)
     verdicts: dict[Partition, tuple[Label, Fraction, Fraction]] = {}
@@ -124,14 +125,19 @@ def verify_approximation(
         raise TypeError(f"cannot verify a {type(poly).__name__}")
     violations: list[Violation] = []
     table: list[dict] = []
+    judged: dict[tuple[Label, int, int], tuple[bool, str]] = {}
     for where, (label, lower, upper), value in points:
-        ok = lower <= value <= upper
+        key = (label, value.numerator, value.denominator)
+        found = judged.get(key)
+        if found is None:
+            found = judged[key] = (lower <= value <= upper, str(value))
+        ok, text = found
         table.append(
             {
                 "kind": kind,
                 "where": list(where),
                 "label": label.value,
-                "value": str(value),
+                "value": text,
                 "ok": ok,
             }
         )

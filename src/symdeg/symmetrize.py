@@ -18,6 +18,25 @@ the named variables; projecting onto the monomial symmetric basis then
 gives the average over the whole class (all orderings at once), which is
 what `symmetrize_monomial` returns.
 
+Both directions work per column pattern: the column multiplicities mu of
+a monomial, sorted non-increasing (`column_pattern`).  Permuting rows and
+renaming columns maps every monomial of one pattern to every other.
+
+- `symmetrize`: the product above equals prod_j (z_j)_{mu_j} / (N)_k, with
+  (x)_e the falling factorial, so once the columns are averaged away it
+  depends on mu alone.  The coefficients are summed per pattern and each
+  pattern is averaged once: at most p(0) + ... + p(d) patterns at degree
+  d (12 at d = 4), however many terms the polynomial has.
+- `desymmetrize`: (y[1,j] + ... + y[N,j])^e normalizes to the sum over
+  the nonempty row sets R of surj(e, |R|) * prod_{i in R} y[i,j], where
+  surj(e, k) = sum_t (-1)^t C(k, t) (k - t)^e counts the onto maps from
+  e factors to k rows.  So a monomial with r columns and k_a rows in
+  its column a gets sum_lambda c_lambda * sum_e prod_a surj(e_a, k_a),
+  over q's partitions lambda of length r and the distinct orderings e of
+  each.  That coefficient is computed once per pattern, and every
+  monomial of the pattern is written down with it: the cost is the size
+  of the result, with no product of column sums multiplied out.
+
 The enumeration half (`functions_with_counts`, `functions_in_class`,
 `class_size`, `average_over_counts`, `average_oracle`) is the ground truth
 the closed form is checked against.  The functions it averages over are
@@ -29,17 +48,20 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
+from math import comb, prod
 from typing import Iterable, Iterator, Sequence
 
 from .budget import check_budget
 from .sympoly import (
     FrequencyVector,
+    Partition,
     SymPolynomial,
     ZPolynomial,
     check_counts,
     distinct_permutations,
-    msym_to_zpoly,
     multinomial,
+    partitions,
     symmetrize_variables,
 )
 from .ypoly import FunctionTable, Monomial, YPolynomial
@@ -75,40 +97,92 @@ def symmetrize_monomial(mono: Monomial, n: int, m: int) -> SymPolynomial:
     return symmetrize_variables(monomial_class_expectation(mono, n, m))
 
 
+def column_pattern(mono: Monomial) -> Partition:
+    """The column multiplicities of a monomial, sorted non-increasing: the
+    one thing its class average and its column-sum coefficient depend on."""
+    return tuple(sorted(Counter(j for _, j in mono).values(), reverse=True))
+
+
+def surj(e: int, k: int) -> int:
+    """The number of maps from an e-set onto a k-set, by inclusion-exclusion:
+    sum_t (-1)^t C(k, t) (k - t)^e.  surj(0, 0) = 1; surj(e, k) = 0 when
+    k > e, and when k = 0 < e."""
+    return sum((-1) ** t * comb(k, t) * (k - t) ** e for t in range(k + 1))
+
+
 def symmetrize(p: YPolynomial) -> SymPolynomial:
     """Class average of an indicator polynomial as a symmetric polynomial.
 
     For every frequency class z, the result evaluates to the exact average
     of p over all functions in the class; the degree never grows (it may
-    shrink through cancellation).
+    shrink through cancellation).  The coefficients are summed per column
+    pattern, and each pattern is averaged once, on the monomial with rows
+    1..k and column a repeated mu_a times (see the module docstring).
     """
+    by_pattern: dict[Partition, Fraction] = {}
+    for mono, coeff in p.terms.items():
+        mu = column_pattern(mono)
+        by_pattern[mu] = by_pattern.get(mu, 0) + coeff
     terms = (
         (lam, coeff * c)
-        for mono, coeff in p.terms.items()
-        for lam, c in symmetrize_monomial(mono, p.n, p.m).terms.items()
+        for mu, coeff in by_pattern.items()
+        for lam, c in symmetrize_monomial(_pattern_monomial(mu), p.n, p.m).terms.items()
     )
     return SymPolynomial(p.m, terms)
 
 
+def _pattern_monomial(mu: Partition) -> Monomial:
+    """The monomial y[1,1]...y[mu_1,1] y[mu_1+1,2]... of column pattern mu."""
+    columns = [a for a, mult in enumerate(mu, start=1) for _ in range(mult)]
+    return tuple(enumerate(columns, start=1))
+
+
 def desymmetrize(q: SymPolynomial, n: int) -> YPolynomial:
     """Indicator polynomial that agrees with q on every function: substitute
-    each count z_j by its column sum y[1,j] + ... + y[n,j] and normalize."""
+    each count z_j by its column sum y[1,j] + ... + y[n,j] and normalize.
+
+    Every monomial of one column pattern gets the same coefficient
+    (`_pattern_coefficients`), so each is written down once, with it."""
     if n < 1:
         raise ValueError("desymmetrize needs n >= 1 rows")
     m = q.m
-    column_sums = {
-        j: YPolynomial(n, m, [(((i, j),), 1) for i in range(1, n + 1)])
-        for j in range(1, m + 1)
-    }
     terms: list = []
-    for lam, coeff in q.terms.items():
-        for zmono, zcoeff in msym_to_zpoly(lam, m).terms.items():
-            term = YPolynomial.constant(n, m, coeff * zcoeff)
-            for var, exp in zmono:
-                for _ in range(exp):
-                    term = term * column_sums[var]
-            terms.extend(term.terms.items())
+    for kappa, coeff in _pattern_coefficients(q, n).items():
+        for columns in combinations(range(1, m + 1), len(kappa)):
+            for counts in distinct_permutations(kappa):
+                # the column of each row, 0 for a row the monomial leaves out
+                labels = [0] * (n - sum(kappa)) + [
+                    j for j, count in zip(columns, counts) for _ in range(count)
+                ]
+                terms.extend(
+                    (tuple((i, j) for i, j in enumerate(row_columns, start=1) if j), coeff)
+                    for row_columns in distinct_permutations(labels)
+                )
     return YPolynomial(n, m, terms)
+
+
+def _pattern_coefficients(q: SymPolynomial, n: int) -> dict[Partition, Fraction]:
+    """The coefficient, after substituting column sums over n rows into q,
+    of each normalized monomial with column pattern kappa, for every kappa
+    where it is nonzero (the surjection formula of the module docstring).
+    Only a kappa with as many parts as some lambda, and weight at most
+    min(n, |lambda|), can count, since surj(e, k) = 0 for k > e."""
+    by_length: dict[int, list[tuple[Partition, Fraction]]] = {}
+    for lam, c in q.terms.items():
+        by_length.setdefault(len(lam), []).append((lam, c))
+    result: dict[Partition, Fraction] = {}
+    for r, lams in sorted(by_length.items()):
+        orderings = [(list(distinct_permutations(lam)), c) for lam, c in lams]
+        for k in range(r, min(n, max(sum(lam) for lam, _ in lams)) + 1):
+            for kappa in partitions(k, max_parts=r):
+                if len(kappa) < r:
+                    continue
+                total = sum(
+                    c * sum(prod(map(surj, e, kappa)) for e in es) for es, c in orderings
+                )
+                if total:
+                    result[kappa] = total
+    return result
 
 
 def class_size(z: FrequencyVector) -> int:

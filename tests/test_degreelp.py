@@ -449,6 +449,23 @@ def test_indicator_basis_at_range_above_n_ed_m5(degree, expected):
     assert unrestricted == expected == symmetric
 
 
+def test_indicator_basis_classifies_each_class_once():
+    # 2**4 functions in 3 classes, two of them with two parts; each class is
+    # classified when first met in lexicographic order, and the optimum is
+    # the symmetric one
+    seen = []
+
+    def rule(z):
+        seen.append(z)
+        return COLLISION.classify(z)
+
+    counting = PropertySpec("counting", rule)
+    unrestricted = eps_min_indicator_basis(counting, 4, 2, 1)
+    assert [z.parts for z in seen] == [(4,), (3, 1), (2, 2)]
+    assert all(z.m == 2 for z in seen)
+    assert unrestricted == solve_lp(build_lp(COLLISION, 4, 2, 1))[0]
+
+
 def test_indicator_basis_checks_the_budget_first(monkeypatch):
     # 3**3 = 27 functions over a budget of 20: refused before any row is built
     def no_rows(*args):

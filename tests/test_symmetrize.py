@@ -8,19 +8,29 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symdeg.budget import BudgetExceededError
-from symdeg.sympoly import FrequencyVector, SymPolynomial, ZPolynomial, partitions
+from symdeg.degreelp import approx_degree
+from symdeg.properties import get_property
+from symdeg.sympoly import (
+    FrequencyVector,
+    SymPolynomial,
+    ZPolynomial,
+    msym_to_zpoly,
+    partitions,
+)
 from symdeg.symmetrize import (
     average_oracle,
     average_over_counts,
     class_size,
+    column_pattern,
     desymmetrize,
     functions_in_class,
     functions_with_counts,
     monomial_class_expectation,
+    surj,
     symmetrize,
     symmetrize_monomial,
 )
@@ -315,3 +325,116 @@ def test_round_trip_is_identity_on_classes(coeffs):
     for lam in partitions(n, max_parts=m):
         z = FrequencyVector(m, lam)
         assert back.evaluate(z) == q.evaluate(z)
+
+
+# ---------------------------------------------------------------------------
+# the per-pattern routes against the per-monomial routes they replace
+
+
+def symmetrize_by_monomial(p):
+    """Reference: every term averaged on its own monomial, then summed."""
+    terms = [
+        (lam, coeff * c)
+        for mono, coeff in p.terms.items()
+        for lam, c in symmetrize_monomial(mono, p.n, p.m).terms.items()
+    ]
+    return SymPolynomial(p.m, terms)
+
+
+def desymmetrize_by_substitution(q, n):
+    """Reference: expand each m_lambda into named monomials, and multiply
+    out the column sums with YPolynomial products, one factor at a time."""
+    m = q.m
+    column_sums = {
+        j: YPolynomial(n, m, [(((i, j),), 1) for i in range(1, n + 1)])
+        for j in range(1, m + 1)
+    }
+    result = YPolynomial.zero(n, m)
+    for lam, coeff in q.terms.items():
+        for zmono, zcoeff in msym_to_zpoly(lam, m).terms.items():
+            term = YPolynomial.constant(n, m, coeff * zcoeff)
+            for var, exp in zmono:
+                for _ in range(exp):
+                    term = term * column_sums[var]
+            result = result + term
+    return result
+
+
+@st.composite
+def normalized_polynomials(draw):
+    """A polynomial on a grid up to 4x4 whose terms are normalized monomials
+    drawn row set first, so none of them vanishes on construction."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    monos = st.sets(st.integers(1, n)).flatmap(
+        lambda rows: st.tuples(*[st.tuples(st.just(i), st.integers(1, m)) for i in sorted(rows)])
+    )
+    coeffs = st.builds(Fraction, st.integers(-10, 10), st.integers(1, 12))
+    return YPolynomial(n, m, draw(st.lists(st.tuples(monos, coeffs), max_size=12)))
+
+
+@given(normalized_polynomials())
+@example(YPolynomial.zero(2, 3))
+@example(YPolynomial.constant(4, 4, Fraction(5, 3)))
+@example(YPolynomial(4, 4, {((1, 1), (2, 2)): 1, ((3, 4), (4, 3)): -1}))
+@example(YPolynomial(4, 2, {((1, 1), (2, 1), (3, 2), (4, 2)): Fraction(1, 7)}))
+@settings(max_examples=200, deadline=None)
+def test_symmetrize_equals_the_sum_of_monomial_averages(p):
+    assert symmetrize(p).terms == symmetrize_by_monomial(p).terms
+
+
+def test_column_pattern():
+    assert column_pattern(()) == ()
+    assert column_pattern(((1, 3), (2, 1), (3, 3), (4, 2))) == (2, 1, 1)
+    assert column_pattern(((1, 2), (2, 2), (3, 2))) == (3,)
+
+
+@pytest.mark.parametrize(
+    "q, n",
+    [
+        (SymPolynomial(3, {(): Fraction(-2, 5)}), 2),  # the constant term alone
+        (SymPolynomial(3, {(1, 1, 1): 1}), 2),  # lambda longer than n: zero
+        (SymPolynomial(4, {(1, 1, 1): 1, (2, 1, 1): 3}), 2),  # every lambda longer than n
+        (SymPolynomial(2, {(3,): 1}), 2),  # |lambda| > n
+        (SymPolynomial(3, {(4, 1): Fraction(1, 2), (2, 2): -1}), 3),  # |lambda| > n, two columns
+        (SymPolynomial(2, {(1, 1, 1): 1}), 3),  # m < len(lambda): the zero polynomial
+        (SymPolynomial(2, {(1, 1, 1): 1, (1,): 2}), 3),  # m < len(lambda) beside a term that stays
+        (SymPolynomial(5, {(): 1, (1,): -1, (2, 1): Fraction(1, 3), (1, 1, 1): 2}), 3),  # m > n
+        (SymPolynomial(1, {(2,): 1, (): 4}), 4),  # one column
+    ],
+)
+def test_desymmetrize_equals_column_sum_substitution(q, n):
+    assert desymmetrize(q, n).terms == desymmetrize_by_substitution(q, n).terms
+
+
+def test_desymmetrize_of_lambdas_longer_than_n_is_zero():
+    assert desymmetrize(SymPolynomial(4, {(1, 1, 1): 1, (2, 1, 1): 3}), 2) == YPolynomial.zero(2, 4)
+    assert desymmetrize(SymPolynomial(2, {(1, 1, 1): 1}), 3) == YPolynomial.zero(3, 2)
+
+
+sympolys = st.integers(1, 4).flatmap(
+    lambda m: st.dictionaries(
+        st.sampled_from([lam for w in range(5) for lam in partitions(w, max_parts=m)]),
+        st.fractions(min_value=-3, max_value=3, max_denominator=8),
+        max_size=5,
+    ).map(lambda coeffs: SymPolynomial(m, coeffs))
+)
+
+
+@given(sympolys, st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_desymmetrize_equals_column_sum_substitution_on_random_input(q, n):
+    assert desymmetrize(q, n).terms == desymmetrize_by_substitution(q, n).terms
+
+
+def test_surj_counts_onto_maps():
+    for e in range(7):
+        for k in range(7):
+            onto = sum(
+                1 for f in itertools.product(range(k), repeat=e) if len(set(f)) == k
+            )
+            assert surj(e, k) == onto, (e, k)
+
+
+def test_ed_n5_witness_round_trip():
+    q = approx_degree(get_property("ed"), 5, 5).optimal_polynomial()
+    assert symmetrize(desymmetrize(q, 5)) == q
