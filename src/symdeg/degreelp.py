@@ -97,27 +97,42 @@ def build_lp(prop: PropertySpec, n: int, m: int, degree: int) -> LPInstance:
     return LPInstance(prop.name, n, m, degree, lambdas, classes, program)
 
 
+def _solve_from_half(program: LinearProgram, simplex: Optional[Simplex] = None) -> list[Fraction]:
+    """The optimal point of a minimum-error program, found from the
+    feasible point x0: eps = 1/2, the constant 1/2, every other variable 0.
+    Column 0 is eps and column 1 the constant (m_() or the empty indicator
+    monomial, 1 everywhere), so x0 lies in the band of every class or
+    function, whatever its label, and the program is always feasible, and
+    bounded since eps >= 0.
+
+    `solve` starts at the origin, so the program is posed in x' = x - x0:
+    eps' is free, with one new first row -2 eps' <= 1 for eps >= 0, and
+    every other row a.x ~ b becomes 2a.x' ~ 2b - a_0 - a_1, doubled so that
+    its entries stay ints.  x0 touches only degree-0 columns, so the posed
+    programs of a search across degrees still extend one another."""
+    lhs = [[-2] + [0] * (program.num_vars - 1)] + [[2 * a for a in row] for row in program.lhs]
+    rhs = [1] + [2 * b - row[0] - row[1] for row, b in zip(program.lhs, program.rhs)]
+    free = [True] + program.free[1:]
+    posed = LinearProgram(program.num_vars, program.objective, free, lhs, ["<="] + program.rel, rhs)
+    solution = solve(posed, simplex)
+    if solution.status != "optimal":
+        raise RuntimeError(f"minimum-error LP came back {solution.status}; it must be optimal")
+    half = Fraction(1, 2)
+    return [solution.x[0] + half, solution.x[1] + half] + solution.x[2:]
+
+
 def solve_lp(
     inst: LPInstance, simplex: Optional[Simplex] = None
 ) -> tuple[Fraction, dict[Partition, Fraction]]:
-    """Optimal (eps_min, coefficient map).  The LP is always feasible (the
-    constant 1/2 with eps = 1/2 satisfies every row) and bounded (eps >= 0),
+    """Optimal (eps_min, coefficient map).  The solve starts from the
+    feasible point eps = 1/2 with the constant 1/2 (`_solve_from_half`),
     and the pivot rule is deterministic, so the answer is a function of the
     instance alone, or, warm from `simplex`, of the instances it solved
     before.  eps_min is the same either way; the coefficients may be
     another optimal vertex."""
-    solution = solve(inst.program, simplex)
-    if solution.status != "optimal":
-        raise RuntimeError(
-            f"minimum-error LP came back {solution.status}; it must be optimal"
-        )
-    eps_min = solution.x[0]
-    coeffs = {
-        lam: value
-        for lam, value in zip(inst.lambdas, solution.x[1:])
-        if value != 0
-    }
-    return eps_min, coeffs
+    x = _solve_from_half(inst.program, simplex)
+    coeffs = {lam: value for lam, value in zip(inst.lambdas, x[1:]) if value != 0}
+    return x[0], coeffs
 
 
 @dataclass(frozen=True)
@@ -194,8 +209,8 @@ def approx_degree(
     The LP at d + 1 is the LP at d with the columns of the new partitions
     appended (its rows are the same, and `coefficient_basis(d)` is a prefix
     of `coefficient_basis(d + 1)`), so one `Simplex` carries the whole
-    search: phase 1 runs at d = 0 only, and each later degree re-optimizes
-    from the previous optimal basis.
+    search: d = 0 starts from the slack basis at eps = 1/2 (`_solve_from_half`),
+    and each later degree re-optimizes from the previous optimal basis.
     """
     eps = check_instance(prop, n, m, eps)
     classes = enumerate_classes(prop, n, m)
@@ -279,7 +294,4 @@ def eps_min_indicator_basis(prop: PropertySpec, n: int, m: int, degree: int) -> 
             label = labels[parts] = prop.classify(FrequencyVector(m, parts))
         row = [int(all(f.values[i - 1] == j for i, j in mono)) for mono in monos]
         _add_bound_rows(program, row, label)
-    solution = solve(program)
-    if solution.status != "optimal":
-        raise RuntimeError(f"indicator-basis LP came back {solution.status}")
-    return solution.x[0]
+    return _solve_from_half(program)[0]

@@ -1,19 +1,28 @@
 """Exact linear programming over the rationals.
 
-A two-phase simplex whose tableau holds integers.  Each row, and the
-reduced-cost row, is a list of Python ints over one denominator of its
-own, kept positive and in lowest terms: the gcd of the denominator and
-the row's entries is 1.  A pivot on entry p of a row replaces that row by
-sign(p) * row over |p|.  Every other row with a nonzero f in the pivot
-column becomes row * p' - f * pivot_row over den * p', where p' is the new
-pivot row's denominator (and its entry in the pivot column).  Each
-updated row is then divided once by its gcd.  This is fraction-free
-elimination (Edmonds 1967, Bareiss 1968): no Fraction is built inside the
-loop.  The ratio test compares rhs_r * a_s with rhs_s * a_r, since a
-row's denominator cancels from its own ratio, and a reduced cost has the
-sign of its integer.  Fraction appears only where a program's columns
-enter the tableau, scaled to ints by the lcm of their denominators, and
-where the solution is read out.
+A one-phase simplex for programs whose origin is feasible: every row is
+`<=` with a right-hand side >= 0, or `>=` with a right-hand side <= 0.
+Each `>=` row is negated into a `<=` row and every row gets a slack
+column, so the slack basis is a feasible start at the origin, and no
+artificial column or phase 1 is needed.  A program whose origin violates
+a row is refused with a ValueError before anything is pivoted.  A caller
+that knows another feasible point x0 poses its program in x - x0, as
+`degreelp` does.
+
+The tableau holds integers.  Each row, and the reduced-cost row, is a
+list of Python ints over one denominator of its own, kept positive and
+in lowest terms: the gcd of the denominator and the row's entries is 1.
+A pivot on entry p of a row replaces that row by sign(p) * row over |p|.
+Every other row with a nonzero f in the pivot column becomes
+row * p' - f * pivot_row over den * p', where p' is the new pivot row's
+denominator (and its entry in the pivot column).  Each updated row is
+then divided once by its gcd.  This is fraction-free elimination
+(Edmonds 1967, Bareiss 1968): no Fraction is built inside the loop.  The
+ratio test compares rhs_r * a_s with rhs_s * a_r, since a row's
+denominator cancels from its own ratio, and a reduced cost has the sign
+of its integer.  Fraction appears only where a program's columns enter
+the tableau, scaled to ints by the lcm of their denominators, and where
+the solution is read out.
 
 The entering column has the reduced cost largest in size among the
 eligible ones (Dantzig's rule), the smallest index breaking ties.  After
@@ -30,20 +39,18 @@ programs always gives the same optimal basic solution.
 
 A `Simplex` keeps the tableau between solves.  Given a program that
 repeats the previous one's rows and appends columns, it reads B^-1 off
-the columns that formed the starting identity (each row's slack, or its
-artificial for a >= or == row), appends B^-1 a for every new column a,
-and re-optimizes from the current basis, which stays primal feasible, so
-phase 1 does not run again (after an infeasible program, phase 1 resumes
-with the new columns).  `solve` without a `Simplex` is the cold entry to
-the same code: a fresh tableau for one program.
+the slack columns, appends B^-1 a for every new column a, and
+re-optimizes from the current basis, which stays feasible.  `solve`
+without a `Simplex` is the cold entry to the same code: a fresh tableau
+for one program.
 
-Every program variable has one tableau column, after the slack and
-artificial columns.  A free column is eligible to enter with a reduced
-cost of either sign (a positive one enters decreasing), and the ratio test
-skips the rows of free basic columns, so a free column never leaves once
-it is basic and its value may be negative.  Termination still holds:
-each pivot on a free entering column makes one more free column basic for
-good, and between two such pivots every entering and leaving column is
+Every program variable has one tableau column, after the slack columns.
+A free column is eligible to enter with a reduced cost of either sign (a
+positive one enters decreasing), and the ratio test skips the rows of
+free basic columns, so a free column never leaves once it is basic and
+its value may be negative.  Termination still holds: each pivot on a
+free entering column makes one more free column basic for good, and
+between two such pivots every entering and leaving column is
 sign-constrained, which is the setting of the argument above.
 """
 
@@ -54,10 +61,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-Relation = str  # "<=", ">=", "=="
+Relation = str  # "<=", ">="
 
-_RELATIONS = ("<=", ">=", "==")
-_FLIPPED = {"<=": ">=", ">=": "<=", "==": "=="}
+_RELATIONS = ("<=", ">=")
 
 K_DEGENERATE = 50  # degenerate pivots in a row before Bland's rule takes over
 
@@ -96,7 +102,7 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LPSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "unbounded"
     value: Optional[Fraction]
     x: Optional[list[Fraction]]
 
@@ -133,10 +139,10 @@ class Simplex:
     one the previous program with variables appended (same rows, same
     first variables).
 
-    The first solve builds the tableau and runs both phases; each later
-    one extends it by the new columns and runs phase 2 from the optimal
-    basis it had.  Columns are numbered in the order they were added: the
-    slack and artificial columns, then one per program variable.
+    The first solve builds the tableau on the slack basis; each later one
+    extends it by the new columns and re-optimizes from the optimal basis
+    it had.  Columns are numbered in the order they were added: one slack
+    column per row, then one per program variable.
 
     Row i of the tableau is `rows[i]` over `dens[i]`, and the reduced-cost
     row is `costrow` over `costden`: Python ints over a denominator > 0,
@@ -151,14 +157,10 @@ class Simplex:
         self.costrow: list[int] = []  # numerators of the reduced costs, minus the objective last
         self.costden = 1
         self.basis: list[int] = []
-        self.cost: list[Fraction] = []  # phase-2 cost of every column
-        self.artificial: list[bool] = []
+        self.cost: list[Fraction] = []  # the objective's cost of every column
         self.free: list[bool] = []
-        self.identity: list[int] = []  # per row: the column that started as its unit vector
-        self.sign: list[int] = []  # per row: -1 if it was negated to make its rhs >= 0
-        self.width = 0  # slack and artificial columns; the variables' columns follow
-        self.phase = 1
-        self.status = ""
+        self.sign: list[int] = []  # per row: -1 if it is a >= row, negated into a <= row
+        self.width = 0  # slack columns, one per row; the variables' columns follow
         self.program: Optional[tuple] = None
         self.pivots = 0
 
@@ -169,89 +171,63 @@ class Simplex:
             raise ValueError("a warm solve needs the previous program with columns appended")
         self._append(lp)
         self.program = _prefix(lp, lp.num_vars)
-        self._optimize()
-        if self.status != "optimal":
-            return LPSolution(self.status, None, None)
+        self._price_out()
+        if not self._run():
+            return LPSolution("unbounded", None, None)
         values = [Fraction(0)] * len(self.cost)
         for row, den, bv in zip(self.rows, self.dens, self.basis):
             values[bv] = Fraction(row[-1], den)
         return LPSolution("optimal", Fraction(-self.costrow[-1], self.costden), values[self.width :])
 
     def _start(self, lp: LinearProgram) -> None:
-        """The tableau of the slack and artificial columns alone: every row
-        oriented to a non-negative right-hand side, basis = identity."""
-        self.sign = [-1 if rhs < 0 else 1 for rhs in lp.rhs]
-        rels = [_FLIPPED[rel] if s < 0 else rel for rel, s in zip(lp.rel, self.sign)]
-        slack_rows = [r for r, rel in enumerate(rels) if rel != "=="]
-        artificial_rows = [r for r, rel in enumerate(rels) if rel != "<="]
-        self.width = width = len(slack_rows) + len(artificial_rows)
+        """The tableau of the slack columns alone, basis = identity: every
+        >= row negated into a <= row, whose right-hand side is then >= 0."""
+        for rel, rhs in zip(lp.rel, lp.rhs):
+            if not (rel == "<=" and rhs >= 0 or rel == ">=" and rhs <= 0):
+                raise ValueError(f"the origin does not satisfy a row {rel} {rhs}")
+        self.sign = [1 if rel == "<=" else -1 for rel in lp.rel]
+        self.width = width = len(lp.rhs)
         self.dens = [rhs.denominator for rhs in lp.rhs]
         self.rows = [[0] * width + [abs(rhs.numerator)] for rhs in lp.rhs]
-        self.identity = [0] * len(self.rows)
-        for j, r in enumerate(slack_rows):
-            self.rows[r][j] = self.dens[r] if rels[r] == "<=" else -self.dens[r]
-            self.identity[r] = j
-        for j, r in enumerate(artificial_rows, start=len(slack_rows)):
-            self.rows[r][j] = self.dens[r]
-            self.identity[r] = j
-        self.basis = list(self.identity)
+        for r, row in enumerate(self.rows):
+            row[r] = self.dens[r]
+        self.basis = list(range(width))
         self.cost = [Fraction(0)] * width
-        self.artificial = [False] * len(slack_rows) + [True] * len(artificial_rows)
         self.free = [False] * width
 
     def _append(self, lp: LinearProgram) -> None:
         """Add the columns of lp's variables not yet in the tableau, as
-        B^-1 a; B^-1's column i is the tableau column identity[i].  The new
-        columns are scaled to ints by the lcm of their denominators, and
-        each row's denominator by the same factor."""
+        B^-1 a; B^-1's column i is the slack column i.  The new columns are
+        scaled to ints by the lcm of their denominators, and each row's
+        denominator by the same factor."""
         new_vars = range(len(self.cost) - self.width, lp.num_vars)
         columns = [[s * row[j] for s, row in zip(self.sign, lp.lhs)] for j in new_vars]
         scale = lcm(*(a.denominator for column in columns for a in column))
         columns = [[a.numerator * (scale // a.denominator) for a in column] for column in columns]
         for r, row in enumerate(self.rows):
-            inverse = [(i, row[col]) for i, col in enumerate(self.identity) if row[col]]
+            inverse = [(i, b) for i, b in enumerate(row[: self.width]) if b]
             entries = [sum(b * a[i] for i, b in inverse if a[i]) for a in columns]
             row = [v * scale for v in row]
             row[-1:-1] = entries
             self.rows[r], self.dens[r] = _lowest(row, self.dens[r] * scale)
         self.cost += lp.objective[new_vars.start :]
         self.free += lp.free[new_vars.start :]
-        self.artificial += [False] * len(new_vars)
 
-    def _optimize(self) -> None:
-        """Run what is left of phase 1, then phase 2, from the current basis."""
-        if self.phase == 1:
-            self._price_out([int(a) for a in self.artificial])
-            self._run(range(len(self.cost)))  # bounded below by 0
-            if self.costrow[-1] != 0:
-                self.status = "infeasible"
-                return
-            self.phase = 2
-        self._price_out(self.cost)
-        # A basic artificial left at 0 leaves on any nonzero entry of its row
-        # (the pivot is degenerate); an all-zero row is redundant and keeps it.
-        for r, row in enumerate(self.rows):
-            if self.artificial[self.basis[r]]:
-                target = next(
-                    (j for j, v in enumerate(row[:-1]) if v and not self.artificial[j]), None
-                )
-                if target is not None:
-                    self._pivot(r, target)
-        self.status = self._run([j for j, art in enumerate(self.artificial) if not art])
-
-    def _price_out(self, costs: Sequence[Fraction | int]) -> None:
-        """Set the reduced-cost row for the given per-column costs and the
-        current basis."""
-        den = lcm(*(c.denominator for c in costs))
-        costrow, den = _lowest([c.numerator * (den // c.denominator) for c in costs] + [0], den)
+    def _price_out(self) -> None:
+        """Set the reduced-cost row for the columns' costs and the current
+        basis."""
+        den = lcm(*(c.denominator for c in self.cost))
+        costrow, den = _lowest([c.numerator * (den // c.denominator) for c in self.cost] + [0], den)
         for row, row_den, bv in zip(self.rows, self.dens, self.basis):
             if costrow[bv]:
                 nonzero = [(j, w) for j, w in enumerate(row) if w]
                 costrow, den = _eliminate(costrow, den, nonzero, row_den, bv)
         self.costrow, self.costden = costrow, den
 
-    def _run(self, allowed: Sequence[int]) -> str:
+    def _run(self) -> bool:
+        """Pivot to an optimum (True), or stop on an unbounded ray (False)."""
         rows, basis, free = self.rows, self.basis, self.free
+        allowed = range(len(self.cost))
         degenerate = 0  # degenerate pivots in a row
         while True:
             costrow = self.costrow
@@ -274,7 +250,7 @@ class Simplex:
                     (j for j in allowed if costrow[j] < 0 or (free[j] and costrow[j] > 0)), None
                 )
             if entering is None:
-                return "optimal"
+                return True
             increasing = costrow[entering] < 0
             # the smallest ratio rhs / a leaves, ties to the smallest basic
             # column; both sit over the row's denominator, which cancels
@@ -288,7 +264,7 @@ class Simplex:
                     ):
                         leaving, best_b, best_a = r, b, a
             if leaving is None:
-                return "unbounded"
+                return False
             degenerate = degenerate + 1 if best_b == 0 else 0
             self._pivot(leaving, entering)
 
@@ -311,7 +287,8 @@ class Simplex:
 
 
 def solve(lp: LinearProgram, simplex: Optional[Simplex] = None) -> LPSolution:
-    """Two-phase simplex; exact, deterministic, cycle-free.  Given the
-    `Simplex` of an earlier solve, `lp` must be that program with variables
-    appended, and the solve starts from its optimal basis."""
+    """Minimize lp from the slack basis at the origin, which must be
+    feasible (a ValueError otherwise); exact, deterministic, cycle-free.
+    Given the `Simplex` of an earlier solve, `lp` must be that program with
+    variables appended, and the solve starts from its optimal basis."""
     return (Simplex() if simplex is None else simplex)._solve(lp)

@@ -175,7 +175,7 @@ GOLDEN_EPS_MIN = {
     (COLLISION, 4): "1/2,1/2,2/5,0",
     (COLLISION, 6): "1/2,1/2,4/9,5/21",
     (COLLISION, 8): "1/2,1/2,6/13,7/22",
-    # the frontier; ED n = 14..16 is in ed_frontier.json, which CI checks
+    # the frontier; ED n = 14..17 is in ed_frontier.json, which CI checks
     (ELEMENT_DISTINCTNESS, 9): "1/2,1/2,35/71,55/116,169/394,693/1901,15041/55280",
     (ELEMENT_DISTINCTNESS, 10): "1/2,1/2,44/89,35/73,1310/2951,110902/283957,27134878/86902331",
     (ELEMENT_DISTINCTNESS, 11): (
@@ -368,12 +368,12 @@ def test_warm_search_matches_cold_solves(prop, n, m):
 
 
 def test_warm_search_pivot_count():
-    # the ED n = 9 search (d* = 6) on one tableau; Bland's rule alone
-    # makes 168 pivots here
+    # the ED n = 9 search (d* = 6) on one tableau, from the slack basis at
+    # eps = 1/2
     simplex = Simplex()
     for d in range(7):
         solve_lp(build_lp(ELEMENT_DISTINCTNESS, 9, 9, d), simplex)
-    assert simplex.pivots == 93
+    assert simplex.pivots == 64
 
 
 def test_certificate_to_dict_shape():

@@ -19,30 +19,23 @@ def make_lp(num_vars, objective, free=None):
 
 
 def test_one_variable_lower_bound():
-    lp = make_lp(1, [1])
-    lp.add_row([1], ">=", 3)
+    # min x for a free x with the lower bound -x <= 3
+    lp = make_lp(1, [1], free=[True])
+    lp.add_row([-1], "<=", 3)
     sol = solve(lp)
     assert sol.status == "optimal"
-    assert sol.value == 3
-    assert sol.x == [Fraction(3)]
+    assert sol.value == -3
+    assert sol.x == [Fraction(-3)]
 
 
 def test_two_variable_cover():
-    # min x + 2y  s.t.  x + y >= 1  ->  all weight on the cheap variable
-    lp = make_lp(2, [1, 2])
-    lp.add_row([1, 1], ">=", 1)
+    # max x + 2y  s.t.  x + y <= 1  ->  all weight on the better variable
+    lp = make_lp(2, [-1, -2])
+    lp.add_row([1, 1], "<=", 1)
     sol = solve(lp)
     assert sol.status == "optimal"
-    assert sol.value == 1
-    assert sol.x == [Fraction(1), Fraction(0)]
-
-
-def test_equality_row():
-    lp = make_lp(2, [3, 1])
-    lp.add_row([1, 1], "==", 4)
-    sol = solve(lp)
-    assert sol.value == 4
-    assert sol.x == [Fraction(0), Fraction(4)]
+    assert sol.value == -2
+    assert sol.x == [Fraction(0), Fraction(1)]
 
 
 def test_free_variable_can_go_negative():
@@ -55,26 +48,6 @@ def test_free_variable_can_go_negative():
     assert sol.x == [Fraction(-5)]
 
 
-def test_free_variable_equality():
-    # min |x| is not linear, but min u with u >= x, u >= -x, x == 7 is
-    lp = make_lp(2, [0, 1], free=[True, False])
-    lp.add_row([1, 0], "==", 7)
-    lp.add_row([1, -1], "<=", 0)
-    lp.add_row([-1, -1], "<=", 0)
-    sol = solve(lp)
-    assert sol.value == 7
-    assert sol.x[0] == 7
-
-
-def test_infeasible():
-    lp = make_lp(1, [1])
-    lp.add_row([1], ">=", 2)
-    lp.add_row([1], "<=", 1)
-    sol = solve(lp)
-    assert sol.status == "infeasible"
-    assert sol.value is None and sol.x is None
-
-
 def test_unbounded():
     lp = make_lp(1, [-1])
     lp.add_row([1], ">=", 0)
@@ -83,22 +56,26 @@ def test_unbounded():
 
 
 def test_negative_rhs_reoriented():
-    # -x <= -2 means x >= 2
-    lp = make_lp(1, [1])
-    lp.add_row([-1], "<=", -2)
+    # a >= row with a right-hand side <= 0 is negated into a <= row:
+    # -x >= -2 means x <= 2
+    lp = make_lp(1, [-1])
+    lp.add_row([-1], ">=", -2)
     sol = solve(lp)
-    assert sol.value == 2
+    assert sol.value == -2
+    assert sol.x == [Fraction(2)]
 
 
-def test_redundant_equality_rows_dropped():
-    lp = make_lp(2, [1, 0])
-    lp.add_row([1, 1], "==", 1)
-    lp.add_row([1, 1], "==", 1)
-    lp.add_row([1, -1], "==", 0)
-    sol = solve(lp)
-    assert sol.status == "optimal"
-    assert sol.value == Fraction(1, 2)
-    assert sol.x == [Fraction(1, 2), Fraction(1, 2)]
+def test_origin_must_be_feasible():
+    # the start is the slack basis at the origin; a program that the origin
+    # does not satisfy is refused before anything is pivoted
+    for rel, rhs in ((">=", 1), ("<=", Fraction(-1, 2))):
+        lp = make_lp(2, [1, 1])
+        lp.add_row([1, 0], "<=", 1)
+        lp.add_row([1, 1], rel, rhs)
+        simplex = Simplex()
+        with pytest.raises(ValueError, match="origin"):
+            solve(lp, simplex)
+        assert simplex.pivots == 0 and simplex.program is None
 
 
 def test_beale_cycling_instance_terminates():
@@ -120,7 +97,7 @@ def test_beale_cycling_instance_terminates():
 def test_degenerate_instance_with_a_free_column():
     """Beale's instance with a free variable w in front (w >= -1): w enters
     decreasing at the degenerate start, ends basic at -1, and the run
-    terminates at HiGHS's optimum."""
+    terminates at the reference's optimum."""
     lp = make_lp(
         5, [Fraction(1, 100), Fraction(-3, 4), 150, Fraction(-1, 50), 6], free=[True] + [False] * 4
     )
@@ -132,15 +109,13 @@ def test_degenerate_instance_with_a_free_column():
     assert sol.status == "optimal"
     assert sol.value == Fraction(-9, 100)
     assert sol.x == [Fraction(-1), Fraction(492, 25), Fraction(49, 500), Fraction(1), Fraction(0)]
-    reference = scipy_solve(lp)
-    assert reference.status == 0
-    assert abs(float(sol.value) - reference.fun) < 1e-9
+    assert reference_solve(lp) == ("optimal", sol.value)
 
 
 def test_solver_is_deterministic():
-    lp = make_lp(3, [1, 1, 1])
-    lp.add_row([1, 2, 3], ">=", 6)
-    lp.add_row([3, 2, 1], ">=", 6)
+    lp = make_lp(3, [-1, -1, -1])
+    lp.add_row([1, 2, 3], "<=", 6)
+    lp.add_row([3, 2, 1], "<=", 6)
     first = solve(lp)
     second = solve(lp)
     assert first == second
@@ -163,6 +138,8 @@ def test_row_validation():
     with pytest.raises(ValueError):
         lp.add_row([1, 1], ">", 0)
     with pytest.raises(ValueError):
+        lp.add_row([1, 1], "==", 0)
+    with pytest.raises(ValueError):
         LinearProgram(num_vars=2, objective=[1], free=[False, False])
 
 
@@ -178,7 +155,7 @@ def first_columns(lp, k):
 
 
 def satisfies(lp, x):
-    holds = {"<=": lambda a, b: a <= b, ">=": lambda a, b: a >= b, "==": lambda a, b: a == b}
+    holds = {"<=": lambda a, b: a <= b, ">=": lambda a, b: a >= b}
     return all(v >= 0 for v, f in zip(x, lp.free) if not f) and all(
         holds[rel](sum(c * v for c, v in zip(coeffs, x)), rhs)
         for coeffs, rel, rhs in zip(lp.lhs, lp.rel, lp.rhs)
@@ -196,14 +173,16 @@ def check_integer_tableau(simplex):
         assert row[bv] == den
 
 
-def check_warm_against_cold(lp, widths):
+def check_prefixes(lp, widths):
+    # every prefix of the program, warm and cold, against the exact
+    # reference below: the same verdict and the same optimum
     simplex = Simplex()
     for k in widths:
         narrow = first_columns(lp, k)
         warm = solve(narrow, simplex)
         check_integer_tableau(simplex)
         cold = solve(narrow)
-        assert (warm.status, warm.value) == (cold.status, cold.value)
+        assert (warm.status, warm.value) == (cold.status, cold.value) == reference_solve(narrow)
         if warm.status == "optimal":
             assert satisfies(narrow, warm.x)
             assert sum(c * v for c, v in zip(narrow.objective, warm.x)) == warm.value
@@ -226,108 +205,111 @@ def widened_programs(draw, small=st.integers(-3, 3)):
         draw(st.lists(st.integers(-2, 2), min_size=num_vars, max_size=num_vars)),
         draw(st.lists(st.booleans(), min_size=num_vars, max_size=num_vars)),
     )
+    # every row holds at the origin: rhs >= 0 on a <= row, <= 0 on a >= row
     for _ in range(draw(st.integers(1, 4))):
-        lp.add_row(
-            draw(st.lists(small, min_size=num_vars, max_size=num_vars)),
-            draw(st.sampled_from(["<=", ">=", "=="])),
-            draw(small),
-        )
+        coeffs = draw(st.lists(small, min_size=num_vars, max_size=num_vars))
+        rel = draw(st.sampled_from(["<=", ">="]))
+        rhs = abs(draw(small))
+        lp.add_row(coeffs, rel, rhs if rel == "<=" else -rhs)
     return lp, widths
 
 
 @settings(max_examples=300, deadline=None)
 @given(widened_programs(INTS_AND_FRACTIONS))
 def test_warm_solves_match_cold_solves(case):
-    check_warm_against_cold(*case)
-
-
-def reference_status(lp):
-    """HiGHS's verdict in this solver's terms.  Presolve is off: with it,
-    HiGHS 1.12 calls some unbounded programs (min x1 - x2 with x0 - x2 <= 1,
-    x0 + x1 - x2 >= 0) infeasible."""
-    result = scipy_solve(lp, presolve=False)
-    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(result.status)
-    assert status is not None, result.message
-    return status, result.fun
+    check_prefixes(*case)
 
 
 @settings(max_examples=300, deadline=None)
 @given(widened_programs())
-def test_solves_match_highs(case):
-    # an independent reference for the free-column rule: every prefix of the
-    # program, warm and cold, against scipy's HiGHS
-    lp, widths = case
-    simplex = Simplex()
-    for k in widths:
-        narrow = first_columns(lp, k)
-        status, value = reference_status(narrow)
-        for exact in (solve(narrow, simplex), solve(narrow)):
-            assert exact.status == status
-            if status == "optimal":
-                assert abs(float(exact.value) - value) < 1e-9
-
-
-def test_warm_solve_through_a_redundant_row():
-    # the repeated row keeps its artificial basic at 0 after phase 1; the
-    # third column gives that row a nonzero, so the artificial must leave
-    # (z = 0 is forced, which an artificial left in the basis would miss)
-    lp = make_lp(3, [1, 0, -1])
-    lp.add_row([1, 1, 0], "==", 1)
-    lp.add_row([1, 1, -1], "==", 1)
-    lp.add_row([1, -1, 0], ">=", 0)
-    simplex = Simplex()
-    solve(first_columns(lp, 2), simplex)
-    warm = solve(lp, simplex)
-    assert warm == solve(lp)
-    assert warm.x == [Fraction(1, 2), Fraction(1, 2), Fraction(0)]
+def test_solves_match_reference(case):
+    # small ints, where ties and degenerate pivots are common
+    check_prefixes(*case)
 
 
 def test_warm_solve_needs_the_previous_rows():
     lp = make_lp(1, [1])
-    lp.add_row([1], ">=", 2)
+    lp.add_row([1], "<=", 2)
     simplex = Simplex()
     solve(lp, simplex)
     other = make_lp(2, [1, 0])
-    other.add_row([1, 1], ">=", 3)
+    other.add_row([1, 1], "<=", 3)
     with pytest.raises(ValueError):
         solve(other, simplex)
 
 
 # ---------------------------------------------------------------------------
-# float cross-check on the instances this package actually produces
+# an exact reference that shares no code with symdeg.lp
 
 
-def scipy_solve(lp: LinearProgram, presolve: bool = True):
-    import numpy as np
-    from scipy.optimize import linprog
+def reference_solve(lp):
+    """(status, optimum) of a program whose origin is feasible, by a dense
+    Fraction tableau: a free variable is split into a +/- pair of columns,
+    a >= row is negated, and Bland's rule alone pivots from the slack
+    basis (the first column with a negative reduced cost enters, the
+    smallest ratio leaves, ties to the smallest basic column), so the
+    reference cannot cycle."""
+    columns = [(j, s) for j, free in enumerate(lp.free) for s in ((1, -1) if free else (1,))]
+    num_rows = len(lp.lhs)
+    tableau = []
+    for i, (coeffs, rel, rhs) in enumerate(zip(lp.lhs, lp.rel, lp.rhs)):
+        t = 1 if rel == "<=" else -1
+        assert t * rhs >= 0, "the reference starts at the origin"
+        row = [Fraction(t * s * coeffs[j]) for j, s in columns]
+        tableau.append(row + [Fraction(int(i == r)) for r in range(num_rows)] + [Fraction(t * rhs)])
+    # reduced costs, minus the objective's value last
+    reduced = [Fraction(s * lp.objective[j]) for j, s in columns] + [Fraction(0)] * (num_rows + 1)
+    basis = [len(columns) + r for r in range(num_rows)]
+    while True:
+        entering = next((j for j, c in enumerate(reduced[:-1]) if c < 0), None)
+        if entering is None:
+            return "optimal", -reduced[-1]
+        candidates = [
+            (row[-1] / row[entering], basis[r], r) for r, row in enumerate(tableau) if row[entering] > 0
+        ]
+        if not candidates:
+            return "unbounded", None
+        _, _, leaving = min(candidates)
+        pivot_row = tableau[leaving]
+        pivot_row[:] = [v / pivot_row[entering] for v in pivot_row]
+        for row in tableau + [reduced]:
+            if row is not pivot_row and row[entering]:
+                f = row[entering]
+                row[:] = [v - f * w for v, w in zip(row, pivot_row)]
+        basis[leaving] = entering
 
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+
+def moved_to(lp, x0):
+    """lp posed in x' = x - x0 for a feasible point x0, so that its origin
+    is feasible: a sign-constrained variable with x0_j > 0 becomes free,
+    with the row -x'_j <= x0_j."""
+    moved = make_lp(lp.num_vars, lp.objective, [f or v != 0 for f, v in zip(lp.free, x0)])
+    for j, v in enumerate(x0):
+        if v and not lp.free[j]:
+            moved.add_row([-int(i == j) for i in range(lp.num_vars)], "<=", v)
     for coeffs, rel, rhs in zip(lp.lhs, lp.rel, lp.rhs):
-        row = [float(c) for c in coeffs]
-        if rel == "<=":
-            a_ub.append(row)
-            b_ub.append(float(rhs))
-        elif rel == ">=":
-            a_ub.append([-c for c in row])
-            b_ub.append(-float(rhs))
-        else:
-            a_eq.append(row)
-            b_eq.append(float(rhs))
-    bounds = [(None, None) if f else (0, None) for f in lp.free]
-    return linprog(
-        np.array([float(c) for c in lp.objective]),
-        A_ub=np.array(a_ub) if a_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(a_eq) if a_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
-        bounds=bounds,
-        method="highs",
-        options={"presolve": presolve},
-    )
+        moved.add_row(coeffs, rel, rhs - sum(a * v for a, v in zip(coeffs, x0)))
+    return moved
+
+
+def test_reference_on_known_optima():
+    # the reference itself, on programs whose optimum is known by hand
+    assert reference_solve(make_lp(1, [1], free=[True])) == ("unbounded", None)
+    lp = make_lp(2, [-1, -2])
+    lp.add_row([1, 1], "<=", 1)
+    lp.add_row([-1, 1], ">=", -3)
+    assert reference_solve(lp) == ("optimal", -2)
+    lp = make_lp(2, [1, -1], free=[True, False])
+    lp.add_row([1, 0], ">=", Fraction(-5, 2))
+    lp.add_row([-1, 1], "<=", 0)
+    assert reference_solve(lp) == ("optimal", 0)
 
 
 def test_degree_instances_match_scipy():
-    from symdeg.degreelp import build_lp
+    # named after the float solver it was first checked against; the
+    # degree LPs, moved to their feasible point eps = 1/2 with the
+    # constant 1/2, against the exact reference
+    from symdeg.degreelp import build_lp, solve_lp
     from symdeg.properties import COLLISION, ELEMENT_DISTINCTNESS
 
     for prop, n, m in [
@@ -337,9 +319,10 @@ def test_degree_instances_match_scipy():
         (COLLISION, 4, 4),
     ]:
         for degree in range(0, 3):
-            lp = build_lp(prop, n, m, degree).program
-            exact = solve(lp)
-            assert exact.status == "optimal"
-            approx = scipy_solve(lp)
-            assert approx.status == 0
-            assert abs(float(exact.value) - approx.fun) < 1e-9
+            inst = build_lp(prop, n, m, degree)
+            half = Fraction(1, 2)
+            moved = moved_to(inst.program, [half, half] + [0] * (inst.program.num_vars - 2))
+            status, value = reference_solve(moved)
+            assert status == "optimal"
+            assert solve(moved).value == value
+            assert solve_lp(inst)[0] == value + half
