@@ -29,14 +29,14 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Optional
 
-from .lp import LinearProgram, Simplex, solve
+from .lp import LinearProgram, Relation, Simplex, solve
 from .oracle import _class_of, enumerate_functions
 from .properties import Label, PropertySpec, bounds_for, check_instance, enumerate_classes
 from .sympoly import (
     FrequencyVector,
     Partition,
     SymPolynomial,
-    msym_values,
+    msym_rows,
     partitions,
 )
 from .ypoly import Monomial
@@ -66,16 +66,16 @@ def coefficient_basis(n: int, m: int, degree: int) -> tuple[Partition, ...]:
     )
 
 
-def _add_bound_rows(program: LinearProgram, row: list[int], label: Label) -> None:
-    """The two rows lower(eps) <= value <= upper(eps) of one class or function.
-    Each bound is affine in eps, so moving it to the left side puts
-    bound(0) - bound(1) in the eps column and bound(0) on the right.  Every
-    bound is 0, 1, eps or 1 - eps, so these are ints, as is every entry of
-    `row`, and the simplex takes the rows without Fraction arithmetic."""
+def _bound_rows(label: Label) -> tuple[tuple[int, Relation, int], ...]:
+    """The (eps entry, relation, rhs) of the two rows lower(eps) <= value
+    <= upper(eps) of a class or function with this label.  Each bound is
+    affine in eps, so moving it to the left side puts bound(0) - bound(1)
+    in the eps column and bound(0) on the right.  Every bound is 0, 1, eps
+    or 1 - eps, so these are ints, as is every m_lambda entry of a row, and
+    the simplex takes the rows without Fraction arithmetic."""
     lower0, upper0 = bounds_for(label, Fraction(0))
     lower1, upper1 = bounds_for(label, Fraction(1))
-    program.add_row([int(lower0 - lower1)] + row, ">=", int(lower0))
-    program.add_row([int(upper0 - upper1)] + row, "<=", int(upper0))
+    return (int(lower0 - lower1), ">=", int(lower0)), (int(upper0 - upper1), "<=", int(upper0))
 
 
 def build_lp(prop: PropertySpec, n: int, m: int, degree: int) -> LPInstance:
@@ -91,9 +91,11 @@ def build_lp(prop: PropertySpec, n: int, m: int, degree: int) -> LPInstance:
         objective=[Fraction(1)] + [Fraction(0)] * len(lambdas),
         free=[False] + [True] * len(lambdas),
     )
-    for lam_class, label in classes:
-        values = msym_values(FrequencyVector(m, lam_class), degree)
-        _add_bound_rows(program, [values.get(lam, 0) for lam in lambdas], label)
+    bounds = {label: _bound_rows(label) for label in Label}
+    rows = msym_rows((lam for lam, _ in classes), lambdas)
+    for row, (_, label) in zip(rows, classes):
+        for eps_entry, rel, rhs in bounds[label]:
+            program.add_row([eps_entry] + row, rel, rhs)
     return LPInstance(prop.name, n, m, degree, lambdas, classes, program)
 
 
@@ -242,7 +244,7 @@ def sweep(
     checked before anything is solved.
 
     The LP reads m only through the labelled classes and the column cap
-    min(n, m) (`msym_values` sees a class's nonzero counts alone), so two
+    min(n, m) (`msym_rows` sees a class's nonzero counts alone), so two
     range sizes with the same (classes, cap) key share the LP at every
     degree, and each key is searched once.  For m >= n that key is the
     same for a built-in property: all partitions of n, cap n.  This is the
@@ -286,12 +288,13 @@ def eps_min_indicator_basis(prop: PropertySpec, n: int, m: int, degree: int) -> 
         objective=[Fraction(1)] + [Fraction(0)] * len(monos),
         free=[False] + [True] * len(monos),
     )
-    labels: dict[Partition, Label] = {}
+    bounds: dict[Partition, tuple[tuple[int, Relation, int], ...]] = {}
     for f in enumerate_functions(n, m):
         parts = _class_of(f.values)
-        label = labels.get(parts)
-        if label is None:
-            label = labels[parts] = prop.classify(FrequencyVector(m, parts))
+        rows = bounds.get(parts)
+        if rows is None:
+            rows = bounds[parts] = _bound_rows(prop.classify(FrequencyVector(m, parts)))
         row = [int(all(f.values[i - 1] == j for i, j in mono)) for mono in monos]
-        _add_bound_rows(program, row, label)
+        for eps_entry, rel, rhs in rows:
+            program.add_row([eps_entry] + row, rel, rhs)
     return _solve_from_half(program)[0]

@@ -14,11 +14,16 @@ Every m_lambda at a point z comes out of one generating function,
     prod_i (1 + sum_{p >= 1} z_i^p x_p) = sum_lambda m_lambda(z) prod_{p in lambda} x_p,
 
 because each factor picks at most one exponent for its coordinate, so a
-product term is one distinct monomial.  `msym_values` expands it over the
-nonzero coordinates, truncated at a weight bound d: with k nonzero
-coordinates and P(d) partitions of weight <= d, that is O(k * P(d) * d)
-exact integer multiply-adds, and it yields every m_lambda with
-|lambda| <= d at once.
+product term is one distinct monomial.  `msym_rows` expands it over the
+coordinates of many points at once, truncated to a basis of partitions
+that is closed under removing a part (the LP's columns, or all partitions
+of weight <= d).  It builds one insertion table per call: for each basis
+partition and each part p, the index of the partition with p inserted.
+Each coordinate v of a point then adds c * v^p from every entry c of the
+point's row into the entry the table names, so with k coordinates and
+P(d) basis partitions a point costs O(k * P(d) * d) exact integer
+multiply-adds, with no tuple built and no partition rescanned.
+`msym_values` is one such row, keyed by partition.
 
 `ZPolynomial` is the non-symmetric companion: a polynomial in the named
 variables z_1..z_M with arbitrary integer exponents.  It appears as the
@@ -167,28 +172,67 @@ class FrequencyVector:
         return self.parts + (0,) * (self.m - len(self.parts))
 
 
+def msym_rows(points: Iterable[Sequence[int]], basis: Sequence[Partition]) -> list[list[int]]:
+    """For each point (a sequence of counts; zeros change nothing), the
+    list [m_lambda(point) for lambda in basis], from the truncated expansion
+    of prod_i (1 + sum_p z_i^p x_p) (see the module docstring).
+
+    The basis must start with () and be closed under removing a part: the
+    coefficient of a partition then grows only from coefficients of its
+    parents, all in the basis, so truncating the expansion to the basis is
+    exact.  The insertion table is built once per call: for each basis
+    index i, the pairs (p, j) with basis[j] = basis[i] with p inserted; an
+    index with no child in the basis is left out.  p is stored with j
+    because a child outside the basis is skipped, so the powers of a
+    coordinate cannot be taken in sequence.
+    """
+    index = {lam: j for j, lam in enumerate(basis)}
+    if not basis or basis[0] != () or len(index) != len(basis):
+        raise ValueError("the basis must start with () and hold each partition once")
+    top = max(map(sum, basis))
+    table: list[tuple[int, list[tuple[int, int]]]] = []  # only indices with children
+    parents = [0] * len(basis)
+    for i, lam in enumerate(basis):
+        children = []
+        for p in range(1, top - sum(lam) + 1):
+            k = 0
+            while k < len(lam) and lam[k] >= p:
+                k += 1
+            j = index.get(lam[:k] + (p,) + lam[k:])
+            if j is not None:
+                children.append((p, j))
+                parents[j] += 1
+        if children:
+            table.append((i, children))
+    # a partition with k distinct parts has k parents, one per removed part
+    if any(count != len(set(lam)) for count, lam in zip(parents, basis)):
+        raise ValueError("the basis must be closed under removing a part")
+    rows = []
+    for point in points:
+        row = [1] + [0] * (len(basis) - 1)
+        for v in point:
+            powers = [v**p for p in range(top + 1)]
+            grown = row[:]
+            for i, children in table:
+                c = row[i]
+                if c:
+                    for p, j in children:
+                        grown[j] += c * powers[p]
+            row = grown
+        rows.append(row)
+    return rows
+
+
 def msym_values(z: FrequencyVector, degree: int) -> dict[Partition, int]:
-    """m_lambda(z) for every partition lambda of weight <= degree, from one
-    truncated expansion of prod_i (1 + sum_p z_i^p x_p) over the nonzero
-    coordinates of z (see the module docstring).  A partition missing from
-    the result has value 0: it is longer than z's support."""
+    """m_lambda(z) for every partition lambda of weight <= degree with at
+    most len(z.parts) parts: one `msym_rows` row over exactly those
+    partitions.  A partition missing from the result has value 0: it is
+    longer than z's support."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    values: dict[Partition, int] = {(): 1}
-    for v in z.parts:
-        grown = dict(values)
-        for lam, c in values.items():
-            room = degree - sum(lam)
-            power = c
-            for p in range(1, room + 1):
-                power *= v
-                i = 0
-                while i < len(lam) and lam[i] >= p:
-                    i += 1
-                key = lam[:i] + (p,) + lam[i:]
-                grown[key] = grown.get(key, 0) + power
-        values = grown
-    return values
+    basis = [lam for w in range(degree + 1) for lam in partitions(w, max_parts=len(z.parts))]
+    (row,) = msym_rows([z.parts], basis)
+    return dict(zip(basis, row))
 
 
 def eval_msym(lam: Partition, z: FrequencyVector) -> Fraction:
@@ -199,7 +243,8 @@ def eval_msym(lam: Partition, z: FrequencyVector) -> Fraction:
     integer operations, P(w) the number of partitions of weight <= w.
     The empty partition evaluates to 1, and a lambda longer than the number
     of nonzero coordinates to 0 (for one longer than m, by convention).
-    To evaluate many partitions at one point, call `msym_values` once.
+    To evaluate many partitions at one point, call `msym_values` once; at
+    many points, call `msym_rows` once.
     """
     lam = check_partition(lam)
     return Fraction(msym_values(z, sum(lam)).get(lam, 0))

@@ -5,6 +5,7 @@ cross-checked against the unrestricted per-function LP and a float solver;
 they are asserted as exact rationals.
 """
 
+import functools
 import random
 from fractions import Fraction
 
@@ -80,20 +81,33 @@ def test_build_lp_bound_rows_per_label():
     ]
 
 
+def test_bound_rows_per_label():
+    # (eps entry, relation, rhs) of the lower and the upper row
+    assert degreelp._bound_rows(Label.ZERO) == ((0, ">=", 0), (-1, "<=", 0))
+    assert degreelp._bound_rows(Label.ONE) == ((1, ">=", 1), (0, "<=", 1))
+    assert degreelp._bound_rows(Label.UNDEFINED) == ((0, ">=", 0), (0, "<=", 1))
+
+
+# the oracle's values, shared by every property at the same (counts, lambda)
+_direct_msym_value = functools.cache(direct_msym_value)
+
+
 @pytest.mark.parametrize(
-    "prop", [ELEMENT_DISTINCTNESS, MODIFIED_ELEMENT_DISTINCTNESS, COLLISION]
+    "prop", [ELEMENT_DISTINCTNESS, MODIFIED_ELEMENT_DISTINCTNESS, COLLISION, ALWAYS_ONE]
 )
 def test_build_lp_rows_match_direct_expansion(prop):
     # each class's two rows carry m_lambda(z) in every coefficient column,
-    # checked against the monomial-by-monomial oracle
-    n = m = 6
-    for d in range(n + 1):
-        inst = build_lp(prop, n, m, d)
-        for k, (lam_class, _) in enumerate(inst.classes):
-            counts = FrequencyVector(m, lam_class).counts()
-            expected = [direct_msym_value(lam, counts) for lam in inst.lambdas]
-            for row in inst.program.lhs[2 * k : 2 * k + 2]:
-                assert row[1:] == expected
+    # checked against the monomial-by-monomial oracle; m = n - 1 and below
+    # cap the partition length, m = n + 2 leaves zero coordinates
+    n = 6
+    for m in (2, 3, n - 1, n, n + 2):
+        for d in range(n + 1):
+            inst = build_lp(prop, n, m, d)
+            for k, (lam_class, _) in enumerate(inst.classes):
+                counts = FrequencyVector(m, lam_class).counts()
+                expected = [_direct_msym_value(lam, counts) for lam in inst.lambdas]
+                for row in inst.program.lhs[2 * k : 2 * k + 2]:
+                    assert row[1:] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +486,7 @@ def test_indicator_basis_checks_the_budget_first(monkeypatch):
         raise AssertionError("a bound row was built past the budget")
 
     monkeypatch.setenv("SYMDEG_BUDGET", "20")
-    monkeypatch.setattr(degreelp, "_add_bound_rows", no_rows)
+    monkeypatch.setattr(degreelp, "_bound_rows", no_rows)
     with pytest.raises(BudgetExceededError) as info:
         eps_min_indicator_basis(ELEMENT_DISTINCTNESS, 3, 3, 1)
     assert (info.value.required, info.value.budget) == (27, 20)

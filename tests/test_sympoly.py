@@ -1,5 +1,6 @@
 """Tests for partitions, frequency vectors, and the m_lambda basis."""
 
+import functools
 import itertools
 from fractions import Fraction
 from math import comb, factorial, prod
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symdeg.degreelp import coefficient_basis
 from symdeg.ypoly import FunctionTable
 from symdeg.sympoly import (
     FrequencyVector,
@@ -16,6 +18,7 @@ from symdeg.sympoly import (
     check_partition,
     distinct_permutations,
     eval_msym,
+    msym_rows,
     msym_to_zpoly,
     msym_values,
     multinomial,
@@ -199,6 +202,61 @@ def test_msym_values_matches_direct_expansion_on_arbitrary_counts(counts, degree
 def test_msym_values_rejects_negative_degree():
     with pytest.raises(ValueError):
         msym_values(FrequencyVector.from_counts((1, 1)), -1)
+
+
+def test_msym_rows_matches_direct_expansion():
+    # every class of weight n <= 7 over the LP's column basis at every
+    # degree and every range m <= n + 1; for m < n the basis caps the
+    # length at m, so inserting a part can leave it
+    direct = functools.cache(direct_msym_value)  # a value reads only the nonzero counts
+    for n in range(1, 8):
+        for m in range(1, n + 2):
+            points = list(partitions(n, max_parts=m))
+            for d in range(n + 1):
+                basis = coefficient_basis(n, m, d)
+                expected = [[direct(lam, parts) for lam in basis] for parts in points]
+                assert msym_rows(points, basis) == expected
+
+
+def test_msym_rows_takes_counts_with_zeros():
+    basis = coefficient_basis(4, 4, 3)
+    assert msym_rows([(0, 2, 0, 1, 1)], basis) == msym_rows([(2, 1, 1)], basis)
+    assert msym_rows([(), (0, 0)], basis) == [[1] + [0] * (len(basis) - 1)] * 2
+
+
+def test_msym_values_key_set():
+    # exactly the partitions of weight <= degree with at most len(z.parts)
+    # parts, none of them zero
+    for n in range(0, 7):
+        for parts in partitions(n):
+            for m in (max(len(parts), 1), len(parts) + 2):
+                z = FrequencyVector(m, parts)
+                for degree in range(n + 2):
+                    values = msym_values(z, degree)
+                    expected = {
+                        lam for w in range(degree + 1) for lam in partitions(w)
+                        if len(lam) <= len(parts)
+                    }
+                    assert set(values) == expected
+                    assert all(values.values())
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        [],
+        [(1,)],
+        [(1,), ()],
+        [(), (1,), (1,)],
+        [(), (1,), (2,), (1, 2)],
+        [(), (1,), (2, 1)],
+        [(), (2,), (2, 1)],
+        [(), (1,), (1, 1, 1)],
+    ],
+)
+def test_msym_rows_rejects_a_basis_not_closed_under_removal(basis):
+    with pytest.raises(ValueError):
+        msym_rows([(2, 1)], basis)
 
 
 def test_eval_msym_long_all_ones_partition():
