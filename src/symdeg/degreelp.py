@@ -72,10 +72,26 @@ def _bound_rows(label: Label) -> tuple[tuple[int, Relation, int], ...]:
     affine in eps, so moving it to the left side puts bound(0) - bound(1)
     in the eps column and bound(0) on the right.  Every bound is 0, 1, eps
     or 1 - eps, so these are ints, as is every m_lambda entry of a row, and
-    the simplex takes the rows without Fraction arithmetic."""
+    `lp` takes nothing else."""
     lower0, upper0 = bounds_for(label, Fraction(0))
     lower1, upper1 = bounds_for(label, Fraction(1))
     return (int(lower0 - lower1), ">=", int(lower0)), (int(upper0 - upper1), "<=", int(upper0))
+
+
+def _min_error_program(width: int, rows: Iterable[tuple[list[int], Label]]) -> LinearProgram:
+    """min eps over eps >= 0 and `width` free coefficients: for each
+    (row, label), the two rows lower(eps) <= row . coefficients <=
+    upper(eps) of the label's band."""
+    program = LinearProgram(
+        num_vars=1 + width,  # eps first, then the coefficients
+        objective=[1] + [0] * width,
+        free=[False] + [True] * width,
+    )
+    bounds = {label: _bound_rows(label) for label in Label}
+    for row, label in rows:
+        for eps_entry, rel, rhs in bounds[label]:
+            program.add_row([eps_entry] + row, rel, rhs)
+    return program
 
 
 def build_lp(prop: PropertySpec, n: int, m: int, degree: int) -> LPInstance:
@@ -85,17 +101,8 @@ def build_lp(prop: PropertySpec, n: int, m: int, degree: int) -> LPInstance:
         raise ValueError("degree must be >= 0")
     lambdas = coefficient_basis(n, m, degree)
     classes = tuple(enumerate_classes(prop, n, m))
-    num_vars = 1 + len(lambdas)  # eps first, then the coefficients
-    program = LinearProgram(
-        num_vars=num_vars,
-        objective=[Fraction(1)] + [Fraction(0)] * len(lambdas),
-        free=[False] + [True] * len(lambdas),
-    )
-    bounds = {label: _bound_rows(label) for label in Label}
     rows = msym_rows((lam for lam, _ in classes), lambdas)
-    for row, (_, label) in zip(rows, classes):
-        for eps_entry, rel, rhs in bounds[label]:
-            program.add_row([eps_entry] + row, rel, rhs)
+    program = _min_error_program(len(lambdas), zip(rows, (label for _, label in classes)))
     return LPInstance(prop.name, n, m, degree, lambdas, classes, program)
 
 
@@ -112,10 +119,10 @@ def _solve_from_half(program: LinearProgram, simplex: Optional[Simplex] = None) 
     every other row a.x ~ b becomes 2a.x' ~ 2b - a_0 - a_1, doubled so that
     its entries stay ints.  x0 touches only degree-0 columns, so the posed
     programs of a search across degrees still extend one another."""
-    lhs = [[-2] + [0] * (program.num_vars - 1)] + [[2 * a for a in row] for row in program.lhs]
-    rhs = [1] + [2 * b - row[0] - row[1] for row, b in zip(program.lhs, program.rhs)]
-    free = [True] + program.free[1:]
-    posed = LinearProgram(program.num_vars, program.objective, free, lhs, ["<="] + program.rel, rhs)
+    posed = LinearProgram(program.num_vars, program.objective, [True] + program.free[1:])
+    posed.add_row([-2] + [0] * (program.num_vars - 1), "<=", 1)
+    for row, rel, b in zip(program.lhs, program.rel, program.rhs):
+        posed.add_row([2 * a for a in row], rel, 2 * b - row[0] - row[1])
     solution = solve(posed, simplex)
     if solution.status != "optimal":
         raise RuntimeError(f"minimum-error LP came back {solution.status}; it must be optimal")
@@ -282,19 +289,14 @@ def eps_min_indicator_basis(prop: PropertySpec, n: int, m: int, degree: int) -> 
     over m**n functions, each frequency class classified once, so the
     function count must fit the enumeration budget (which does not bound
     the LP's own cost: keep n and m small)."""
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
     monos = indicator_monomials(n, m, degree)
-    program = LinearProgram(
-        num_vars=1 + len(monos),
-        objective=[Fraction(1)] + [Fraction(0)] * len(monos),
-        free=[False] + [True] * len(monos),
+    functions = list(enumerate_functions(n, m))
+    classes = [_class_of(f.values) for f in functions]
+    labels = {parts: prop.classify(FrequencyVector(m, parts)) for parts in dict.fromkeys(classes)}
+    rows = (
+        ([int(all(f.values[i - 1] == j for i, j in mono)) for mono in monos], labels[parts])
+        for f, parts in zip(functions, classes)
     )
-    bounds: dict[Partition, tuple[tuple[int, Relation, int], ...]] = {}
-    for f in enumerate_functions(n, m):
-        parts = _class_of(f.values)
-        rows = bounds.get(parts)
-        if rows is None:
-            rows = bounds[parts] = _bound_rows(prop.classify(FrequencyVector(m, parts)))
-        row = [int(all(f.values[i - 1] == j for i, j in mono)) for mono in monos]
-        for eps_entry, rel, rhs in rows:
-            program.add_row([eps_entry] + row, rel, rhs)
-    return _solve_from_half(program)[0]
+    return _solve_from_half(_min_error_program(len(monos), rows))[0]

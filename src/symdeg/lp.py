@@ -1,4 +1,4 @@
-"""Exact linear programming over the rationals.
+"""Exact linear programming: integer programs, rational optima.
 
 A one-phase simplex for programs whose origin is feasible: every row is
 `<=` with a right-hand side >= 0, or `>=` with a right-hand side <= 0.
@@ -20,9 +20,10 @@ then divided once by its gcd.  This is fraction-free elimination
 (Edmonds 1967, Bareiss 1968): no Fraction is built inside the loop.  The
 ratio test compares rhs_r * a_s with rhs_s * a_r, since a row's
 denominator cancels from its own ratio, and a reduced cost has the sign
-of its integer.  Fraction appears only where a program's columns enter
-the tableau, scaled to ints by the lcm of their denominators, and where
-the solution is read out.
+of its integer.  A program is ints (its rows, right-hand sides and
+objective; anything else, a bool too, is refused with a ValueError), so
+every row starts over denominator 1; Fraction appears only in the
+solution.
 
 The entering column has the reduced cost largest in size among the
 eligible ones (Dantzig's rule), the smallest index breaking ties.  After
@@ -58,7 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Sequence
 
 Relation = str  # "<=", ">="
@@ -68,36 +69,37 @@ _RELATIONS = ("<=", ">=")
 K_DEGENERATE = 50  # degenerate pivots in a row before Bland's rule takes over
 
 
-def _exact(value: Fraction | int) -> Fraction | int:
-    """An int as it is (the tableau takes it without a Fraction), anything
-    else as a Fraction."""
-    return value if type(value) is int else Fraction(value)
-
-
 @dataclass
 class LinearProgram:
-    """minimize objective . x  subject to the rows; x_j >= 0 unless free[j]."""
+    """minimize objective . x  subject to the rows; x_j >= 0 unless free[j].
+    Every cost, coefficient and right-hand side is an int; rows enter
+    only through `add_row`."""
 
     num_vars: int
-    objective: list[Fraction]
+    objective: list[int]
     free: list[bool]
-    lhs: list[list[Fraction | int]] = field(default_factory=list)
-    rel: list[Relation] = field(default_factory=list)
-    rhs: list[Fraction | int] = field(default_factory=list)
+    lhs: list[list[int]] = field(default_factory=list, init=False)
+    rel: list[Relation] = field(default_factory=list, init=False)
+    rhs: list[int] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
-        self.objective = [Fraction(c) for c in self.objective]
+        self.objective = list(self.objective)
+        if not {*map(type, self.objective)} <= {int}:
+            raise ValueError(f"the objective must be ints, got {self.objective!r}")
         if len(self.objective) != self.num_vars or len(self.free) != self.num_vars:
             raise ValueError("objective/free length must equal num_vars")
 
-    def add_row(self, coeffs: Sequence[Fraction | int], rel: Relation, rhs: Fraction | int) -> None:
-        if len(coeffs) != self.num_vars:
-            raise ValueError(f"row has {len(coeffs)} coefficients, expected {self.num_vars}")
+    def add_row(self, coeffs: Sequence[int], rel: Relation, rhs: int) -> None:
+        row = list(coeffs)
+        if len(row) != self.num_vars:
+            raise ValueError(f"row has {len(row)} coefficients, expected {self.num_vars}")
         if rel not in _RELATIONS:
             raise ValueError(f"unknown relation {rel!r}")
-        self.lhs.append([_exact(c) for c in coeffs])
+        if type(rhs) is not int or not {*map(type, row)} <= {int}:
+            raise ValueError(f"a row must be ints, got {row!r} {rel} {rhs!r}")
+        self.lhs.append(row)
         self.rel.append(rel)
-        self.rhs.append(_exact(rhs))
+        self.rhs.append(rhs)
 
 
 @dataclass(frozen=True)
@@ -157,7 +159,7 @@ class Simplex:
         self.costrow: list[int] = []  # numerators of the reduced costs, minus the objective last
         self.costden = 1
         self.basis: list[int] = []
-        self.cost: list[Fraction] = []  # the objective's cost of every column
+        self.cost: list[int] = []  # the objective's cost of every column
         self.free: list[bool] = []
         self.sign: list[int] = []  # per row: -1 if it is a >= row, negated into a <= row
         self.width = 0  # slack columns, one per row; the variables' columns follow
@@ -181,43 +183,38 @@ class Simplex:
 
     def _start(self, lp: LinearProgram) -> None:
         """The tableau of the slack columns alone, basis = identity: every
-        >= row negated into a <= row, whose right-hand side is then >= 0."""
+        >= row negated into a <= row, whose right-hand side is then >= 0,
+        and every row over denominator 1."""
         for rel, rhs in zip(lp.rel, lp.rhs):
             if not (rel == "<=" and rhs >= 0 or rel == ">=" and rhs <= 0):
                 raise ValueError(f"the origin does not satisfy a row {rel} {rhs}")
         self.sign = [1 if rel == "<=" else -1 for rel in lp.rel]
         self.width = width = len(lp.rhs)
-        self.dens = [rhs.denominator for rhs in lp.rhs]
-        self.rows = [[0] * width + [abs(rhs.numerator)] for rhs in lp.rhs]
+        self.dens = [1] * width
+        self.rows = [[0] * width + [abs(rhs)] for rhs in lp.rhs]
         for r, row in enumerate(self.rows):
-            row[r] = self.dens[r]
+            row[r] = 1
         self.basis = list(range(width))
-        self.cost = [Fraction(0)] * width
+        self.cost = [0] * width
         self.free = [False] * width
 
     def _append(self, lp: LinearProgram) -> None:
         """Add the columns of lp's variables not yet in the tableau, as
-        B^-1 a; B^-1's column i is the slack column i.  The new columns are
-        scaled to ints by the lcm of their denominators, and each row's
-        denominator by the same factor."""
+        B^-1 a; B^-1's column i is the slack column i, over the row's
+        denominator.  A row's entries keep gcd 1 with its denominator, since
+        the entries added are ints."""
         new_vars = range(len(self.cost) - self.width, lp.num_vars)
         columns = [[s * row[j] for s, row in zip(self.sign, lp.lhs)] for j in new_vars]
-        scale = lcm(*(a.denominator for column in columns for a in column))
-        columns = [[a.numerator * (scale // a.denominator) for a in column] for column in columns]
-        for r, row in enumerate(self.rows):
+        for row in self.rows:
             inverse = [(i, b) for i, b in enumerate(row[: self.width]) if b]
-            entries = [sum(b * a[i] for i, b in inverse if a[i]) for a in columns]
-            row = [v * scale for v in row]
-            row[-1:-1] = entries
-            self.rows[r], self.dens[r] = _lowest(row, self.dens[r] * scale)
+            row[-1:-1] = [sum(b * a[i] for i, b in inverse if a[i]) for a in columns]
         self.cost += lp.objective[new_vars.start :]
         self.free += lp.free[new_vars.start :]
 
     def _price_out(self) -> None:
         """Set the reduced-cost row for the columns' costs and the current
         basis."""
-        den = lcm(*(c.denominator for c in self.cost))
-        costrow, den = _lowest([c.numerator * (den // c.denominator) for c in self.cost] + [0], den)
+        costrow, den = self.cost + [0], 1
         for row, row_den, bv in zip(self.rows, self.dens, self.basis):
             if costrow[bv]:
                 nonzero = [(j, w) for j, w in enumerate(row) if w]

@@ -108,7 +108,10 @@ def get_property(name: str) -> PropertySpec:
 def check_instance(prop: PropertySpec, n: int, m: int, eps: Fraction | int | str) -> Fraction:
     """The validity rule of an instance, shared by the degree search, the
     sweep and the verifier; returns eps as a Fraction.  A float is refused:
-    its binary value, not the decimal the caller meant, would reach the answer."""
+    its binary value, not the decimal the caller meant, would reach the answer.
+    n and m must be ints (a bool is refused, as is any float)."""
+    if type(n) is not int or type(m) is not int:
+        raise ValueError(f"n and m must be integers, got n={n!r}, m={m!r}")
     if isinstance(eps, float):
         raise ValueError(
             f"eps must be exact: pass a Fraction or a 'p/q' string, got the float {eps!r}"

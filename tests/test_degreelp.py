@@ -480,6 +480,14 @@ def test_indicator_basis_classifies_each_class_once():
     assert unrestricted == solve_lp(build_lp(COLLISION, 4, 2, 1))[0]
 
 
+def test_indicator_basis_refuses_a_negative_degree():
+    # the same rule and message as build_lp
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        eps_min_indicator_basis(ELEMENT_DISTINCTNESS, 2, 2, -1)
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        build_lp(ELEMENT_DISTINCTNESS, 2, 2, -1)
+
+
 def test_indicator_basis_checks_the_budget_first(monkeypatch):
     # 3**3 = 27 functions over a budget of 20: refused before any row is built
     def no_rows(*args):

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from symdeg.degreelp import approx_degree, sweep
+from symdeg.oracle import verify_approximation
 from symdeg.properties import (
     ALWAYS_ONE,
     BUILTIN_PROPERTIES,
@@ -21,7 +23,7 @@ from symdeg.properties import (
     property_from_dict,
     property_from_file,
 )
-from symdeg.sympoly import FrequencyVector, partitions
+from symdeg.sympoly import FrequencyVector, SymPolynomial, partitions
 from symdeg.ypoly import FunctionTable
 
 
@@ -79,6 +81,20 @@ def test_check_instance():
     ]:
         with pytest.raises(ValueError, match=message):
             check_instance(prop, n, m, eps)
+
+
+@pytest.mark.parametrize("n, m", [(3, 3.5), (True, True), (2.0, 2), (3, Fraction(3)), (3, "3")])
+def test_n_and_m_must_be_ints(n, m):
+    # the degree search, the sweep and the verifier share check_instance,
+    # which refuses anything but an int (a bool too) before any work
+    q = SymPolynomial(3, {(): Fraction(1, 2)})
+    for run in (
+        lambda: approx_degree(ELEMENT_DISTINCTNESS, n, m),
+        lambda: sweep(ELEMENT_DISTINCTNESS, n, [m]),
+        lambda: verify_approximation(q, ELEMENT_DISTINCTNESS, n, m, Fraction(1, 3)),
+    ):
+        with pytest.raises(ValueError, match="n and m must be integers"):
+            run()
 
 
 def test_get_property_aliases():
