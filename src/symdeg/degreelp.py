@@ -288,7 +288,9 @@ def eps_min_indicator_basis(prop: PropertySpec, n: int, m: int, degree: int) -> 
     imposed; matching `solve_lp` optima shows none was needed.  Exhaustive
     over m**n functions, each frequency class classified once, so the
     function count must fit the enumeration budget (which does not bound
-    the LP's own cost: keep n and m small)."""
+    the LP's own cost: keep n and m small).  The instance is checked by
+    the rule `approx_degree` uses."""
+    check_instance(prop, n, m, 0)
     if degree < 0:
         raise ValueError("degree must be >= 0")
     monos = indicator_monomials(n, m, degree)

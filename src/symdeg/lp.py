@@ -9,24 +9,29 @@ a row is refused with a ValueError before anything is pivoted.  A caller
 that knows another feasible point x0 poses its program in x - x0, as
 `degreelp` does.
 
-The tableau holds integers.  Each row, and the reduced-cost row, is a
-list of Python ints over one denominator of its own, kept positive and
-in lowest terms: the gcd of the denominator and the row's entries is 1.
-A pivot on entry p of a row replaces that row by sign(p) * row over |p|.
-Every other row with a nonzero f in the pivot column becomes
-row * p' - f * pivot_row over den * p', where p' is the new pivot row's
-denominator (and its entry in the pivot column).  Each updated row is
-then divided once by its gcd.  This is fraction-free elimination
-(Edmonds 1967, Bareiss 1968): no Fraction is built inside the loop.  The
-ratio test compares rhs_r * a_s with rhs_s * a_r, since a row's
-denominator cancels from its own ratio, and a reduced cost has the sign
-of its integer.  A program is ints (its rows, right-hand sides and
-objective; anything else, a bool too, is refused with a ValueError), so
-every row starts over denominator 1; Fraction appears only in the
-solution.
+The tableau is a dictionary over one denominator (Edmonds 1967, Bareiss
+1968; the integer pivoting of Avis's lrs, 2000).  For the current basis
+B it stores only the nonbasic columns: row i holds the entries of
+den * B^-1 A in the nonbasic columns, then den * B^-1 b, and the cost row
+holds den times the reduced costs, then -den times the objective, where
+den = |det B|.  By Cramer's rule every one of these is an integer (a
+minor of the program's matrix, up to sign), so the tableau is Python ints
+with no denominator per row and no common factor to divide out.  A
+pivot on the entry p of row r and the entering column's slot s sets
+every other entry v of the tableau, with f the entry of v's row in slot
+s and w the entry of row r in v's slot, to
+(v * |p| - sign(p) * f * w) // den, and the division is exact.  Row r becomes sign(p) times itself, the slot s passes to the
+leaving column, which holds sign(p) * den in row r and -sign(p) * f in
+every other row, and den becomes |p|.  No Fraction is built inside the
+loop.  The ratio test compares rhs_r * a_s with rhs_s * a_r, and a
+reduced cost has the sign of its integer, since den > 0.  A program is
+ints (its rows, right-hand sides and objective; anything else, a bool
+too, is refused with a ValueError), so the slack basis starts over
+den = 1; Fraction appears only in the solution.
 
 The entering column has the reduced cost largest in size among the
-eligible ones (Dantzig's rule), the smallest index breaking ties.  After
+eligible ones (Dantzig's rule), the smallest column index breaking ties
+(the column's index in the program, not its slot).  After
 K_DEGENERATE degenerate pivots in a row (the leaving row's right-hand
 side is 0, so the basis changes and the point does not), the smallest
 eligible index enters instead (Bland's rule), until the next pivot that
@@ -39,13 +44,16 @@ Zhang (1993).  The rule is deterministic, so the same sequence of
 programs always gives the same optimal basic solution.
 
 A `Simplex` keeps the tableau between solves.  Given a program that
-repeats the previous one's rows and appends columns, it reads B^-1 off
-the slack columns, appends B^-1 a for every new column a, and
-re-optimizes from the current basis, which stays feasible.  `solve`
-without a `Simplex` is the cold entry to the same code: a fresh tableau
-for one program.
+repeats the previous one's rows and appends columns, it appends
+den * B^-1 a for every new column a, and its reduced cost
+den * c_a + sum_i a_i * (slack i's stored reduced cost), and re-optimizes
+from the current basis, which stays feasible.  Column i of den * B^-1 is
+slack i's stored column when slack i is nonbasic, and den times the unit
+vector of its row when it is basic (whose reduced cost is 0), so the
+rest of the tableau stays as it is.  `solve` without a `Simplex` is the
+cold entry to the same code: a fresh tableau for one program.
 
-Every program variable has one tableau column, after the slack columns.
+Every program variable has one column, numbered after the slack columns.
 A free column is eligible to enter with a reduced cost of either sign (a
 positive one enters decreasing), and the ratio test skips the rows of
 free basic columns, so a free column never leaves once it is basic and
@@ -59,7 +67,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Sequence
 
 Relation = str  # "<=", ">="
@@ -114,28 +121,6 @@ def _prefix(lp: LinearProgram, k: int) -> tuple:
     return (list(lp.rel), list(lp.rhs), lp.objective[:k], lp.free[:k], [row[:k] for row in lp.lhs])
 
 
-def _lowest(row: list[int], den: int) -> tuple[list[int], int]:
-    """row / den with the gcd of the denominator and the entries divided out."""
-    g = gcd(den, *row)
-    if g == 1:
-        return row, den
-    return [v // g for v in row], den // g
-
-
-def _eliminate(
-    row: list[int], den: int, pivot: list[tuple[int, int]], pivot_den: int, col: int
-) -> tuple[list[int], int]:
-    """row / den minus the multiple of the pivot row that clears column
-    col, in lowest terms.  The pivot row is given by its nonzero
-    (column, entry) pairs over pivot_den, and its entry in col equals
-    pivot_den."""
-    f = row[col]
-    new = [v * pivot_den for v in row] if pivot_den != 1 else row[:]
-    for j, w in pivot:
-        new[j] -= f * w
-    return _lowest(new, den * pivot_den)
-
-
 class Simplex:
     """The tableau kept between the solves of a sequence of programs, each
     one the previous program with variables appended (same rows, same
@@ -146,19 +131,21 @@ class Simplex:
     it had.  Columns are numbered in the order they were added: one slack
     column per row, then one per program variable.
 
-    Row i of the tableau is `rows[i]` over `dens[i]`, and the reduced-cost
-    row is `costrow` over `costden`: Python ints over a denominator > 0,
-    with the gcd of the denominator and the entries 1.  A basic column's
-    entry in its own row equals that row's denominator.  `pivots` counts
-    the pivots made across all solves.
+    Row i of the tableau is `rows[i]` over `den`, and the reduced-cost row
+    is `costrow` over the same `den` = |det B| > 0: Python ints, entry k
+    for the column `nonbasic[k]`, which sits in slot k, and the right-hand
+    side (in the cost row, minus the objective) last.  Row i's basic
+    column is `basis[i]`; basic columns are not stored.  A pivot gives the
+    entering column's slot to the leaving column.  `pivots` counts the
+    pivots made across all solves.
     """
 
     def __init__(self) -> None:
         self.rows: list[list[int]] = []  # numerators of the tableau rows, right-hand side last
-        self.dens: list[int] = []  # per row: its denominator
         self.costrow: list[int] = []  # numerators of the reduced costs, minus the objective last
-        self.costden = 1
-        self.basis: list[int] = []
+        self.den = 1  # the denominator of every entry: |det B|
+        self.basis: list[int] = []  # per row: its basic column
+        self.nonbasic: list[int] = []  # per slot: its column
         self.cost: list[int] = []  # the objective's cost of every column
         self.free: list[bool] = []
         self.sign: list[int] = []  # per row: -1 if it is a >= row, negated into a <= row
@@ -173,84 +160,84 @@ class Simplex:
             raise ValueError("a warm solve needs the previous program with columns appended")
         self._append(lp)
         self.program = _prefix(lp, lp.num_vars)
-        self._price_out()
         if not self._run():
             return LPSolution("unbounded", None, None)
         values = [Fraction(0)] * len(self.cost)
-        for row, den, bv in zip(self.rows, self.dens, self.basis):
-            values[bv] = Fraction(row[-1], den)
-        return LPSolution("optimal", Fraction(-self.costrow[-1], self.costden), values[self.width :])
+        for row, bv in zip(self.rows, self.basis):
+            values[bv] = Fraction(row[-1], self.den)
+        return LPSolution("optimal", Fraction(-self.costrow[-1], self.den), values[self.width :])
 
     def _start(self, lp: LinearProgram) -> None:
-        """The tableau of the slack columns alone, basis = identity: every
-        >= row negated into a <= row, whose right-hand side is then >= 0,
-        and every row over denominator 1."""
+        """The tableau of the slack basis, with no nonbasic column yet:
+        every >= row negated into a <= row, whose right-hand side is then
+        >= 0, over den = 1."""
         for rel, rhs in zip(lp.rel, lp.rhs):
             if not (rel == "<=" and rhs >= 0 or rel == ">=" and rhs <= 0):
                 raise ValueError(f"the origin does not satisfy a row {rel} {rhs}")
         self.sign = [1 if rel == "<=" else -1 for rel in lp.rel]
         self.width = width = len(lp.rhs)
-        self.dens = [1] * width
-        self.rows = [[0] * width + [abs(rhs)] for rhs in lp.rhs]
-        for r, row in enumerate(self.rows):
-            row[r] = 1
+        self.rows = [[abs(rhs)] for rhs in lp.rhs]
+        self.costrow = [0]
         self.basis = list(range(width))
         self.cost = [0] * width
         self.free = [False] * width
 
     def _append(self, lp: LinearProgram) -> None:
-        """Add the columns of lp's variables not yet in the tableau, as
-        B^-1 a; B^-1's column i is the slack column i, over the row's
-        denominator.  A row's entries keep gcd 1 with its denominator, since
-        the entries added are ints."""
+        """Add the columns of lp's variables not yet in the tableau as
+        den * B^-1 a, and their reduced costs den * c + sum_i a_i * y_i,
+        where y_i is slack i's stored reduced cost (minus den times its
+        dual value).  Column i of den * B^-1 is slack i's stored column if
+        slack i is nonbasic, and den times the unit vector of its row if
+        it is basic, with reduced cost 0."""
         new_vars = range(len(self.cost) - self.width, lp.num_vars)
         columns = [[s * row[j] for s, row in zip(self.sign, lp.lhs)] for j in new_vars]
-        for row in self.rows:
-            inverse = [(i, b) for i, b in enumerate(row[: self.width]) if b]
+        slack_slots = [(k, i) for k, i in enumerate(self.nonbasic) if i < self.width]
+        for row, bv in zip(self.rows, self.basis):
+            inverse = [(i, row[k]) for k, i in slack_slots if row[k]]
+            if bv < self.width:
+                inverse.append((bv, self.den))
             row[-1:-1] = [sum(b * a[i] for i, b in inverse if a[i]) for a in columns]
+        costrow = self.costrow
+        duals = [(i, costrow[k]) for k, i in slack_slots if costrow[k]]
+        costrow[-1:-1] = [
+            self.den * c + sum(y * a[i] for i, y in duals if a[i])
+            for c, a in zip(lp.objective[new_vars.start :], columns)
+        ]
+        self.nonbasic += range(len(self.cost), len(self.cost) + len(columns))
         self.cost += lp.objective[new_vars.start :]
         self.free += lp.free[new_vars.start :]
 
-    def _price_out(self) -> None:
-        """Set the reduced-cost row for the columns' costs and the current
-        basis."""
-        costrow, den = self.cost + [0], 1
-        for row, row_den, bv in zip(self.rows, self.dens, self.basis):
-            if costrow[bv]:
-                nonzero = [(j, w) for j, w in enumerate(row) if w]
-                costrow, den = _eliminate(costrow, den, nonzero, row_den, bv)
-        self.costrow, self.costden = costrow, den
-
     def _run(self) -> bool:
         """Pivot to an optimum (True), or stop on an unbounded ray (False)."""
-        rows, basis, free = self.rows, self.basis, self.free
-        allowed = range(len(self.cost))
+        rows, basis, nonbasic, free = self.rows, self.basis, self.nonbasic, self.free
         degenerate = 0  # degenerate pivots in a row
         while True:
             costrow = self.costrow
             # a column is eligible on a negative reduced cost, a free one also
             # on a positive one, and then it enters decreasing
             if degenerate < K_DEGENERATE:
-                # Dantzig: the largest reduced cost in size, the first on ties
+                # Dantzig: the largest reduced cost in size, the smallest column on ties
                 entering, best = None, 0
-                for j in allowed:
-                    c = costrow[j]
+                for k, j in enumerate(nonbasic):
+                    c = costrow[k]
                     if c < 0:
                         c = -c
-                    elif not free[j]:
+                    elif not (c and free[j]):
                         continue
-                    if c > best:
-                        entering, best = j, c
+                    if c > best or c == best and j < nonbasic[entering]:
+                        entering, best = k, c
             else:
                 # Bland: the first eligible column
-                entering = next(
-                    (j for j in allowed if costrow[j] < 0 or (free[j] and costrow[j] > 0)), None
+                entering = min(
+                    (k for k, j in enumerate(nonbasic) if costrow[k] < 0 or free[j] and costrow[k] > 0),
+                    key=nonbasic.__getitem__,
+                    default=None,
                 )
             if entering is None:
                 return True
             increasing = costrow[entering] < 0
             # the smallest ratio rhs / a leaves, ties to the smallest basic
-            # column; both sit over the row's denominator, which cancels
+            # column; every entry sits over den, which cancels
             leaving = None
             for r, row in enumerate(rows):
                 a = row[entering] if increasing else -row[entering]
@@ -263,24 +250,40 @@ class Simplex:
             if leaving is None:
                 return False
             degenerate = degenerate + 1 if best_b == 0 else 0
-            self._pivot(leaving, entering)
+            self._pivot(leaving, nonbasic[entering])
 
     def _pivot(self, r: int, col: int) -> None:
-        rows, dens = self.rows, self.dens
-        pivot_row = rows[r]
-        p = pivot_row[col]
-        if p < 0:
-            pivot_row = [-v for v in pivot_row]
-        pivot_row, p = _lowest(pivot_row, abs(p))
-        rows[r], dens[r] = pivot_row, p
-        nonzero = [(j, w) for j, w in enumerate(pivot_row) if w]
+        """Pivot column col into the basis in row r; the leaving column
+        takes col's slot."""
+        s = self.nonbasic.index(col)
+        rows, den = self.rows, self.den
+        p = rows[r][s]
+        q = abs(p)
+        # row r over the new den = |p| is sign(p) times itself, and the
+        # leaving column's entry in it is sign(p) * den
+        pivot_row = rows[r] if p > 0 else [-v for v in rows[r]]
+        pivot_row[s] = den if p > 0 else -den
+        rows[r] = pivot_row
         for i, row in enumerate(rows):
-            if row[col] and i != r:
-                rows[i], dens[i] = _eliminate(row, dens[i], nonzero, p, col)
-        if self.costrow[col]:
-            self.costrow, self.costden = _eliminate(self.costrow, self.costden, nonzero, p, col)
-        self.basis[r] = col
+            if i != r:
+                rows[i] = _eliminate(row, pivot_row, s, q, den)
+        self.costrow = _eliminate(self.costrow, pivot_row, s, q, den)
+        self.den = q
+        self.nonbasic[s], self.basis[r] = self.basis[r], col
         self.pivots += 1
+
+
+def _eliminate(row: list[int], pivot_row: list[int], s: int, q: int, den: int) -> list[int]:
+    """A row other than the pivot row after the pivot on p, with q = |p|:
+    each entry v becomes (v * q - f * w) // den, f being the row's entry in
+    slot s and w the pivot row's new entry (sign(p) times its old one).  In
+    slot s, v is taken as 0 and w is sign(p) * den, so the leaving column
+    gets -sign(p) * f."""
+    f = row[s]
+    if not f:
+        return row if q == den else [v * q // den for v in row]
+    row[s] = 0
+    return [(v * q - f * w) // den for v, w in zip(row, pivot_row)]
 
 
 def solve(lp: LinearProgram, simplex: Optional[Simplex] = None) -> LPSolution:

@@ -189,7 +189,7 @@ GOLDEN_EPS_MIN = {
     (COLLISION, 4): "1/2,1/2,2/5,0",
     (COLLISION, 6): "1/2,1/2,4/9,5/21",
     (COLLISION, 8): "1/2,1/2,6/13,7/22",
-    # the frontier; ED n = 14..17 is in ed_frontier.json, which CI checks
+    # the frontier; ED n = 14..18 is in ed_frontier.json, which CI checks
     (ELEMENT_DISTINCTNESS, 9): "1/2,1/2,35/71,55/116,169/394,693/1901,15041/55280",
     (ELEMENT_DISTINCTNESS, 10): "1/2,1/2,44/89,35/73,1310/2951,110902/283957,27134878/86902331",
     (ELEMENT_DISTINCTNESS, 11): (
@@ -390,6 +390,49 @@ def test_warm_search_pivot_count():
     assert simplex.pivots == 64
 
 
+def optimal_duals(simplex):
+    """y_i = -sign_i * (slack i's reduced cost) / den for each row i of the
+    program last solved, 0 where slack i is basic: the dual values the
+    tableau holds, sign_i = -1 on a >= row."""
+    rel = simplex.program[0]
+    y = [Fraction(0)] * len(rel)
+    for k, j in enumerate(simplex.nonbasic):
+        if j < len(rel):
+            y[j] = Fraction((1 if rel[j] == ">=" else -1) * simplex.costrow[k], simplex.den)
+    return y
+
+
+@pytest.mark.parametrize(
+    "prop, n, nonzero",
+    [
+        (ELEMENT_DISTINCTNESS, 9, 11),
+        (ELEMENT_DISTINCTNESS, 12, 16),
+        (MODIFIED_ELEMENT_DISTINCTNESS, 8, None),
+        (COLLISION, 8, None),
+    ],
+    ids=lambda v: getattr(v, "name", v),
+)
+def test_tableau_duals_certify_every_degree(prop, n, nonzero):
+    # at every degree of the warm search, the duals read off the tableau are
+    # feasible for the dual of the posed program and attain its optimum
+    # eps_min - 1/2, which certifies that optimum without the solver
+    simplex = Simplex()
+    for d in range(n + 1):
+        eps_min = solve_lp(build_lp(prop, n, n, d), simplex)[0]
+        rel, rhs, objective, free, lhs = simplex.program
+        y = optimal_duals(simplex)
+        assert all(v >= 0 if r == ">=" else v <= 0 for v, r in zip(y, rel))
+        for j, (c, is_free) in enumerate(zip(objective, free)):
+            reduced = c - sum(row[j] * v for row, v in zip(lhs, y) if v)
+            assert reduced == 0 if is_free else reduced >= 0
+        assert sum(b * v for b, v in zip(rhs, y)) == eps_min - Fraction(1, 2)
+        if eps_min <= THIRD:
+            break
+    if nonzero is not None:
+        # at d*: the classes whose rows bind in the dual
+        assert sum(v != 0 for v in y) == nonzero
+
+
 def test_certificate_to_dict_shape():
     cert = approx_degree(ELEMENT_DISTINCTNESS, 2, 2, THIRD)
     data = cert.to_dict()
@@ -486,6 +529,15 @@ def test_indicator_basis_refuses_a_negative_degree():
         eps_min_indicator_basis(ELEMENT_DISTINCTNESS, 2, 2, -1)
     with pytest.raises(ValueError, match="degree must be >= 0"):
         build_lp(ELEMENT_DISTINCTNESS, 2, 2, -1)
+
+
+def test_indicator_basis_checks_the_instance():
+    # the same rule as approx_degree: ED needs m >= n, and n must be an int
+    for args in ((ELEMENT_DISTINCTNESS, 3, 2), (COLLISION, True, 2)):
+        with pytest.raises(ValueError) as refused:
+            approx_degree(*args, THIRD)
+        with pytest.raises(ValueError, match=str(refused.value)):
+            eps_min_indicator_basis(*args, 1)
 
 
 def test_indicator_basis_checks_the_budget_first(monkeypatch):

@@ -1,7 +1,7 @@
 """Tests for the exact simplex solver: integer programs, rational optima."""
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from unittest.mock import patch
 
 import pytest
@@ -120,6 +120,23 @@ def test_degenerate_instance_with_a_free_column():
     assert reference_solve(lp) == ("optimal", sol.value)
 
 
+def test_dantzig_ties_go_to_the_smallest_column():
+    """Ties in Dantzig's rule go to the smallest column, not the first slot.
+    After two pivots (column 6 in row 2, then column 5 in row 1), slack 2
+    has left into column 6's slot, after the slot of x (column 4), and the
+    two tie at the largest reduced cost.  Column 2 enters and its ray is
+    unbounded; x would have taken a third pivot first."""
+    lp = make_lp(3, [-1, -1, 2], free=[False, False, True])
+    lp.add_row([3, -3, 2], "<=", 3)
+    lp.add_row([-3, -3, -3], "<=", 1)
+    lp.add_row([-2, -3, -2], "<=", 0)
+    lp.add_row([1, 1, 3], "<=", 3)
+    simplex = Simplex()
+    assert solve(lp, simplex).status == "unbounded"
+    assert simplex.pivots == 2
+    assert reference_solve(lp) == ("unbounded", None)
+
+
 def test_solver_is_deterministic():
     lp = make_lp(3, [-1, -1, -1])
     lp.add_row([1, 2, 3], "<=", 6)
@@ -176,15 +193,59 @@ def satisfies(lp, x):
     )
 
 
+def recomputed_tableau(simplex):
+    """(|det B|, B^-1 A on the nonbasic columns with B^-1 b last, the
+    reduced costs of the nonbasic columns with minus the objective last),
+    recomputed in Fractions from the program the simplex last solved and
+    its basis alone: A is [I | sign * lhs] and b is sign * rhs, each >= row
+    negated, and c is 0 on the slacks."""
+    rel, rhs, objective, _, lhs = simplex.program
+    sign = [1 if r == "<=" else -1 for r in rel]
+    width = len(rhs)
+
+    def column(j):
+        if j < width:
+            return [Fraction(int(i == j)) for i in range(width)]
+        return [Fraction(s * row[j - width]) for s, row in zip(sign, lhs)]
+
+    cost = [0] * width + objective
+    # Gauss-Jordan on [B | A_N | b], keeping det B
+    matrix = [list(entries) for entries in zip(*map(column, simplex.basis + simplex.nonbasic))]
+    for row, s, b in zip(matrix, sign, rhs):
+        row.append(Fraction(s * b))
+    det = Fraction(1)
+    for r in range(width):
+        pivot = next(i for i in range(r, width) if matrix[i][r])
+        if pivot != r:
+            matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
+            det = -det
+        det *= matrix[r][r]
+        matrix[r] = [v / matrix[r][r] for v in matrix[r]]
+        for i in range(width):
+            if i != r and matrix[i][r]:
+                f = matrix[i][r]
+                matrix[i] = [v - f * w for v, w in zip(matrix[i], matrix[r])]
+    entries = [row[width:] for row in matrix]
+    costs = [cost[j] for j in simplex.nonbasic] + [0]
+    reduced = [
+        c - sum(cost[bv] * row[k] for bv, row in zip(simplex.basis, entries))
+        for k, c in enumerate(costs)
+    ]
+    return abs(det), entries, reduced
+
+
 def check_integer_tableau(simplex):
-    # every row over a positive denominator in lowest terms, and each basic
-    # column's entry in its own row equal to that denominator
-    rows = [*zip(simplex.rows, simplex.dens), (simplex.costrow, simplex.costden)]
-    for row, den in rows:
-        assert all(type(v) is int for v in row)
-        assert den > 0 and gcd(den, *row) == 1
-    for row, den, bv in zip(simplex.rows, simplex.dens, simplex.basis):
-        assert row[bv] == den
+    # ints over one positive denominator, basis and nonbasic columns a
+    # partition of every column, and each entry, the reduced costs included,
+    # equal to den times the one recomputed from the program: den = |det B|
+    # makes every one an integer
+    assert all(type(v) is int for row in [*simplex.rows, simplex.costrow] for v in row)
+    assert type(simplex.den) is int and simplex.den > 0
+    assert sorted(simplex.basis + simplex.nonbasic) == list(range(len(simplex.cost)))
+    det, entries, reduced = recomputed_tableau(simplex)
+    assert simplex.den == det
+    assert simplex.rows == [[simplex.den * v for v in row] for row in entries]
+    assert simplex.costrow == [simplex.den * v for v in reduced]
 
 
 # pivots allowed in one check_prefixes call, over its (at most 8) warm and
