@@ -20,9 +20,10 @@ with no denominator per row and no common factor to divide out.  A
 pivot on the entry p of row r and the entering column's slot s sets
 every other entry v of the tableau, with f the entry of v's row in slot
 s and w the entry of row r in v's slot, to
-(v * |p| - sign(p) * f * w) // den, and the division is exact.  Row r becomes sign(p) times itself, the slot s passes to the
-leaving column, which holds sign(p) * den in row r and -sign(p) * f in
-every other row, and den becomes |p|.  No Fraction is built inside the
+(v * |p| - sign(p) * f * w) // den, and the division is exact.  Row r
+becomes sign(p) times itself, the slot s passes to the leaving column,
+which holds sign(p) * den in row r and -sign(p) * f in every other row,
+and den becomes |p|.  No Fraction is built inside the
 loop.  The ratio test compares rhs_r * a_s with rhs_s * a_r, and a
 reduced cost has the sign of its integer, since den > 0.  A program is
 ints (its rows, right-hand sides and objective; anything else, a bool
@@ -280,8 +281,6 @@ def _eliminate(row: list[int], pivot_row: list[int], s: int, q: int, den: int) -
     slot s, v is taken as 0 and w is sign(p) * den, so the leaving column
     gets -sign(p) * f."""
     f = row[s]
-    if not f:
-        return row if q == den else [v * q // den for v in row]
     row[s] = 0
     return [(v * q - f * w) // den for v, w in zip(row, pivot_row)]
 
