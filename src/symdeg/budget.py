@@ -7,8 +7,10 @@ functions (`verify_approximation` on an indicator polynomial, and so
 `transfer_approximation`; `oracle.enumerate_functions`, behind
 `eps_min_indicator_basis`), one frequency class (`functions_in_class`,
 `average_oracle`) and one ordered frequency vector (`average_over_counts`).
-The budget is 10**6 items unless the SYMDEG_BUDGET environment variable
-sets another; it is the one setting, read at each check.
+A function grid past the budget by bit length alone is refused before
+m**n is built (`check_grid_budget`).  The budget is 10**6 items unless
+the SYMDEG_BUDGET environment variable sets another; it is the one
+setting, read at each check.
 """
 
 from __future__ import annotations
@@ -20,9 +22,12 @@ BUDGET_ENV_VAR = "SYMDEG_BUDGET"
 
 
 class BudgetExceededError(Exception):
-    """An enumeration would exceed the configured budget."""
+    """An enumeration would exceed the configured budget.  `required` is the
+    item count, or its size as text when the count has more than 64 bits
+    ("2**k or more") or is a function grid refused before m**n was built
+    ("m**n"): str() of an int past 4300 digits raises ValueError."""
 
-    def __init__(self, required: int, budget: int):
+    def __init__(self, required: int | str, budget: int):
         super().__init__(
             f"enumeration of {required} items exceeds the budget of {budget}"
             f" (raise it via {BUDGET_ENV_VAR})"
@@ -49,4 +54,16 @@ def check_budget(required: int) -> None:
     """Raise BudgetExceededError if `required` items exceed the budget."""
     limit = default_budget()
     if required > limit:
-        raise BudgetExceededError(required, limit)
+        bits = required.bit_length()
+        raise BudgetExceededError(required if bits <= 64 else f"2**{bits - 1} or more", limit)
+
+
+def check_grid_budget(n: int, m: int) -> None:
+    """check_budget(m**n) for the functions [n] -> [m].  Once
+    m**n >= 2**(n * (bits(m) - 1)) is past the budget by bit length alone,
+    the grid is refused as "m**n" without building m**n, which at large n
+    takes seconds and has too many digits to print."""
+    limit = default_budget()
+    if n * (m.bit_length() - 1) >= limit.bit_length():
+        raise BudgetExceededError(f"{m}**{n}", limit)
+    check_budget(m**n)

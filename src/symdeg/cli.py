@@ -6,10 +6,14 @@ reports, CSV (fixed column order, mandatory header) for sweeps, with
 `sweep --json` switching the sweep to JSON.  All rationals cross the
 boundary as exact "p/q" strings.  The library validates every instance
 (`properties.check_instance`), and `sweep` is one call to
-`degreelp.sweep`, which solves each distinct LP once.  Exit codes: 0
-success, 1 a requested assertion failed (--assert-flat, or a failing
-verify), 2 bad arguments or malformed input files, 3 enumeration budget
-exceeded.
+`degreelp.sweep`, which solves each distinct LP once.  The four file
+transforms (symmetrize, extend, restrict, andor-reduce) share one handler,
+`cmd_transform`, over `_TRANSFORMS`: each command's input kind and
+transform.  An --n given to andor-reduce or to verify on a y-polynomial
+must match the file's n.  `_SUBCOMMANDS` lists every subcommand with its
+options, in --help order.  Exit codes: 0 success, 1 a requested assertion
+failed (--assert-flat, or a failing verify), 2 bad arguments or malformed
+input files, 3 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .andor import XPolynomial, substitute
 from .budget import BudgetExceededError
@@ -142,37 +146,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_symmetrize(args: argparse.Namespace) -> int:
+def _matching_n(n: Optional[int], poly: Union[XPolynomial, YPolynomial]):
+    """The file's polynomial, after refusing an --n that differs from its n."""
+    if n is not None and n != poly.n:
+        raise ValueError(f"--n {n} does not match the file's n = {poly.n}")
+    return poly
+
+
+# the file transforms: command -> (the input kind, its name, the transform)
+_TRANSFORMS = {
+    "symmetrize": (YPolynomial, "a y-polynomial", lambda poly, args: symmetrize(poly)),
+    "extend": (SymPolynomial, "a z-polynomial", lambda poly, args: extend(poly, args.target_m)),
+    "restrict": (SymPolynomial, "a z-polynomial", lambda poly, args: restrict(poly, args.target_m)),
+    "andor-reduce": (XPolynomial, "an x-polynomial", lambda poly, args: substitute(_matching_n(args.n, poly))),
+}
+
+
+def cmd_transform(args: argparse.Namespace) -> int:
+    """Load --input, check its kind and write the command's transform of it."""
+    kind, name, transform = _TRANSFORMS[args.command]
     poly = load_polynomial(args.input)
-    if not isinstance(poly, YPolynomial):
-        raise ValueError("symmetrize expects a y-polynomial file")
-    _emit(dumps_polynomial(symmetrize(poly)), args.output)
-    return 0
-
-
-def cmd_extend(args: argparse.Namespace) -> int:
-    poly = load_polynomial(args.input)
-    if not isinstance(poly, SymPolynomial):
-        raise ValueError("extend expects a z-polynomial file")
-    _emit(dumps_polynomial(extend(poly, args.target_m)), args.output)
-    return 0
-
-
-def cmd_restrict(args: argparse.Namespace) -> int:
-    poly = load_polynomial(args.input)
-    if not isinstance(poly, SymPolynomial):
-        raise ValueError("restrict expects a z-polynomial file")
-    _emit(dumps_polynomial(restrict(poly, args.target_m)), args.output)
-    return 0
-
-
-def cmd_andor_reduce(args: argparse.Namespace) -> int:
-    poly = load_polynomial(args.input)
-    if not isinstance(poly, XPolynomial):
-        raise ValueError("andor-reduce expects an x-polynomial file")
-    if args.n is not None and args.n != poly.n:
-        raise ValueError(f"--n {args.n} does not match the file's n = {poly.n}")
-    _emit(dumps_polynomial(substitute(poly)), args.output)
+    if not isinstance(poly, kind):
+        raise ValueError(f"{args.command} expects {name} file")
+    _emit(dumps_polynomial(transform(poly, args)), args.output)
     return 0
 
 
@@ -180,9 +176,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     prop = _resolve_property(args)
     poly = load_polynomial(args.input)
     if isinstance(poly, YPolynomial):
-        if args.n is not None and args.n != poly.n:
-            raise ValueError(f"--n {args.n} does not match the file's n = {poly.n}")
-        n, m = poly.n, poly.m
+        n, m = _matching_n(args.n, poly).n, poly.m
     elif isinstance(poly, SymPolynomial):
         if args.n is None:
             raise ValueError("verifying a z-polynomial needs --n (the domain size)")
@@ -194,6 +188,35 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+_INPUT = ("--input", {"type": Path, "required": True})
+_N = ("--n", {"type": int, "required": True, "help": "domain size"})
+_TARGET_M = ("--target-m", {"type": int, "required": True, "help": "new variable count"})
+_EPS = ("--eps", {"type": _fraction, "default": Fraction(1, 3), "help": "error bound (exact rational, default 1/3)"})
+_OUTPUT = ("--output", {"type": Path, "help": "write here instead of stdout"})
+
+# every subcommand in --help order: its help, its handler, whether it takes
+# the property group, and its other options in order
+_SUBCOMMANDS = (
+    ("degree", "certify the approximate degree of one instance", cmd_degree, True,
+     (_N, ("--m", {"type": int, "required": True, "help": "range size"}), _EPS, _OUTPUT)),
+    ("sweep", "certify degrees across a range of m values", cmd_sweep, True,
+     (_N, ("--m", {"type": _m_range, "required": True, "help": "range sizes, e.g. 3..6"}), _EPS,
+      ("--assert-flat", {"action": "store_true", "help": "exit 1 unless d* is identical across the sweep"}),
+      _OUTPUT, ("--json", {"action": "store_true", "help": "emit JSON instead of CSV"}))),
+    ("symmetrize", "average a y-polynomial into a z-polynomial", cmd_transform, False,
+     (_INPUT, _OUTPUT)),
+    ("extend", "reinterpret a z-polynomial over more variables", cmd_transform, False,
+     (_INPUT, _TARGET_M, _OUTPUT)),
+    ("restrict", "drop the z-polynomial variables beyond a count", cmd_transform, False,
+     (_INPUT, _TARGET_M, _OUTPUT)),
+    ("andor-reduce", "substitute indicators into an x-polynomial", cmd_transform, False,
+     (_INPUT, ("--n", {"type": int, "help": "cross-check the file's group count"}), _OUTPUT)),
+    ("verify", "brute-force check of an approximation claim", cmd_verify, True,
+     (_INPUT, ("--n", {"type": int, "help": "domain size (required for z-polynomials; must match a y-polynomial file)"}),
+      _EPS, _OUTPUT)),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symdeg",
@@ -203,56 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("degree", help="certify the approximate degree of one instance")
-    _add_property_arguments(p)
-    p.add_argument("--n", type=int, required=True, help="domain size")
-    p.add_argument("--m", type=int, required=True, help="range size")
-    p.add_argument("--eps", type=_fraction, default=Fraction(1, 3), help="error bound (exact rational, default 1/3)")
-    p.add_argument("--output", type=Path, help="write here instead of stdout")
-    p.set_defaults(handler=cmd_degree)
-
-    p = sub.add_parser("sweep", help="certify degrees across a range of m values")
-    _add_property_arguments(p)
-    p.add_argument("--n", type=int, required=True, help="domain size")
-    p.add_argument("--m", type=_m_range, required=True, help="range sizes, e.g. 3..6")
-    p.add_argument("--eps", type=_fraction, default=Fraction(1, 3), help="error bound (exact rational, default 1/3)")
-    p.add_argument("--assert-flat", action="store_true", help="exit 1 unless d* is identical across the sweep")
-    p.add_argument("--output", type=Path, help="write here instead of stdout")
-    p.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
-    p.set_defaults(handler=cmd_sweep)
-
-    p = sub.add_parser("symmetrize", help="average a y-polynomial into a z-polynomial")
-    p.add_argument("--input", type=Path, required=True)
-    p.add_argument("--output", type=Path, help="write here instead of stdout")
-    p.set_defaults(handler=cmd_symmetrize)
-
-    p = sub.add_parser("extend", help="reinterpret a z-polynomial over more variables")
-    p.add_argument("--input", type=Path, required=True)
-    p.add_argument("--target-m", type=int, required=True, help="new variable count")
-    p.add_argument("--output", type=Path, help="write here instead of stdout")
-    p.set_defaults(handler=cmd_extend)
-
-    p = sub.add_parser("restrict", help="drop the z-polynomial variables beyond a count")
-    p.add_argument("--input", type=Path, required=True)
-    p.add_argument("--target-m", type=int, required=True, help="new variable count")
-    p.add_argument("--output", type=Path, help="write here instead of stdout")
-    p.set_defaults(handler=cmd_restrict)
-
-    p = sub.add_parser("andor-reduce", help="substitute indicators into an x-polynomial")
-    p.add_argument("--input", type=Path, required=True)
-    p.add_argument("--n", type=int, help="cross-check the file's group count")
-    p.add_argument("--output", type=Path, help="write here instead of stdout")
-    p.set_defaults(handler=cmd_andor_reduce)
-
-    p = sub.add_parser("verify", help="brute-force check of an approximation claim")
-    _add_property_arguments(p)
-    p.add_argument("--input", type=Path, required=True)
-    p.add_argument("--n", type=int, help="domain size (required for z-polynomials; must match a y-polynomial file)")
-    p.add_argument("--eps", type=_fraction, default=Fraction(1, 3), help="error bound (exact rational, default 1/3)")
-    p.add_argument("--output", type=Path, help="write here instead of stdout")
-    p.set_defaults(handler=cmd_verify)
-
+    for name, help_text, handler, takes_property, options in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if takes_property:
+            _add_property_arguments(p)
+        for flag, settings in options:
+            p.add_argument(flag, **settings)
+        p.set_defaults(handler=handler)
     return parser
 
 

@@ -32,13 +32,7 @@ from typing import Iterable, Optional
 from .lp import LinearProgram, Relation, Simplex, solve
 from .oracle import _class_of, enumerate_functions
 from .properties import Label, PropertySpec, bounds_for, check_instance, enumerate_classes
-from .sympoly import (
-    FrequencyVector,
-    Partition,
-    SymPolynomial,
-    msym_rows,
-    partitions,
-)
+from .sympoly import Partition, SymPolynomial, msym_rows, partitions
 from .ypoly import Monomial
 
 
@@ -286,19 +280,18 @@ def eps_min_indicator_basis(prop: PropertySpec, n: int, m: int, degree: int) -> 
     """Best error over *all* polynomials of the given degree in the
     indicators, one bound row pair per individual function.  No symmetry is
     imposed; matching `solve_lp` optima shows none was needed.  Exhaustive
-    over m**n functions, each frequency class classified once, so the
-    function count must fit the enumeration budget (which does not bound
-    the LP's own cost: keep n and m small).  The instance is checked by
-    the rule `approx_degree` uses."""
+    over m**n functions, each labelled by its class's entry in
+    `enumerate_classes`, so the function count must fit the enumeration
+    budget (which does not bound the LP's own cost: keep n and m small).
+    The instance is checked by the rule `approx_degree` uses."""
     check_instance(prop, n, m, 0)
     if degree < 0:
         raise ValueError("degree must be >= 0")
     monos = indicator_monomials(n, m, degree)
     functions = list(enumerate_functions(n, m))
-    classes = [_class_of(f.values) for f in functions]
-    labels = {parts: prop.classify(FrequencyVector(m, parts)) for parts in dict.fromkeys(classes)}
+    labels = dict(enumerate_classes(prop, n, m))
     rows = (
-        ([int(all(f.values[i - 1] == j for i, j in mono)) for mono in monos], labels[parts])
-        for f, parts in zip(functions, classes)
+        ([int(all(f.values[i - 1] == j for i, j in mono)) for mono in monos], labels[_class_of(f.values)])
+        for f in functions
     )
     return _solve_from_half(_min_error_program(len(monos), rows))[0]

@@ -147,8 +147,7 @@ class Simplex:
         self.den = 1  # the denominator of every entry: |det B|
         self.basis: list[int] = []  # per row: its basic column
         self.nonbasic: list[int] = []  # per slot: its column
-        self.cost: list[int] = []  # the objective's cost of every column
-        self.free: list[bool] = []
+        self.free: list[bool] = []  # per column: may it be negative
         self.sign: list[int] = []  # per row: -1 if it is a >= row, negated into a <= row
         self.width = 0  # slack columns, one per row; the variables' columns follow
         self.program: Optional[tuple] = None
@@ -157,13 +156,13 @@ class Simplex:
     def _solve(self, lp: LinearProgram) -> LPSolution:
         if self.program is None:
             self._start(lp)
-        elif _prefix(lp, len(self.cost) - self.width) != self.program:
+        elif _prefix(lp, len(self.free) - self.width) != self.program:
             raise ValueError("a warm solve needs the previous program with columns appended")
         self._append(lp)
         self.program = _prefix(lp, lp.num_vars)
         if not self._run():
             return LPSolution("unbounded", None, None)
-        values = [Fraction(0)] * len(self.cost)
+        values = [Fraction(0)] * len(self.free)
         for row, bv in zip(self.rows, self.basis):
             values[bv] = Fraction(row[-1], self.den)
         return LPSolution("optimal", Fraction(-self.costrow[-1], self.den), values[self.width :])
@@ -180,7 +179,6 @@ class Simplex:
         self.rows = [[abs(rhs)] for rhs in lp.rhs]
         self.costrow = [0]
         self.basis = list(range(width))
-        self.cost = [0] * width
         self.free = [False] * width
 
     def _append(self, lp: LinearProgram) -> None:
@@ -190,7 +188,7 @@ class Simplex:
         dual value).  Column i of den * B^-1 is slack i's stored column if
         slack i is nonbasic, and den times the unit vector of its row if
         it is basic, with reduced cost 0."""
-        new_vars = range(len(self.cost) - self.width, lp.num_vars)
+        new_vars = range(len(self.free) - self.width, lp.num_vars)
         columns = [[s * row[j] for s, row in zip(self.sign, lp.lhs)] for j in new_vars]
         slack_slots = [(k, i) for k, i in enumerate(self.nonbasic) if i < self.width]
         for row, bv in zip(self.rows, self.basis):
@@ -204,8 +202,7 @@ class Simplex:
             self.den * c + sum(y * a[i] for i, y in duals if a[i])
             for c, a in zip(lp.objective[new_vars.start :], columns)
         ]
-        self.nonbasic += range(len(self.cost), len(self.cost) + len(columns))
-        self.cost += lp.objective[new_vars.start :]
+        self.nonbasic += range(len(self.free), len(self.free) + len(columns))
         self.free += lp.free[new_vars.start :]
 
     def _run(self) -> bool:
@@ -216,26 +213,15 @@ class Simplex:
             costrow = self.costrow
             # a column is eligible on a negative reduced cost, a free one also
             # on a positive one, and then it enters decreasing
+            eligible = [k for k, j in enumerate(nonbasic) if costrow[k] < 0 or free[j] and costrow[k] > 0]
+            if not eligible:
+                return True
             if degenerate < K_DEGENERATE:
                 # Dantzig: the largest reduced cost in size, the smallest column on ties
-                entering, best = None, 0
-                for k, j in enumerate(nonbasic):
-                    c = costrow[k]
-                    if c < 0:
-                        c = -c
-                    elif not (c and free[j]):
-                        continue
-                    if c > best or c == best and j < nonbasic[entering]:
-                        entering, best = k, c
+                entering = min(eligible, key=lambda k: (-abs(costrow[k]), nonbasic[k]))
             else:
-                # Bland: the first eligible column
-                entering = min(
-                    (k for k, j in enumerate(nonbasic) if costrow[k] < 0 or free[j] and costrow[k] > 0),
-                    key=nonbasic.__getitem__,
-                    default=None,
-                )
-            if entering is None:
-                return True
+                # Bland: the smallest eligible column
+                entering = min(eligible, key=nonbasic.__getitem__)
             increasing = costrow[entering] < 0
             # the smallest ratio rhs / a leaves, ties to the smallest basic
             # column; every entry sits over den, which cancels

@@ -18,9 +18,9 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Union
 
-from .budget import check_budget
-from .properties import Label, PropertySpec, bounds_for, check_instance
-from .sympoly import FrequencyVector, Partition, SymPolynomial, partitions
+from .budget import check_grid_budget
+from .properties import Label, PropertySpec, bounds_for, check_instance, enumerate_classes
+from .sympoly import FrequencyVector, Partition, SymPolynomial
 from .ypoly import FunctionTable, YPolynomial
 
 
@@ -29,7 +29,7 @@ def enumerate_functions(n: int, m: int) -> Iterator[FunctionTable]:
     exact count against the enumeration budget."""
     if n < 1 or m < 1:
         raise ValueError("function enumeration needs n >= 1 and m >= 1")
-    check_budget(m**n)
+    check_grid_budget(n, m)
     yield from FunctionTable.all(n, m)
 
 
@@ -85,44 +85,40 @@ def verify_approximation(
     Symmetric polynomials are checked class by class (cheap); indicator
     polynomials function by function, in lexicographic order, after
     checking m**n against the budget: their values come from one walk over
-    the rows, and the property classifies each frequency class once, keyed
-    by its sorted nonzero counts.  A point's bounds depend only on its
-    label, so each distinct (label, value) pair is judged and formatted once.
+    the rows.  Either way the labels and bounds come from one table of the
+    classes (`enumerate_classes`), keyed by their sorted nonzero counts.  A
+    point's bounds depend only on its label, so each distinct (label, value)
+    pair is judged and formatted once.
     The instance must pass `check_instance`, as for the degree search.
     """
     eps = check_instance(prop, n, m, eps)
-    verdicts: dict[Partition, tuple[Label, Fraction, Fraction]] = {}
-
-    def verdict(parts: Partition) -> tuple[Label, Fraction, Fraction]:
-        """The label and bounds of a class, classified on first sight."""
-        found = verdicts.get(parts)
-        if found is None:
-            label = prop.classify(FrequencyVector(m, parts))
-            found = verdicts[parts] = (label, *bounds_for(label, eps))
-        return found
-
-    if isinstance(poly, SymPolynomial):
-        if poly.m != m:
-            raise ValueError(f"polynomial over {poly.m} variables, expected {m}")
-        kind = "class"
-        points = (
-            (lam, verdict(lam), poly.evaluate(FrequencyVector(m, lam)))
-            for lam in partitions(n, max_parts=m)
-        )
-    elif isinstance(poly, YPolynomial):
+    if isinstance(poly, YPolynomial):
         if (poly.n, poly.m) != (n, m):
             raise ValueError(
                 f"polynomial over the {poly.n}x{poly.m} grid, expected {n}x{m}"
             )
-        check_budget(m**n)
+        check_grid_budget(n, m)
+    elif not isinstance(poly, SymPolynomial):
+        raise TypeError(f"cannot verify a {type(poly).__name__}")
+    elif poly.m != m:
+        raise ValueError(f"polynomial over {poly.m} variables, expected {m}")
+    verdicts = {
+        parts: (label, *bounds_for(label, eps))
+        for parts, label in enumerate_classes(prop, n, m)
+    }
+    if isinstance(poly, SymPolynomial):
+        kind = "class"
+        points = (
+            (lam, verdict, poly.evaluate(FrequencyVector(m, lam)))
+            for lam, verdict in verdicts.items()
+        )
+    else:
         kind = "function"
         functions = product(range(1, m + 1), repeat=n)  # the order of evaluate_all
         points = (
-            (values, verdict(_class_of(values)), value)
+            (values, verdicts[_class_of(values)], value)
             for values, value in zip(functions, poly.evaluate_all())
         )
-    else:
-        raise TypeError(f"cannot verify a {type(poly).__name__}")
     violations: list[Violation] = []
     table: list[dict] = []
     judged: dict[tuple[Label, int, int], tuple[bool, str]] = {}

@@ -33,7 +33,7 @@ def polynomial_from_dict(data: dict) -> Polynomial:
     if not isinstance(data, dict):
         raise ValueError("a polynomial file must hold a JSON object")
     tag = data.get("vars")
-    if tag not in _KINDS:
+    if not isinstance(tag, str) or tag not in _KINDS:
         raise ValueError(
             f"missing or unknown vars tag {tag!r}; expected one of {sorted(_KINDS)}"
         )

@@ -371,10 +371,6 @@ class SymPolynomial(SparsePolynomial):
     def constant(cls, m: int, value: CoeffLike) -> "SymPolynomial":
         return cls(m, [((), value)])
 
-    @classmethod
-    def basis(cls, m: int, lam: Iterable[int]) -> "SymPolynomial":
-        return cls(m, [(tuple(lam), 1)])
-
     def evaluate(self, z: FrequencyVector) -> Fraction:
         """Value at a frequency class (well defined: the polynomial is
         symmetric, so any ordering of the class's counts gives the same value)."""

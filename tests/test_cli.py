@@ -211,11 +211,32 @@ def test_symmetrize_command(tmp_path, capsys):
     assert data["terms"] == [{"partition": [1], "coeff": "1/2"}]
 
 
-def test_symmetrize_rejects_wrong_kind(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command, options, poly, kind",
+    [
+        ("symmetrize", [], SymPolynomial(2, {(1,): 1}), "a y-polynomial"),
+        ("extend", ["--target-m", "3"], YPolynomial(1, 2, {((1, 1),): 1}), "a z-polynomial"),
+        ("restrict", ["--target-m", "1"], XPolynomial(2, {(1,): 1}), "a z-polynomial"),
+        ("andor-reduce", ["--n", "2"], SymPolynomial(2, {(1,): 1}), "an x-polynomial"),
+    ],
+    ids=["symmetrize", "extend", "restrict", "andor-reduce"],
+)
+def test_transform_rejects_wrong_kind(tmp_path, capsys, command, options, poly, kind):
     src = tmp_path / "p.json"
-    dump_polynomial(SymPolynomial(2, {(1,): 1}), src)
+    dump_polynomial(poly, src)
+    assert main([command, "--input", str(src), *options]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {command} expects {kind} file\n"
+
+
+def test_unhashable_vars_tag_is_bad_input(tmp_path, capsys):
+    src = tmp_path / "p.json"
+    src.write_text(json.dumps({"vars": ["y"], "n": 1, "m": 1, "terms": []}), encoding="utf-8")
     assert main(["symmetrize", "--input", str(src)]) == 2
-    assert "y-polynomial" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "missing or unknown vars tag ['y']" in captured.err
 
 
 def test_extend_then_restrict_round_trip(tmp_path, capsys):
@@ -372,6 +393,21 @@ def test_verify_budget_exceeded(tmp_path, capsys, monkeypatch):
     dump_polynomial(YPolynomial.zero(2, 2), src)  # 4 functions > budget 3
     assert main(["verify", "--property", "ed", "--input", str(src)]) == 3
     assert "budget" in capsys.readouterr().err.lower()
+
+
+def test_verify_refuses_a_huge_grid_without_building_it(tmp_path, capsys, monkeypatch):
+    # 3**9100 has more digits than int() may print by default; the refusal
+    # names the grid instead of formatting the count
+    monkeypatch.delenv("SYMDEG_BUDGET", raising=False)
+    src = tmp_path / "p.json"
+    src.write_text(json.dumps({"vars": "y", "n": 9100, "m": 3, "terms": []}), encoding="utf-8")
+    assert main(["verify", "--property", "always-one", "--input", str(src)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: enumeration of 3**9100 items exceeds the budget of 1000000"
+        " (raise it via SYMDEG_BUDGET)\n"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ they are asserted as exact rationals.
 """
 
 import functools
+import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -189,7 +191,7 @@ GOLDEN_EPS_MIN = {
     (COLLISION, 4): "1/2,1/2,2/5,0",
     (COLLISION, 6): "1/2,1/2,4/9,5/21",
     (COLLISION, 8): "1/2,1/2,6/13,7/22",
-    # the frontier; ED n = 14..18 is in ed_frontier.json, which CI checks
+    # the frontier; ED n = 14..20 is in ed_frontier.json, and CI checks n = 14..18
     (ELEMENT_DISTINCTNESS, 9): "1/2,1/2,35/71,55/116,169/394,693/1901,15041/55280",
     (ELEMENT_DISTINCTNESS, 10): "1/2,1/2,44/89,35/73,1310/2951,110902/283957,27134878/86902331",
     (ELEMENT_DISTINCTNESS, 11): (
@@ -219,6 +221,32 @@ def test_golden_eps_min_tables(prop, n):
     # pinned optima at n = m, eps = 1/3; the witness may be any optimal vertex
     cert = approx_degree(prop, n, n, THIRD)
     assert ",".join(str(step.eps_min) for step in cert.steps) == GOLDEN_EPS_MIN[prop, n]
+
+
+# eps_min at d* for ED n = 19 and 20, as recorded when the search first
+# reached them (ROADMAP item 1); their full tables are checked outside CI
+ED_FRONTIER_LAST = {
+    "19": (
+        "1253975992086186528564656561670494633053795635794155896945/"
+        "3849089056175650337969491191794282560702863431761522135894"
+    ),
+    "20": (
+        "2771136059191519102639973504837103323728726172786122982891750693512099800/"
+        "9514706741639733242923974083797957986054474669360796413892886582342491891"
+    ),
+}
+
+
+def test_ed_frontier_tables_are_well_formed():
+    with open(pathlib.Path(__file__).with_name("ed_frontier.json"), encoding="utf-8") as f:
+        tables = json.load(f)
+    assert list(tables) == [str(n) for n in range(14, 21)]
+    for table in tables.values():
+        values = [Fraction(v) for v in table]
+        assert values[:2] == [Fraction(1, 2)] * 2
+        assert values == sorted(values, reverse=True)
+        assert values[-1] <= THIRD < values[-2]
+    assert {n: tables[n][-1] for n in ED_FRONTIER_LAST} == ED_FRONTIER_LAST
 
 
 def test_eps_min_table_is_non_increasing():

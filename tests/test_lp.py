@@ -241,7 +241,7 @@ def check_integer_tableau(simplex):
     # makes every one an integer
     assert all(type(v) is int for row in [*simplex.rows, simplex.costrow] for v in row)
     assert type(simplex.den) is int and simplex.den > 0
-    assert sorted(simplex.basis + simplex.nonbasic) == list(range(len(simplex.cost)))
+    assert sorted(simplex.basis + simplex.nonbasic) == list(range(len(simplex.free)))
     det, entries, reduced = recomputed_tableau(simplex)
     assert simplex.den == det
     assert simplex.rows == [[simplex.den * v for v in row] for row in entries]

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from symdeg.budget import BudgetExceededError
+from symdeg.budget import BudgetExceededError, check_grid_budget
 from symdeg.degreelp import approx_degree, sweep
 from symdeg.oracle import (
     Report,
@@ -51,6 +51,20 @@ def test_enumerate_functions_budget(monkeypatch):
     assert info.value.required == 81
     with pytest.raises(ValueError):
         list(enumerate_functions(0, 2))
+
+
+def test_grid_budget_refuses_by_bit_length(monkeypatch):
+    # a budget of 20 bits: n * (bits(m) - 1) >= 20 is refused as "m**n",
+    # anything smaller is counted exactly
+    monkeypatch.setenv("SYMDEG_BUDGET", str(2**20 - 1))
+    check_grid_budget(19, 2)
+    check_grid_budget(10**9, 1)
+    with pytest.raises(BudgetExceededError) as info:
+        check_grid_budget(20, 2)
+    assert info.value.required == "2**20"
+    with pytest.raises(BudgetExceededError) as info:
+        check_grid_budget(13, 3)
+    assert info.value.required == 3**13
 
 
 def test_bounds_for_labels():

@@ -260,6 +260,15 @@ def test_functions_in_class_budget(monkeypatch):
     assert info.value.budget == 5
 
 
+def test_functions_in_class_budget_names_a_huge_count_by_its_size():
+    # the class size has more decimal digits than str() may print
+    z = FrequencyVector(3, (3034, 3033, 3033))
+    with pytest.raises(BudgetExceededError) as info:
+        list(functions_in_class(z))
+    assert info.value.required == f"2**{class_size(z).bit_length() - 1} or more"
+    assert str(info.value).startswith(f"enumeration of {info.value.required} items")
+
+
 def test_functions_in_class_wide_range():
     # (2,) over 12 outputs has 12 functions; the arrangements of its 12
     # counts are generated once each, not as 12! permutations
