@@ -30,7 +30,7 @@ from itertools import combinations, product
 from typing import Iterable, Optional
 
 from .lp import LinearProgram, Relation, Simplex, solve
-from .oracle import _class_of, enumerate_functions
+from .oracle import class_indices, enumerate_functions
 from .properties import Label, PropertySpec, bounds_for, check_instance, enumerate_classes
 from .sympoly import Partition, SymPolynomial, msym_rows, partitions
 from .ypoly import Monomial
@@ -289,9 +289,9 @@ def eps_min_indicator_basis(prop: PropertySpec, n: int, m: int, degree: int) -> 
         raise ValueError("degree must be >= 0")
     monos = indicator_monomials(n, m, degree)
     functions = list(enumerate_functions(n, m))
-    labels = dict(enumerate_classes(prop, n, m))
+    classes = enumerate_classes(prop, n, m)
     rows = (
-        ([int(all(f.values[i - 1] == j for i, j in mono)) for mono in monos], labels[_class_of(f.values)])
-        for f in functions
+        ([int(all(f.values[i - 1] == j for i, j in mono)) for mono in monos], classes[k][1])
+        for f, k in zip(functions, class_indices(n, m, [lam for lam, _ in classes]))
     )
     return _solve_from_half(_min_error_program(len(monos), rows))[0]

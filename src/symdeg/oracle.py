@@ -4,9 +4,12 @@
 symmetric polynomial it walks every frequency class, for an indicator
 polynomial every individual function table.  Indicator assignments that
 correspond to no function are never visited; the bounds simply do not
-apply there.  The m^n values of an indicator polynomial come from one
-walk over the rows (`YPolynomial.evaluate_all`), and each frequency class
-is classified once, however many functions it holds.  Everything is exact
+apply there.  For an indicator polynomial, one walk over the rows
+(`YPolynomial.numerators`) gives its m^n values as integer numerators over
+one denominator, and one walk over the prefixes' column counts
+(`class_indices`) gives each function's class as a small int, so no
+function is classified, sorted or turned into a `Fraction` on its own:
+each distinct (class, value) pair is judged once.  Everything is exact
 rational arithmetic; a report either passes or carries the concrete
 violating classes/functions.
 """
@@ -16,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Union
+from math import lcm
+from typing import Iterator, Sequence, Union
 
 from .budget import check_grid_budget
 from .properties import Label, PropertySpec, bounds_for, check_instance, enumerate_classes
@@ -33,10 +37,47 @@ def enumerate_functions(n: int, m: int) -> Iterator[FunctionTable]:
     yield from FunctionTable.all(n, m)
 
 
-def _class_of(values: tuple[int, ...]) -> Partition:
-    """The frequency class of the function with these values: its sorted
-    nonzero counts."""
-    return tuple(sorted(map(values.count, set(values)), reverse=True))
+def class_indices(n: int, m: int, classes: Sequence[Partition]) -> list[int]:
+    """For each function [n] -> [m], in lexicographic order, the position
+    in `classes` of its frequency class (its sorted nonzero counts).
+
+    An odometer walks the prefixes f(1..n-1) in order, keeping their column
+    counts.  The m functions that extend a prefix take their positions from
+    one table entry per distinct counts vector, and within an entry a
+    column's class depends only on that column's count.  No budget is
+    checked here; the caller bounds m**n.
+    """
+    position = {parts: k for k, parts in enumerate(classes)}
+    leaves: dict[tuple[int, ...], list[int]] = {}
+    ids: list[int] = []
+    counts = [0] * m
+    prefix = [0] * (n - 1)  # f(1..n-1) - 1
+    counts[0] = n - 1
+    while True:
+        key = tuple(counts)
+        entry = leaves.get(key)
+        if entry is None:
+            parts = sorted(filter(None, counts))
+            grown = {}
+            for c in set(counts):
+                bigger = parts.copy()
+                if c:
+                    bigger.remove(c)
+                bigger.append(c + 1)
+                grown[c] = position[tuple(sorted(bigger, reverse=True))]
+            entry = leaves[key] = [grown[c] for c in counts]
+        ids += entry
+        r = n - 2
+        while r >= 0 and prefix[r] == m - 1:
+            prefix[r] = 0
+            counts[m - 1] -= 1
+            counts[0] += 1
+            r -= 1
+        if r < 0:
+            return ids
+        counts[prefix[r]] -= 1
+        prefix[r] += 1
+        counts[prefix[r]] += 1
 
 
 @dataclass(frozen=True)
@@ -84,11 +125,11 @@ def verify_approximation(
 
     Symmetric polynomials are checked class by class (cheap); indicator
     polynomials function by function, in lexicographic order, after
-    checking m**n against the budget: their values come from one walk over
-    the rows.  Either way the labels and bounds come from one table of the
-    classes (`enumerate_classes`), keyed by their sorted nonzero counts.  A
-    point's bounds depend only on its label, so each distinct (label, value)
-    pair is judged and formatted once.
+    checking m**n against the budget: their numerators come from one walk
+    over the rows, their class indices from `class_indices`.  Either way the
+    labels come from the class table of `enumerate_classes`, and a point's
+    verdict depends only on its (class, value) pair, so each distinct pair
+    is judged and formatted once; the rows are built in one pass after.
     The instance must pass `check_instance`, as for the degree search.
     """
     eps = check_instance(prop, n, m, eps)
@@ -102,41 +143,34 @@ def verify_approximation(
         raise TypeError(f"cannot verify a {type(poly).__name__}")
     elif poly.m != m:
         raise ValueError(f"polynomial over {poly.m} variables, expected {m}")
-    verdicts = {
-        parts: (label, *bounds_for(label, eps))
-        for parts, label in enumerate_classes(prop, n, m)
-    }
+    classes = enumerate_classes(prop, n, m)
     if isinstance(poly, SymPolynomial):
         kind = "class"
-        points = (
-            (lam, verdict, poly.evaluate(FrequencyVector(m, lam)))
-            for lam, verdict in verdicts.items()
-        )
+        points = [lam for lam, _ in classes]
+        ids = range(len(points))
+        values = [poly.evaluate(FrequencyVector(m, lam)) for lam in points]
+        den = lcm(*(v.denominator for v in values))
+        nums = [v.numerator * (den // v.denominator) for v in values]
     else:
         kind = "function"
-        functions = product(range(1, m + 1), repeat=n)  # the order of evaluate_all
-        points = (
-            (values, verdicts[_class_of(values)], value)
-            for values, value in zip(functions, poly.evaluate_all())
-        )
-    violations: list[Violation] = []
-    table: list[dict] = []
-    judged: dict[tuple[Label, int, int], tuple[bool, str]] = {}
-    for where, (label, lower, upper), value in points:
-        key = (label, value.numerator, value.denominator)
-        found = judged.get(key)
-        if found is None:
-            found = judged[key] = (lower <= value <= upper, str(value))
-        ok, text = found
-        table.append(
-            {
-                "kind": kind,
-                "where": list(where),
-                "label": label.value,
-                "value": text,
-                "ok": ok,
-            }
-        )
-        if not ok:
-            violations.append(Violation(kind, where, label, value, lower, upper))
-    return Report(not violations, tuple(violations), tuple(table))
+        den, nums = poly.numerators()
+        points = product(range(1, m + 1), repeat=n)  # the order of numerators
+        ids = class_indices(n, m, [lam for lam, _ in classes])
+    judged: dict[tuple[int, int], tuple] = {}  # (shown label, value text, ok, violation fields)
+    for k, num in set(zip(ids, nums)):
+        label = classes[k][1]
+        lower, upper = bounds_for(label, eps)
+        value = Fraction(num, den)
+        ok = lower <= value <= upper
+        judged[k, num] = (label.value, str(value), ok, (label, value, lower, upper))
+    rows = [judged[key] for key in zip(ids, nums)]
+    table = tuple([
+        {"kind": kind, "where": where, "label": shown, "value": text, "ok": ok}
+        for where, (shown, text, ok, _) in zip(map(list, points), rows)
+    ])
+    violations = tuple(
+        Violation(kind, tuple(row["where"]), *found)
+        for row, (_, _, ok, found) in zip(table, rows)
+        if not ok
+    )
+    return Report(not violations, violations, table)

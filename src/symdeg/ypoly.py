@@ -14,11 +14,14 @@ most N factors.  All coefficients are `fractions.Fraction`; no floats
 appear anywhere.
 
 `YPolynomial.evaluate(f)` is the value at one function.
-`YPolynomial.evaluate_all()` gives the values at all m^N functions, in
-the lexicographic order of `FunctionTable.all`, from one depth-first walk
-over the rows: a node for the prefix f(1..r) carries the sum of the terms
-that prefix already completes and the terms it still agrees with, so
-every term is looked at once per node, not once per function.
+`YPolynomial.numerators()` gives the values at all m^N functions, in the
+lexicographic order of `FunctionTable.all`, as integer numerators over
+one common denominator, from one depth-first walk over the rows: a node
+for the prefix f(1..r) carries the sum of the terms that prefix already
+completes and the terms it still agrees with, so every term is looked at
+once per node, not once per function, and a node at row N-1 emits its M
+values at once.  `YPolynomial.evaluate_all()` is the `Fraction` view of
+the same walk.
 """
 
 from __future__ import annotations
@@ -175,58 +178,79 @@ class YPolynomial(SparsePolynomial):
             )
         return self._value_at(set(enumerate(f.values, 1)))
 
-    def evaluate_all(self) -> list[Fraction]:
-        """Values at all m**n functions, in the order of `FunctionTable.all`.
+    def numerators(self) -> tuple[int, list[int]]:
+        """The common denominator D of the coefficients, and D * p(f) as an
+        int for all m**n functions f, in the order of `FunctionTable.all`.
 
-        One depth-first walk chooses f(1), f(2), ... in turn, over integer
-        coefficients with one common denominator.  The node for a prefix
-        f(1..r-1) holds the running sum of the terms whose every factor the
-        prefix matches, and the terms that agree with the prefix so far and
-        still have a factor at row r or later.  At row r a held term with
-        no factor there passes to every child, one with the factor (r, j)
-        only to child j, where it completes if r is its last row.  Beyond
-        the m**n values, the walk holds one node per row: O(n * terms)
-        extra memory.  No budget is checked here; the caller bounds m**n.
+        One depth-first walk chooses f(1), f(2), ... in turn.  A held term
+        is a chain of its factors (row, column) in row order, each link
+        carrying the term's numerator; the node for a prefix f(1..r-1)
+        holds the running sum of the terms that prefix completes and the
+        links of the terms it agrees with so far.  At row r a link at a
+        later row passes to every child, sharing the parent's list of them;
+        a link (r, j) goes only to child j, as its next link, or into its
+        running sum if it was the last.  A child reuses that shared list
+        unless a link at its column goes on.  Every link a node at row
+        n - 1 holds is at row n, so that node emits its m sums at once.
+        Beyond the m**n numerators, the walk holds one node per row:
+        O(n * terms) extra memory.  No budget is checked here; the caller
+        bounds m**n.
         """
         n, m = self.n, self.m
         den = lcm(*(c.denominator for c in self.terms.values()))
         constant = 0
-        held = []  # (column of each row, last row, numerator) per non-constant term
+        held = []  # the first link (row, column, next link, numerator) of each non-constant term
         for mono, c in self.terms.items():
             num = c.numerator * (den // c.denominator)
-            if mono:
-                held.append((dict(mono), mono[-1][0], num))
-            else:
+            link = None
+            for i, j in reversed(mono):
+                link = (i, j, link, num)
+            if link is None:
                 constant += num
+            else:
+                held.append(link)
 
-        def children(r: int, total: int, terms: list) -> Iterator[tuple[int, list]]:
-            """The running sum and held terms of each child f(r) = 1..m of
-            a node at row r, made one at a time."""
-            free, split = [], {}
-            for term in terms:
-                j = term[0].get(r)
-                if j is None:
-                    free.append(term)
+        def children(r: int, total: int, links: list) -> Iterator[tuple[int, list]]:
+            """The running sum and held links of each child f(r) = 1..m of a
+            node at row r, made one at a time."""
+            passing, named = [], {}
+            for link in links:
+                if link[0] != r:
+                    passing.append(link)
+                    continue
+                entry = named.get(link[1])
+                if entry is None:
+                    entry = named[link[1]] = [0, []]
+                if link[2] is None:
+                    entry[0] += link[3]
                 else:
-                    split.setdefault(j, []).append(term)
+                    entry[1].append(link[2])
             for j in range(1, m + 1):
-                child_total, child_terms = total, list(free)
-                for term in split.get(j, ()):
-                    if term[1] == r:
-                        child_total += term[2]
-                    else:
-                        child_terms.append(term)
-                yield child_total, child_terms
+                entry = named.get(j)
+                if entry is None:
+                    yield total, passing
+                else:
+                    yield total + entry[0], passing + entry[1] if entry[1] else passing
 
         sums: list[int] = []
-        path = [children(1, constant, held)]  # one generator per row of the prefix
+        path = [iter([(constant, held)])]  # one generator per row of the prefix
         while path:
-            child = next(path[-1], None)
-            if child is None:
+            node = next(path[-1], None)
+            if node is None:
                 path.pop()
             elif len(path) == n:
-                sums.append(child[0])
+                total, links = node
+                leaves = [total] * m
+                for link in links:
+                    leaves[link[1] - 1] += link[3]
+                sums += leaves
             else:
-                path.append(children(len(path) + 1, *child))
+                path.append(children(len(path), *node))
+        return den, sums
+
+    def evaluate_all(self) -> list[Fraction]:
+        """Values at all m**n functions, in the order of `FunctionTable.all`:
+        the `Fraction` view of `numerators`."""
+        den, sums = self.numerators()
         value = {s: Fraction(s, den) for s in set(sums)}
         return [value[s] for s in sums]

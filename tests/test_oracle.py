@@ -12,6 +12,7 @@ from symdeg.oracle import (
     Report,
     Violation,
     bounds_for,
+    class_indices,
     enumerate_functions,
     verify_approximation,
 )
@@ -22,6 +23,7 @@ from symdeg.properties import (
     MODIFIED_ELEMENT_DISTINCTNESS,
     Label,
     PropertySpec,
+    enumerate_classes,
     property_from_dict,
 )
 from symdeg.symmetrize import desymmetrize
@@ -155,10 +157,14 @@ def test_indicator_route_checks_the_budget_first(monkeypatch):
         raise AssertionError("the polynomial was evaluated past the budget")
 
     monkeypatch.setenv("SYMDEG_BUDGET", "20")
-    monkeypatch.setattr(YPolynomial, "evaluate_all", no_walk)
+    monkeypatch.setattr(YPolynomial, "numerators", no_walk)
     with pytest.raises(BudgetExceededError) as info:
         verify_approximation(YPolynomial.constant(3, 3, 1), ELEMENT_DISTINCTNESS, 3, 3, THIRD)
     assert (info.value.required, info.value.budget) == (27, 20)
+    # within the budget, verify does run the walk that was replaced
+    monkeypatch.setenv("SYMDEG_BUDGET", "27")
+    with pytest.raises(AssertionError, match="evaluated past the budget"):
+        verify_approximation(YPolynomial.constant(3, 3, 1), ELEMENT_DISTINCTNESS, 3, 3, THIRD)
 
 
 def per_function_report(p, prop, eps):
@@ -186,9 +192,22 @@ def random_labels(rng, n):
     return property_from_dict({"n": n, "classes": classes}, name="random")
 
 
+EDGE_POLYNOMIALS = [
+    YPolynomial.zero(1, 1),
+    YPolynomial.constant(1, 1, Fraction(2, 3)),
+    YPolynomial(1, 4, {((1, 2),): Fraction(1, 2), (): Fraction(1, 3)}),
+    YPolynomial(3, 1, {((2, 1),): Fraction(1, 4), (): Fraction(-1, 2)}),  # m = 1
+    YPolynomial.zero(3, 4),
+    # one value everywhere: it passes on the Zero classes and fails on the One class
+    YPolynomial.constant(3, 4, Fraction(1, 5)),
+    # no term has a factor at row n
+    YPolynomial(4, 4, {((1, 2), (3, 1)): Fraction(2, 3), ((2, 4),): Fraction(-1, 6), (): Fraction(1, 2)}),
+]
+
+
 def test_indicator_route_matches_the_per_function_reference():
     rng = random.Random(2003)
-    failing = 0
+    polys = []
     for _ in range(40):
         n = rng.randint(1, 4)
         m = rng.randint(n, 5)
@@ -199,15 +218,23 @@ def test_indicator_route_matches_the_per_function_reference():
             )
             for _ in range(rng.randint(0, 8))
         ]
-        p = YPolynomial(n, m, raw)
-        props = [ELEMENT_DISTINCTNESS, MODIFIED_ELEMENT_DISTINCTNESS, COLLISION, random_labels(rng, n)]
+        polys.append(YPolynomial(n, m, raw))
+    failing = 0
+    for p in polys + EDGE_POLYNOMIALS:
+        props = [ELEMENT_DISTINCTNESS, MODIFIED_ELEMENT_DISTINCTNESS, COLLISION, random_labels(rng, p.n)]
         for prop in props:
-            report = verify_approximation(p, prop, n, m, THIRD)
+            if prop.requires_m_ge_n and p.m < p.n:
+                continue
+            report = verify_approximation(p, prop, p.n, p.m, THIRD)
             expected = per_function_report(p, prop, THIRD)
             assert report.to_dict() == expected.to_dict()
             assert report.violations == expected.violations
             failing += not report.passed
-    assert failing > 100  # most of the 160 reports carry violations
+    assert failing > 100  # most of the 181 reports carry violations
+    shared = verify_approximation(EDGE_POLYNOMIALS[5], ELEMENT_DISTINCTNESS, 3, 4, THIRD)
+    assert {(row["label"], row["value"], row["ok"]) for row in shared.table} == {
+        ("Zero", "1/5", True), ("One", "1/5", False),
+    }
 
 
 def test_indicator_route_classifies_each_class_once():
@@ -237,17 +264,21 @@ def test_indicator_route_at_n_16_with_two_values():
         ]},
         name="balance",
     )
+    parts = [lam for lam, _ in enumerate_classes(balance, 16, 2)]
     tracemalloc.start()
     try:
-        values = p.evaluate_all()
+        den, sums = p.numerators()
+        ids = class_indices(16, 2, parts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(values) == 2**16
+    assert len(sums) == len(ids) == 2**16
     assert peak < 8 * 2**20
+    assert [parts[k] for k in ids[:3]] == [(16,), (15, 1), (15, 1)]
     report = verify_approximation(p, balance, 16, 2, THIRD)
     assert len(report.table) == 2**16
-    assert [row["value"] for row in report.table] == [str(v) for v in values]
+    assert [row["value"] for row in report.table] == [str(v) for v in p.evaluate_all()]
+    assert [row["value"] for row in report.table[:3]] == [str(Fraction(s, den)) for s in sums[:3]]
     assert report.table[0] == {
         "kind": "function", "where": [1] * 16, "label": "Zero", "value": "-1/7", "ok": False,
     }
