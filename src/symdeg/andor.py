@@ -91,8 +91,6 @@ class XPolynomial(SparsePolynomial):
         n: int,
         terms: Mapping[Iterable[int], CoeffLike] | Iterable[tuple[Iterable[int], CoeffLike]] = (),
     ):
-        if n < 1:
-            raise ValueError("the tree needs n >= 1")
         self.n = n
         super().__init__(terms)
 

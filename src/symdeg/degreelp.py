@@ -32,7 +32,7 @@ from typing import Iterable, Optional
 from .lp import LinearProgram, Relation, Simplex, solve
 from .oracle import class_indices, enumerate_functions
 from .properties import Label, PropertySpec, bounds_for, check_instance, enumerate_classes
-from .sympoly import Partition, SymPolynomial, msym_rows, partitions
+from .sympoly import Partition, SymPolynomial, msym_rows, partition_basis
 from .ypoly import Monomial
 
 
@@ -51,13 +51,10 @@ class LPInstance:
 
 
 def coefficient_basis(n: int, m: int, degree: int) -> tuple[Partition, ...]:
-    """Partitions of weight <= degree with at most min(n, m) parts, ordered by
-    weight then reverse-lex.  Longer partitions evaluate to zero on every
-    weight-n frequency vector, so they would be useless LP columns."""
-    cap = min(n, m)
-    return tuple(
-        lam for w in range(degree + 1) for lam in partitions(w, max_parts=cap)
-    )
+    """The LP's columns: `partition_basis` with at most min(n, m) parts.
+    Longer partitions evaluate to zero on every weight-n frequency vector,
+    so they would be useless LP columns."""
+    return partition_basis(degree, min(n, m))
 
 
 def _bound_rows(label: Label) -> tuple[tuple[int, Relation, int], ...]:

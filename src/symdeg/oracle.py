@@ -4,14 +4,16 @@
 symmetric polynomial it walks every frequency class, for an indicator
 polynomial every individual function table.  Indicator assignments that
 correspond to no function are never visited; the bounds simply do not
-apply there.  For an indicator polynomial, one walk over the rows
-(`YPolynomial.numerators`) gives its m^n values as integer numerators over
-one denominator, and one walk over the prefixes' column counts
-(`class_indices`) gives each function's class as a small int, so no
-function is classified, sorted or turned into a `Fraction` on its own:
-each distinct (class, value) pair is judged once.  Everything is exact
-rational arithmetic; a report either passes or carries the concrete
-violating classes/functions.
+apply there.  Both routes read the polynomial's `numerators`: its values
+as integer numerators over one denominator, for a symmetric polynomial
+at every class from one `msym_rows` call (`SymPolynomial.numerators`),
+for an indicator polynomial at all m^n functions from one walk over the
+rows (`YPolynomial.numerators`).  One walk over the prefixes' column
+counts (`class_indices`) gives each function's class as a small int, so
+no function is classified, sorted or turned into a `Fraction` on its
+own: each distinct (class, value) pair is judged once.  Everything is
+exact rational arithmetic; a report either passes or carries the
+concrete violating classes/functions.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import lcm
 from typing import Iterator, Sequence, Union
 
 from .budget import check_grid_budget
@@ -125,11 +126,12 @@ def verify_approximation(
 
     Symmetric polynomials are checked class by class (cheap); indicator
     polynomials function by function, in lexicographic order, after
-    checking m**n against the budget: their numerators come from one walk
-    over the rows, their class indices from `class_indices`.  Either way the
-    labels come from the class table of `enumerate_classes`, and a point's
-    verdict depends only on its (class, value) pair, so each distinct pair
-    is judged and formatted once; the rows are built in one pass after.
+    checking m**n against the budget, with class indices from
+    `class_indices`.  Either way the values come from the polynomial's
+    `numerators` and the labels from the class table of
+    `enumerate_classes`, and a point's verdict depends only on its
+    (class, value) pair, so each distinct pair is judged and formatted
+    once; the rows are built in one pass after.
     The instance must pass `check_instance`, as for the degree search.
     """
     eps = check_instance(prop, n, m, eps)
@@ -148,9 +150,7 @@ def verify_approximation(
         kind = "class"
         points = [lam for lam, _ in classes]
         ids = range(len(points))
-        values = [poly.evaluate(FrequencyVector(m, lam)) for lam in points]
-        den = lcm(*(v.denominator for v in values))
-        nums = [v.numerator * (den // v.denominator) for v in values]
+        den, nums = poly.numerators([FrequencyVector(m, lam) for lam in points])
     else:
         kind = "function"
         den, nums = poly.numerators()

@@ -10,7 +10,9 @@ A sum of many pieces is one constructor call on all their terms, since
 the constructor already merges duplicate keys and drops zeros.
 
 A kind supplies its shape fields (`_SHAPE`, in constructor order), a key
-normalizer and a few one-line hooks:
+normalizer and a few one-line hooks.  The core refuses a shape size that
+is not an int >= 1 (a bool or a float included, as `json_int` does), so
+every polynomial it builds can be written and read back.  The hooks:
 
 - `_key(raw)`: the canonical key of a raw monomial, or None when the
   monomial vanishes; it raises ValueError for a monomial outside the shape
@@ -65,6 +67,9 @@ class SparsePolynomial:
     _SHAPE: tuple[str, ...] = ()
 
     def __init__(self, terms: Mapping | Iterable[tuple[object, CoeffLike]] = ()):
+        for name, value in zip(self._SHAPE, self._shape()):
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
         acc: dict = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         key_of = self._key

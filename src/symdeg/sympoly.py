@@ -23,7 +23,12 @@ Each coordinate v of a point then adds c * v^p from every entry c of the
 point's row into the entry the table names, so with k coordinates and
 P(d) basis partitions a point costs O(k * P(d) * d) exact integer
 multiply-adds, with no tuple built and no partition rescanned.
-`msym_values` is one such row, keyed by partition.
+`partition_basis` is the one spelling of "all partitions of weight <= d
+with at most k parts", and `SymPolynomial.numerators` is the one rule
+that evaluates a symmetric polynomial: one `msym_rows` call over that
+basis for all its points, in integers over the common denominator of
+its coefficients.  `SymPolynomial.evaluate` and `eval_msym` are its
+one-point `Fraction` views.
 
 `ZPolynomial` is the non-symmetric companion: a polynomial in the named
 variables z_1..z_M with arbitrary integer exponents.  It appears as the
@@ -43,7 +48,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .sparse import CoeffLike, SparsePolynomial, concat_product
@@ -84,6 +90,17 @@ def partitions(total: int, max_parts: int | None = None) -> Iterator[Partition]:
         raise ValueError("cannot partition a negative total")
     slots = total if max_parts is None else min(max_parts, total)
     yield from _partitions(total, total, slots)
+
+
+def partition_basis(degree: int, max_parts: int) -> tuple[Partition, ...]:
+    """Every partition of weight <= degree with at most `max_parts` parts,
+    by weight, then in the reverse-lexicographic order of `partitions`.
+    It starts with () and is closed under removing a part, as `msym_rows`
+    needs, and it holds every partition of weight <= degree whose m_lambda
+    can be nonzero at a point with at most `max_parts` nonzero counts."""
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    return tuple(lam for w in range(degree + 1) for lam in partitions(w, max_parts=max_parts))
 
 
 def _partitions(remaining: int, largest: int, room: int) -> Iterator[Partition]:
@@ -146,8 +163,8 @@ class FrequencyVector:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", check_partition(self.parts))
-        if self.m < 1:
-            raise ValueError("a frequency vector needs m >= 1")
+        if type(self.m) is not int or self.m < 1:
+            raise ValueError(f"a frequency vector needs an int m >= 1, got {self.m!r}")
         if len(self.parts) > self.m:
             raise ValueError(
                 f"{len(self.parts)} nonzero counts cannot fit in {self.m} outputs"
@@ -223,31 +240,15 @@ def msym_rows(points: Iterable[Sequence[int]], basis: Sequence[Partition]) -> li
     return rows
 
 
-def msym_values(z: FrequencyVector, degree: int) -> dict[Partition, int]:
-    """m_lambda(z) for every partition lambda of weight <= degree with at
-    most len(z.parts) parts: one `msym_rows` row over exactly those
-    partitions.  A partition missing from the result has value 0: it is
-    longer than z's support."""
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    basis = [lam for w in range(degree + 1) for lam in partitions(w, max_parts=len(z.parts))]
-    (row,) = msym_rows([z.parts], basis)
-    return dict(zip(basis, row))
-
-
 def eval_msym(lam: Partition, z: FrequencyVector) -> Fraction:
-    """Value of the monomial symmetric basis element m_lambda at z.
-
-    The coefficient of prod_{p in lambda} x_p in the expansion of
-    `msym_values` at weight |lambda|: O(len(z.parts) * P(|lambda|) * |lambda|)
-    integer operations, P(w) the number of partitions of weight <= w.
+    """Value of the monomial symmetric basis element m_lambda at z: the
+    polynomial m_lambda itself, evaluated by `SymPolynomial.evaluate`.
     The empty partition evaluates to 1, and a lambda longer than the number
     of nonzero coordinates to 0 (for one longer than m, by convention).
-    To evaluate many partitions at one point, call `msym_values` once; at
-    many points, call `msym_rows` once.
+    To evaluate many partitions or many points, call `msym_rows` or
+    `SymPolynomial.numerators` once.
     """
-    lam = check_partition(lam)
-    return Fraction(msym_values(z, sum(lam)).get(lam, 0))
+    return SymPolynomial(z.m, [(lam, 1)]).evaluate(z)
 
 
 ZMonomial = tuple[tuple[int, int], ...]  # sorted ((variable, exponent), ...), exponents >= 1
@@ -266,8 +267,6 @@ class ZPolynomial(SparsePolynomial):
         m: int,
         terms: Mapping[ZMonomial, CoeffLike] | Iterable[tuple[ZMonomial, CoeffLike]] = (),
     ):
-        if m < 1:
-            raise ValueError("a z-polynomial needs m >= 1 variables")
         self.m = m
         super().__init__(terms)
 
@@ -345,8 +344,6 @@ class SymPolynomial(SparsePolynomial):
         m: int,
         terms: Mapping[Iterable[int], CoeffLike] | Iterable[tuple[Iterable[int], CoeffLike]] = (),
     ):
-        if m < 1:
-            raise ValueError("a symmetric polynomial needs m >= 1 variables")
         self.m = m
         super().__init__(terms)
 
@@ -371,13 +368,28 @@ class SymPolynomial(SparsePolynomial):
     def constant(cls, m: int, value: CoeffLike) -> "SymPolynomial":
         return cls(m, [((), value)])
 
+    def numerators(self, points: Sequence[FrequencyVector]) -> tuple[int, list[int]]:
+        """The common denominator D of the coefficients, and D * q(z) as an
+        int at each point z, in order (well defined: q is symmetric, so any
+        ordering of a class's counts gives the same value).
+
+        One `msym_rows` call gives every point's row over the partitions
+        of weight <= deg q with at most as many parts as the longest
+        point; a term longer than every point is 0 at all of them."""
+        for z in points:
+            if z.m != self.m:
+                raise ValueError(f"point has {z.m} variables but polynomial has {self.m}")
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        basis = partition_basis(self.degree() or 0, max((len(z.parts) for z in points), default=0))
+        coeffs = {lam: c.numerator * (den // c.denominator) for lam, c in self.terms.items()}
+        weights = [coeffs.get(lam, 0) for lam in basis]
+        rows = msym_rows((z.parts for z in points), basis)
+        return den, [sum(map(mul, row, weights)) for row in rows]
+
     def evaluate(self, z: FrequencyVector) -> Fraction:
-        """Value at a frequency class (well defined: the polynomial is
-        symmetric, so any ordering of the class's counts gives the same value)."""
-        if z.m != self.m:
-            raise ValueError(f"point has {z.m} variables but polynomial has {self.m}")
-        values = msym_values(z, self.degree() or 0)
-        return sum((c * values.get(lam, 0) for lam, c in self.terms.items()), Fraction(0))
+        """Value at a frequency class: the one-point view of `numerators`."""
+        den, (num,) = self.numerators([z])
+        return Fraction(num, den)
 
     def to_zpoly(self) -> ZPolynomial:
         """Expansion into named variables: the sum of each m_lambda expansion,

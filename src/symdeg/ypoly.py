@@ -20,8 +20,9 @@ one common denominator, from one depth-first walk over the rows: a node
 for the prefix f(1..r) carries the sum of the terms that prefix already
 completes and the terms it still agrees with, so every term is looked at
 once per node, not once per function, and a node at row N-1 emits its M
-values at once.  `YPolynomial.evaluate_all()` is the `Fraction` view of
-the same walk.
+values at once.  `SymPolynomial.numerators` gives the same shape for a
+symmetric polynomial at frequency classes, and `verify_approximation`
+judges either from it.
 """
 
 from __future__ import annotations
@@ -127,8 +128,6 @@ class YPolynomial(SparsePolynomial):
         m: int,
         terms: Mapping[Iterable[Factor], CoeffLike] | Iterable[tuple[Iterable[Factor], CoeffLike]] = (),
     ):
-        if n < 1 or m < 1:
-            raise ValueError("polynomial dimensions need n >= 1 and m >= 1")
         self.n = n
         self.m = m
         super().__init__(terms)
@@ -247,10 +246,3 @@ class YPolynomial(SparsePolynomial):
             else:
                 path.append(children(len(path), *node))
         return den, sums
-
-    def evaluate_all(self) -> list[Fraction]:
-        """Values at all m**n functions, in the order of `FunctionTable.all`:
-        the `Fraction` view of `numerators`."""
-        den, sums = self.numerators()
-        value = {s: Fraction(s, den) for s in set(sums)}
-        return [value[s] for s in sums]

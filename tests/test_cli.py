@@ -360,6 +360,34 @@ def test_verify_failing_y_polynomial_exact_bytes(tmp_path, capsys, prop):
     assert hashlib.sha256(out.encode()).hexdigest() == FAILING_Y_VERIFY_SHA256[prop]
 
 
+# stdout sha256 of `verify --n 3` on the z-polynomial over m = 4 below,
+# which passes at the class (3) and fails at (2, 1) and (1, 1, 1) under
+# each property (exit code 1); its m[1,1,1,1] term is 0 at every class
+FAILING_Z_VERIFY_SHA256 = {
+    "ed": "f2c5be94470a5946a8c3cd4d8e485a5dcdb36d18f69d6932633941f683a5e024",
+    "collision": "04f15cda51347835a144a8600dff78f1ad3a098a8a9e103c9f37edd1d3d3cb65",
+    "med": "bf7e055abfcd55d4d859c9d40f0db991110ec0e1920ec3697437d4f5f6fd8f5e",
+}
+
+
+@pytest.mark.parametrize("prop", sorted(FAILING_Z_VERIFY_SHA256))
+def test_verify_failing_z_polynomial_exact_bytes(tmp_path, capsys, prop):
+    src = tmp_path / "q.json"
+    q = SymPolynomial(4, {
+        (): Fraction(1, 2),
+        (1, 1): Fraction(1, 6),
+        (2,): Fraction(-1, 27),
+        (2, 1): Fraction(1, 12),
+        (1, 1, 1, 1): Fraction(5, 3),
+    })
+    dump_polynomial(q, src)
+    assert main(["verify", "--property", prop, "--input", str(src), "--n", "3"]) == 1
+    out = capsys.readouterr().out
+    data = json.loads(out)
+    assert [row["ok"] for row in data["table"]] == [True, False, False]
+    assert hashlib.sha256(out.encode()).hexdigest() == FAILING_Z_VERIFY_SHA256[prop]
+
+
 def test_verify_y_polynomial_checks_n(tmp_path, capsys):
     src = tmp_path / "p.json"
     from symdeg.symmetrize import desymmetrize

@@ -29,6 +29,7 @@ from symdeg.properties import (
 from symdeg.symmetrize import desymmetrize
 from symdeg.sympoly import FrequencyVector, SymPolynomial, partitions
 from symdeg.ypoly import FunctionTable, YPolynomial
+from test_sympoly import direct_msym_value
 
 THIRD = Fraction(1, 3)
 
@@ -114,6 +115,65 @@ def test_sym_route_argument_validation():
         verify_approximation(q, ELEMENT_DISTINCTNESS, 2, 2, 1)
     with pytest.raises(TypeError):
         verify_approximation("nope", ELEMENT_DISTINCTNESS, 2, 2, THIRD)
+
+
+def per_class_report(q, prop, n, eps):
+    """The class route written out class by class: classify each class and
+    sum its terms, each m_lambda from `direct_msym_value`, which lists the
+    monomials one by one and never calls `msym_rows`."""
+    violations, table = [], []
+    for lam in partitions(n, max_parts=q.m):
+        z = FrequencyVector(q.m, lam)
+        label = prop.classify(z)
+        value = sum((c * direct_msym_value(mu, z.counts()) for mu, c in q.terms.items()), Fraction(0))
+        lower, upper = bounds_for(label, eps)
+        ok = lower <= value <= upper
+        table.append(
+            {"kind": "class", "where": list(lam), "label": label.value, "value": str(value), "ok": ok}
+        )
+        if not ok:
+            violations.append(Violation("class", lam, label, value, lower, upper))
+    return Report(not violations, tuple(violations), tuple(table))
+
+
+# (polynomial, n): the zero and a constant polynomial, a term with more
+# parts than n where m > n, and m < n (under a labeling that allows it)
+EDGE_SYM_POLYNOMIALS = [
+    (SymPolynomial.zero(3), 3),
+    (SymPolynomial.constant(4, Fraction(1, 5)), 3),
+    (SymPolynomial(6, {(1, 1, 1, 1): 7, (1, 1): Fraction(1, 6), (): Fraction(-1, 3)}), 3),
+    (SymPolynomial(2, {(2,): Fraction(1, 9), (1, 1): Fraction(-2, 5), (): Fraction(1, 2)}), 4),
+    (SymPolynomial(1, {(3,): Fraction(1, 27), (1,): 1}), 3),
+]
+
+
+def test_class_route_matches_the_per_class_reference():
+    rng = random.Random(1969)
+    polys = []
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        m = rng.randint(1, 7)
+        raw = [
+            (
+                sorted((rng.randint(1, 3) for _ in range(rng.randint(0, 4))), reverse=True),
+                Fraction(rng.randint(-6, 6), rng.randint(1, 6)),
+            )
+            for _ in range(rng.randint(0, 6))
+        ]
+        polys.append((SymPolynomial(m, raw), n))
+    failing = checked = 0
+    for q, n in polys + EDGE_SYM_POLYNOMIALS:
+        props = [ELEMENT_DISTINCTNESS, MODIFIED_ELEMENT_DISTINCTNESS, COLLISION, random_labels(rng, n)]
+        for prop in props:
+            if prop.requires_m_ge_n and q.m < n:
+                continue
+            report = verify_approximation(q, prop, n, q.m, THIRD)
+            expected = per_class_report(q, prop, n, THIRD)
+            assert report.to_dict() == expected.to_dict()
+            assert report.violations == expected.violations
+            failing += not report.passed
+            checked += 1
+    assert checked > 100 and 0 < failing < checked
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +337,7 @@ def test_indicator_route_at_n_16_with_two_values():
     assert [parts[k] for k in ids[:3]] == [(16,), (15, 1), (15, 1)]
     report = verify_approximation(p, balance, 16, 2, THIRD)
     assert len(report.table) == 2**16
-    assert [row["value"] for row in report.table] == [str(v) for v in p.evaluate_all()]
-    assert [row["value"] for row in report.table[:3]] == [str(Fraction(s, den)) for s in sums[:3]]
+    assert [row["value"] for row in report.table] == [str(Fraction(s, den)) for s in sums]
     assert report.table[0] == {
         "kind": "function", "where": [1] * 16, "label": "Zero", "value": "-1/7", "ok": False,
     }

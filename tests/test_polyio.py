@@ -14,7 +14,8 @@ from symdeg.polyio import (
     polynomial_from_dict,
     polynomial_to_dict,
 )
-from symdeg.sympoly import SymPolynomial
+from symdeg.rangexfer import extend, restrict
+from symdeg.sympoly import FrequencyVector, SymPolynomial, ZPolynomial
 from symdeg.ypoly import YPolynomial
 
 
@@ -127,6 +128,28 @@ def test_inexact_json_values_rejected(data, named):
     # to an index, and a zero denominator is bad input, not a crash
     with pytest.raises(ValueError, match=re.escape(named)):
         polynomial_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "build, named",
+    [
+        (lambda: YPolynomial(2.0, 2), "2.0"),
+        (lambda: YPolynomial(2, True), "True"),
+        (lambda: ZPolynomial(2.0), "2.0"),
+        (lambda: SymPolynomial(True), "True"),
+        (lambda: XPolynomial(2.0), "2.0"),
+        (lambda: extend(SymPolynomial(2, {(1,): 1}), 3.0), "3.0"),
+        (lambda: restrict(SymPolynomial(3, {(1,): 1}), 2.0), "2.0"),
+        (lambda: FrequencyVector(True, (1,)), "True"),
+    ],
+    ids=["y-float-n", "y-bool-m", "z-named-float-m", "z-bool-m", "x-float-n",
+         "extend-float", "restrict-float", "frequency-bool-m"],
+)
+def test_shape_sizes_must_be_ints(build, named):
+    # a size that is not an int would be written as one the reader refuses,
+    # so it is refused when the polynomial is built, as the reader would
+    with pytest.raises(ValueError, match=re.escape(named)):
+        build()
 
 
 def test_integer_coefficients_accepted():

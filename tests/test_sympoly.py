@@ -20,8 +20,8 @@ from symdeg.sympoly import (
     eval_msym,
     msym_rows,
     msym_to_zpoly,
-    msym_values,
     multinomial,
+    partition_basis,
     partitions,
     symmetrize_variables,
 )
@@ -171,19 +171,26 @@ def test_eval_msym_matches_direct_expansion():
                         assert eval_msym(lam, z) == direct_msym_value(lam, z.counts())
 
 
-def test_msym_values_matches_direct_expansion_exhaustively():
+def test_numerators_match_direct_expansion_exhaustively():
     # every class of weight n <= 7, without and with a zero coordinate,
-    # against every partition of weight <= n
+    # against every partition of weight <= n: one numerators call per
+    # partition over all the points of its weight, and eval_msym at each
     for n in range(0, 8):
-        for parts in partitions(n):
-            for m in (len(parts), len(parts) + 1):
-                if m < 1:
-                    continue
-                z = FrequencyVector(m, parts)
-                values = msym_values(z, n)
-                for weight in range(n + 1):
-                    for lam in partitions(weight):
-                        assert values.get(lam, 0) == direct_msym_value(lam, z.counts())
+        points = [
+            FrequencyVector(m, parts)
+            for parts in partitions(n)
+            for m in (len(parts), len(parts) + 1)
+            if m >= 1
+        ]
+        for weight in range(n + 1):
+            for lam in partitions(weight):
+                for m in {z.m for z in points}:
+                    at_m = [z for z in points if z.m == m]
+                    den, nums = SymPolynomial(m, {lam: 1}).numerators(at_m)
+                    assert den == 1
+                    assert nums == [direct_msym_value(lam, z.counts()) for z in at_m]
+                for z in points:
+                    assert eval_msym(lam, z) == direct_msym_value(lam, z.counts())
 
 
 @settings(max_examples=150, deadline=None)
@@ -191,17 +198,25 @@ def test_msym_values_matches_direct_expansion_exhaustively():
     st.lists(st.integers(0, 3) | st.integers(0, 10**12), min_size=1, max_size=5),
     st.integers(0, 6),
 )
-def test_msym_values_matches_direct_expansion_on_arbitrary_counts(counts, degree):
-    values = msym_values(FrequencyVector.from_counts(counts), degree)
-    assert all(sum(lam) <= degree for lam in values)
-    for weight in range(degree + 1):
-        for lam in partitions(weight):
-            assert values.get(lam, 0) == direct_msym_value(lam, counts)
+def test_numerators_match_direct_expansion_on_arbitrary_counts(counts, degree):
+    # one polynomial holding every partition of weight <= degree, with a
+    # distinct coefficient each, so no term's value can hide another's
+    z = FrequencyVector.from_counts(counts)
+    basis = [lam for w in range(degree + 1) for lam in partitions(w)]
+    coeffs = {lam: Fraction(1, k + 2) for k, lam in enumerate(basis)}
+    q = SymPolynomial(z.m, coeffs)
+    den, (num,) = q.numerators([z])
+    expected = sum(c * direct_msym_value(lam, counts) for lam, c in coeffs.items())
+    assert Fraction(num, den) == q.evaluate(z) == expected
+    for lam in basis:
+        assert eval_msym(lam, z) == direct_msym_value(lam, counts)
 
 
-def test_msym_values_rejects_negative_degree():
+def test_partition_basis_rejects_negative_degree():
     with pytest.raises(ValueError):
-        msym_values(FrequencyVector.from_counts((1, 1)), -1)
+        partition_basis(-1, 2)
+    with pytest.raises(ValueError):
+        coefficient_basis(2, 2, -1)
 
 
 def test_msym_rows_matches_direct_expansion():
@@ -222,23 +237,6 @@ def test_msym_rows_takes_counts_with_zeros():
     basis = coefficient_basis(4, 4, 3)
     assert msym_rows([(0, 2, 0, 1, 1)], basis) == msym_rows([(2, 1, 1)], basis)
     assert msym_rows([(), (0, 0)], basis) == [[1] + [0] * (len(basis) - 1)] * 2
-
-
-def test_msym_values_key_set():
-    # exactly the partitions of weight <= degree with at most len(z.parts)
-    # parts, none of them zero
-    for n in range(0, 7):
-        for parts in partitions(n):
-            for m in (max(len(parts), 1), len(parts) + 2):
-                z = FrequencyVector(m, parts)
-                for degree in range(n + 2):
-                    values = msym_values(z, degree)
-                    expected = {
-                        lam for w in range(degree + 1) for lam in partitions(w)
-                        if len(lam) <= len(parts)
-                    }
-                    assert set(values) == expected
-                    assert all(values.values())
 
 
 @pytest.mark.parametrize(
@@ -346,6 +344,18 @@ def test_sym_evaluate_example():
     assert q.evaluate(FrequencyVector.from_counts((2, 1))) == 7
 
 
+def test_sym_numerators_example():
+    # over the denominator 12: 12 * (m_() / 3 - m_(1) / 4 + m_(1, 1, 1) / 6)
+    # at (3), (2, 1) and (1, 1, 1) over m = 4; the last term is 0 at the
+    # first two, and longer than every point it is 0 at all of them
+    q = SymPolynomial(4, {(): Fraction(1, 3), (1,): Fraction(-1, 4), (1, 1, 1): Fraction(1, 6)})
+    points = [FrequencyVector(4, parts) for parts in ((3,), (2, 1), (1, 1, 1))]
+    assert q.numerators(points) == (12, [4 - 9, 4 - 9, 4 - 9 + 2])
+    assert q.numerators(points[:2]) == (12, [-5, -5])
+    assert q.numerators([]) == (12, [])
+    assert SymPolynomial.zero(4).numerators(points) == (1, [0, 0, 0])
+
+
 def test_sym_degree_and_zero():
     assert SymPolynomial.zero(3).degree() is None
     assert SymPolynomial.constant(3, 4).degree() == 0
@@ -366,6 +376,8 @@ def test_sym_sorted_coeffs_order():
 def test_sym_dimension_mismatch():
     with pytest.raises(ValueError):
         SymPolynomial(2, {(1,): 1}).evaluate(FrequencyVector(3, (1,)))
+    with pytest.raises(ValueError, match="3 variables"):
+        SymPolynomial(2, {(1,): 1}).numerators([FrequencyVector(2, (1,)), FrequencyVector(3, (1,))])
     with pytest.raises(ValueError):
         SymPolynomial(2, {(1,): 1}) + SymPolynomial(3, {(1,): 1})
 

@@ -207,20 +207,22 @@ def grid_polynomials(draw):
 @example(YPolynomial(4, 1, {((1, 1), (4, 1)): Fraction(1, 2), (): 1}))
 @example(YPolynomial(3, 2, {((1, 2), (3, 1)): Fraction(2, 3), ((2, 2),): Fraction(-1, 6)}))
 @settings(max_examples=300, deadline=None)
-def test_evaluate_all_matches_evaluate_in_order(p):
-    values = p.evaluate_all()
-    assert values == [p.evaluate(f) for f in FunctionTable.all(p.n, p.m)]
-    assert all(type(v) is Fraction for v in values)
+def test_numerators_match_evaluate_in_order(p):
+    den, sums = p.numerators()
+    assert all(type(s) is int for s in sums) and type(den) is int and den > 0
+    assert all((c * den).denominator == 1 for c in p.terms.values())
+    assert [Fraction(s, den) for s in sums] == [p.evaluate(f) for f in FunctionTable.all(p.n, p.m)]
 
 
-def test_evaluate_all_on_every_monomial_of_the_2x3_grid():
+def test_numerators_on_every_monomial_of_the_2x3_grid():
     # each row is either absent or picks one of the 3 columns: 16 monomials
     rows = [[None, 1, 2, 3]] * 2
     for cols in itertools.product(*rows):
         mono = tuple((i, j) for i, j in enumerate(cols, 1) if j is not None)
         p = YPolynomial(2, 3, {mono: Fraction(5, 3)})
         expected = [p.evaluate(f) for f in FunctionTable.all(2, 3)]
-        assert p.evaluate_all() == expected
+        den, sums = p.numerators()
+        assert den == 3 and [Fraction(s, den) for s in sums] == expected
         assert expected.count(Fraction(5, 3)) == 3 ** (2 - len(mono))
 
 
