@@ -11,7 +11,10 @@ classes a value in [0, 1].
 The approximate degree d* is the smallest d whose optimum drops to the
 requested eps.  eps_min is non-increasing in d (the feasible sets nest),
 the search is capped by an exact-interpolation bound, and every quantity
-is an exact rational, so certificates are reproducible bit for bit.
+is an exact rational, so certificates are reproducible bit for bit.  The
+LP at d + 1 is the LP at d with columns appended, so a search labels the
+classes and poses the rows once, then grows that one posed program by
+each degree's new columns, and one warm simplex follows it.
 
 `sweep` runs the search across range sizes m, once per distinct LP: for
 m >= n every m gives the same LP, which is the paper's collapse.
@@ -69,6 +72,9 @@ def _bound_rows(label: Label) -> tuple[tuple[int, Relation, int], ...]:
     return (int(lower0 - lower1), ">=", int(lower0)), (int(upper0 - upper1), "<=", int(upper0))
 
 
+_BOUND_ROWS = {label: _bound_rows(label) for label in Label}
+
+
 def _min_error_program(width: int, rows: Iterable[tuple[list[int], Label]]) -> LinearProgram:
     """min eps over eps >= 0 and `width` free coefficients: for each
     (row, label), the two rows lower(eps) <= row . coefficients <=
@@ -78,9 +84,8 @@ def _min_error_program(width: int, rows: Iterable[tuple[list[int], Label]]) -> L
         objective=[1] + [0] * width,
         free=[False] + [True] * width,
     )
-    bounds = {label: _bound_rows(label) for label in Label}
     for row, label in rows:
-        for eps_entry, rel, rhs in bounds[label]:
+        for eps_entry, rel, rhs in _BOUND_ROWS[label]:
             program.add_row([eps_entry] + row, rel, rhs)
     return program
 
@@ -97,28 +102,53 @@ def build_lp(prop: PropertySpec, n: int, m: int, degree: int) -> LPInstance:
     return LPInstance(prop.name, n, m, degree, lambdas, classes, program)
 
 
-def _solve_from_half(program: LinearProgram, simplex: Optional[Simplex] = None) -> list[Fraction]:
-    """The optimal point of a minimum-error program, found from the
-    feasible point x0: eps = 1/2, the constant 1/2, every other variable 0.
-    Column 0 is eps and column 1 the constant (m_() or the empty indicator
-    monomial, 1 everywhere), so x0 lies in the band of every class or
-    function, whatever its label, and the program is always feasible, and
-    bounded since eps >= 0.
+def _add_posed_column(
+    posed: LinearProgram, cost: int, free: bool, column: Iterable[int], first: int = 0
+) -> None:
+    """Append a column of a minimum-error program, one entry per row, to
+    its posing (see `_pose`): `first` in the new first row, then each entry
+    doubled."""
+    posed.add_column(cost, free, [first] + [2 * a for a in column])
 
-    `solve` starts at the origin, so the program is posed in x' = x - x0:
-    eps' is free, with one new first row -2 eps' <= 1 for eps >= 0, and
-    every other row a.x ~ b becomes 2a.x' ~ 2b - a_0 - a_1, doubled so that
-    its entries stay ints.  x0 touches only degree-0 columns, so the posed
-    programs of a search across degrees still extend one another."""
-    posed = LinearProgram(program.num_vars, program.objective, [True] + program.free[1:])
-    posed.add_row([-2] + [0] * (program.num_vars - 1), "<=", 1)
+
+def _pose(program: LinearProgram) -> LinearProgram:
+    """A minimum-error program posed so that `solve` can start at the
+    origin, with the point x0 (eps = 1/2, the constant 1/2, every other
+    variable 0) moved there.  Column 0 is eps and column 1 the constant
+    (m_() or the empty indicator monomial, 1 everywhere), so x0 lies in the
+    band of every class or function, whatever its label, and the program
+    is always feasible, and bounded since eps >= 0.
+
+    In x' = x - x0, eps' is free, with one new first row -2 eps' <= 1 for
+    eps >= 0, and every other row a.x ~ b becomes 2a.x' ~ 2b - a_0 - a_1,
+    doubled so that its entries stay ints.  The rows are posed first and
+    the columns appended one by one through `_add_posed_column`, which is
+    also how the degree search appends each degree's new columns: x0
+    touches only degree-0 columns, so no right-hand side moves."""
+    posed = LinearProgram(0, [], [])
+    posed.add_row([], "<=", 1)
     for row, rel, b in zip(program.lhs, program.rel, program.rhs):
-        posed.add_row([2 * a for a in row], rel, 2 * b - row[0] - row[1])
+        posed.add_row([], rel, 2 * b - row[0] - row[1])
+    for j, (cost, free) in enumerate(zip(program.objective, program.free)):
+        column = (row[j] for row in program.lhs)
+        _add_posed_column(posed, cost, free or j == 0, column, -2 if j == 0 else 0)
+    return posed
+
+
+def _solve_from_half(posed: LinearProgram, simplex: Optional[Simplex] = None) -> list[Fraction]:
+    """The optimal point of a minimum-error program posed by `_pose`: the
+    solve starts at the feasible point eps = 1/2 with the constant 1/2,
+    and the point found is moved back by it."""
     solution = solve(posed, simplex)
     if solution.status != "optimal":
         raise RuntimeError(f"minimum-error LP came back {solution.status}; it must be optimal")
     half = Fraction(1, 2)
     return [solution.x[0] + half, solution.x[1] + half] + solution.x[2:]
+
+
+def _coefficients(lambdas: Iterable[Partition], x: list[Fraction]) -> dict[Partition, Fraction]:
+    """The nonzero coefficients of an optimal point x (eps first)."""
+    return {lam: value for lam, value in zip(lambdas, x[1:]) if value != 0}
 
 
 def solve_lp(
@@ -130,9 +160,8 @@ def solve_lp(
     instance alone, or, warm from `simplex`, of the instances it solved
     before.  eps_min is the same either way; the coefficients may be
     another optimal vertex."""
-    x = _solve_from_half(inst.program, simplex)
-    coeffs = {lam: value for lam, value in zip(inst.lambdas, x[1:]) if value != 0}
-    return x[0], coeffs
+    x = _solve_from_half(_pose(inst.program), simplex)
+    return x[0], _coefficients(inst.lambdas, x)
 
 
 @dataclass(frozen=True)
@@ -206,20 +235,35 @@ def approx_degree(
     any labeling at degree n), so running past it signals a solver bug, as
     does any increase of eps_min with d.
 
-    The LP at d + 1 is the LP at d with the columns of the new partitions
-    appended (its rows are the same, and `coefficient_basis(d)` is a prefix
-    of `coefficient_basis(d + 1)`), so one `Simplex` carries the whole
-    search: d = 0 starts from the slack basis at eps = 1/2 (`_solve_from_half`),
-    and each later degree re-optimizes from the previous optimal basis.
+    One posed program carries the whole search.  `build_lp` at degree 0
+    labels the classes (the search's only `enumerate_classes` call) and
+    gives the rows, which `_pose` poses once.  The LP at d + 1 is the LP at
+    d with the columns of the new partitions appended (its rows are the
+    same, and `coefficient_basis(d)` is a prefix of
+    `coefficient_basis(d + 1)`), so each later degree appends only those
+    columns, read off `msym_rows` over the classes and posed by
+    `_add_posed_column`, and one `Simplex` re-optimizes from the previous
+    optimal basis: d = 0 starts from the slack basis at eps = 1/2.
     """
     eps = check_instance(prop, n, m, eps)
-    classes = enumerate_classes(prop, n, m)
-    cap = max(n, len(classes))
+    base = build_lp(prop, n, m, 0)
+    cap = max(n, len(base.classes))
+    points = [lam for lam, _ in base.classes]
+    lambdas = base.lambdas
+    posed = _pose(base.program)
     steps: list[DegreeStep] = []
     previous: Optional[Fraction] = None
     simplex = Simplex()
     for d in range(cap + 1):
-        eps_min, coeffs = solve_lp(build_lp(prop, n, m, d), simplex)
+        if d:
+            basis = coefficient_basis(n, m, d)
+            rows = msym_rows(points, basis)
+            for j in range(len(lambdas), len(basis)):
+                # a class's two bound rows share its m_lambda entry
+                _add_posed_column(posed, 0, True, (v for row in rows for v in (row[j], row[j])))
+            lambdas = basis
+        x = _solve_from_half(posed, simplex)
+        eps_min, coeffs = x[0], _coefficients(lambdas, x)
         if previous is not None and eps_min > previous:
             raise RuntimeError(
                 f"eps_min increased from {previous} to {eps_min} at degree {d}; "
@@ -291,4 +335,4 @@ def eps_min_indicator_basis(prop: PropertySpec, n: int, m: int, degree: int) -> 
         ([int(all(f.values[i - 1] == j for i, j in mono)) for mono in monos], classes[k][1])
         for f, k in zip(functions, class_indices(n, m, [lam for lam, _ in classes]))
     )
-    return _solve_from_half(_min_error_program(len(monos), rows))[0]
+    return _solve_from_half(_pose(_min_error_program(len(monos), rows)))[0]

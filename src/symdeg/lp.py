@@ -45,7 +45,8 @@ Zhang (1993).  The rule is deterministic, so the same sequence of
 programs always gives the same optimal basic solution.
 
 A `Simplex` keeps the tableau between solves.  Given a program that
-repeats the previous one's rows and appends columns, it appends
+repeats the previous one's rows and appends columns (as
+`LinearProgram.add_column` grows one program in place), it appends
 den * B^-1 a for every new column a, and its reduced cost
 den * c_a + sum_i a_i * (slack i's stored reduced cost), and re-optimizes
 from the current basis, which stays feasible.  Column i of den * B^-1 is
@@ -81,7 +82,8 @@ K_DEGENERATE = 50  # degenerate pivots in a row before Bland's rule takes over
 class LinearProgram:
     """minimize objective . x  subject to the rows; x_j >= 0 unless free[j].
     Every cost, coefficient and right-hand side is an int; rows enter
-    only through `add_row`."""
+    only through `add_row`, and a variable enters after the rows only
+    through `add_column`."""
 
     num_vars: int
     objective: list[int]
@@ -92,6 +94,7 @@ class LinearProgram:
 
     def __post_init__(self) -> None:
         self.objective = list(self.objective)
+        self.free = list(self.free)
         if not {*map(type, self.objective)} <= {int}:
             raise ValueError(f"the objective must be ints, got {self.objective!r}")
         if len(self.objective) != self.num_vars or len(self.free) != self.num_vars:
@@ -108,6 +111,19 @@ class LinearProgram:
         self.lhs.append(row)
         self.rel.append(rel)
         self.rhs.append(rhs)
+
+    def add_column(self, cost: int, free: bool, column: Sequence[int]) -> None:
+        """Append a variable with this cost and one entry per row."""
+        column = list(column)
+        if len(column) != len(self.lhs):
+            raise ValueError(f"column has {len(column)} entries, expected {len(self.lhs)}")
+        if type(cost) is not int or not {*map(type, column)} <= {int}:
+            raise ValueError(f"a column must be ints, got cost {cost!r} and {column!r}")
+        for row, a in zip(self.lhs, column):
+            row.append(a)
+        self.objective.append(cost)
+        self.free.append(free)
+        self.num_vars += 1
 
 
 @dataclass(frozen=True)
@@ -162,10 +178,12 @@ class Simplex:
         self.program = _prefix(lp, lp.num_vars)
         if not self._run():
             return LPSolution("unbounded", None, None)
-        values = [Fraction(0)] * len(self.free)
+        width = self.width
+        values = [Fraction(0)] * (len(self.free) - width)
         for row, bv in zip(self.rows, self.basis):
-            values[bv] = Fraction(row[-1], self.den)
-        return LPSolution("optimal", Fraction(-self.costrow[-1], self.den), values[self.width :])
+            if bv >= width:
+                values[bv - width] = Fraction(row[-1], self.den)
+        return LPSolution("optimal", Fraction(-self.costrow[-1], self.den), values)
 
     def _start(self, lp: LinearProgram) -> None:
         """The tableau of the slack basis, with no nonbasic column yet:

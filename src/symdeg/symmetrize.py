@@ -143,8 +143,8 @@ def desymmetrize(q: SymPolynomial, n: int) -> YPolynomial:
 
     Every monomial of one column pattern gets the same coefficient
     (`_pattern_coefficients`), so each is written down once, with it."""
-    if n < 1:
-        raise ValueError("desymmetrize needs n >= 1 rows")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"desymmetrize needs an int n >= 1 rows, got n={n!r}")
     m = q.m
     terms: list = []
     for kappa, coeff in _pattern_coefficients(q, n).items():

@@ -49,8 +49,10 @@ class FunctionTable:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(self.values))
-        if self.n < 1 or self.m < 1:
-            raise ValueError("a function table needs n >= 1 and m >= 1")
+        if type(self.n) is not int or type(self.m) is not int or self.n < 1 or self.m < 1:
+            raise ValueError(
+                f"a function table needs ints n >= 1 and m >= 1, got n={self.n!r}, m={self.m!r}"
+            )
         if len(self.values) != self.n:
             raise ValueError(f"expected {self.n} values, got {len(self.values)}")
         for v in self.values:

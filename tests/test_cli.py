@@ -85,6 +85,53 @@ def test_degree_property_file(wavy_file, capsys):
     assert data["degree"] == 2
 
 
+# stdout sha256 of `degree --property <prop> --n n --m n` for n = 2..10:
+# the eps_min tables and the witness coefficients, byte for byte
+DEGREE_SHA256 = {
+    "collision": [
+        "4152ca2c02b5c7092a2d972780f5498c22e935f6d5ce2c979be27cbdc6038f48",
+        "033b4aee39e22f255e35ac3122683fc552831c69c452413264db5fe5747d0880",
+        "105e759255a285a6bb54ef91be032d52659d741e05f327457d16d622084d10bd",
+        "f6525bcdfdc56036291b5553534e84c17a185439fadfc9e7d6aeb6c0bc2b0a35",
+        "0642e07f9263305153e6edccc1104a53db38a7c7998d2980ee1f3424778213ab",
+        "d4ba1e906e06a844efcc94a77751716776f26195b887ff6b192fae6c1879a479",
+        "422e096719453c874c15c22d92ef3e1436b1734935614c5dcabb3afda098d71a",
+        "41c6ed94849fb1ce811ea70624941d93d424e8dcc52b724601c4348d86c0e683",
+        "1abfc935ea3edba09312989e6651da2bb8122243aa0b39e4d30c010cd1588205",
+    ],
+    "ed": [
+        "86992c7c82d39771df33a690a8ff182fe92cf492f888e74593036ef6c8c7d2fe",
+        "63db1d81a4c4c0fd7be238220e7cddb24a97c1e4bb35b3139ece7a158bad3564",
+        "2ffc7484d8bb564a57d2f8c897a96a6a6a4fa91a7895a311b681c8801302284f",
+        "f8ffa37cfeedb5ea69e8735722075ecbfcbb517c4be9e1cb8e762e3ab674863f",
+        "48900b52f463ab5b63d72462cd43e1d18d4f9e5f29868e33591a8e9288c8ddf0",
+        "001ee152d787a76d6ab79d3df2c7f4cf71a099b3e72f7c9c353ce1f9fcdaf7e9",
+        "bac533a83bb5e54ca046fbb3cabf765acdb3a2aeb40f28d7b44bf52caaa145ea",
+        "ae93e8237e92a54567acfd445860b229687951dcffaf8197d30bb3acff9e0b4f",
+        "0d9f1e48744bbc0b7e8c374b03f57988e08a3bfb5e3cb1dd3346470b7d8ef761",
+    ],
+    "med": [
+        "64526244f40a8566ee145ec53a250c39031acdf6d5aa3384ae2e58aedbeb9029",
+        "25844ca347188de87f3bd4d2db3abb7bd97ed8e54d3e0e87c93b5847e53c291d",
+        "fe530d09c35eec9c5ee500866c61febae9e1382e3600bde40f5fcbac32107c40",
+        "d400c2ec4e1f0f48d097e082c9a0ab75835bdd8479a51f0fc7cfd4d7416f1d8d",
+        "2f661e4e952df9bcb2c74e3134a949591fef5fd820949785dd80c254f16aa332",
+        "cc64679d346dabadb521fa1d75d12e605ca654be4e871c5a69487bef226935d0",
+        "f60e92f67f83770d47225778fdf60b332b31b357f595bbe91e823f9b1a133fbd",
+        "e28521191810b2fa1931969ff83a527c3191e3b4e52a4b72cc9d1a3c0f4ba448",
+        "7f41be8b5f01c35300abdb786ac9ea7dd65311ea5d465e82245df46702a8b7ff",
+    ],
+}
+
+
+@pytest.mark.parametrize("prop", sorted(DEGREE_SHA256))
+def test_degree_exact_bytes(capsys, prop):
+    for n, expected in enumerate(DEGREE_SHA256[prop], start=2):
+        assert main(["degree", "--property", prop, "--n", str(n), "--m", str(n)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, f"n = {n}"
+
+
 def test_degree_rejects_small_range_for_one_to_one(capsys):
     code = main(["degree", "--property", "ed", "--n", "3", "--m", "2"])
     assert code == 2

@@ -5,6 +5,7 @@ cross-checked against the unrestricted per-function LP and a float solver;
 they are asserted as exact rationals.
 """
 
+import copy
 import functools
 import json
 import pathlib
@@ -25,7 +26,7 @@ from symdeg.degreelp import (
     solve_lp,
     sweep,
 )
-from symdeg.lp import Simplex
+from symdeg.lp import LinearProgram, Simplex, _prefix, solve
 from symdeg.oracle import verify_approximation
 from symdeg.properties import (
     ALWAYS_ONE,
@@ -34,6 +35,7 @@ from symdeg.properties import (
     Label,
     MODIFIED_ELEMENT_DISTINCTNESS,
     PropertySpec,
+    enumerate_classes,
     property_from_classes,
 )
 from symdeg.sympoly import FrequencyVector, SymPolynomial, partitions
@@ -416,6 +418,61 @@ def test_warm_search_pivot_count():
     for d in range(7):
         solve_lp(build_lp(ELEMENT_DISTINCTNESS, 9, 9, d), simplex)
     assert simplex.pivots == 64
+
+
+def posed_by_rule(program):
+    """The posing in x - x0 spelled row by row: the first row -2 eps' <= 1,
+    then each row a.x ~ b as 2a.x' ~ 2b - a_0 - a_1, and eps' free."""
+    posed = LinearProgram(program.num_vars, program.objective, [True] + program.free[1:])
+    posed.add_row([-2] + [0] * (program.num_vars - 1), "<=", 1)
+    for row, rel, b in zip(program.lhs, program.rel, program.rhs):
+        posed.add_row([2 * a for a in row], rel, 2 * b - row[0] - row[1])
+    return posed
+
+
+@pytest.mark.parametrize(
+    "prop,n,m",
+    [(prop, n, n) for prop in (ELEMENT_DISTINCTNESS, MODIFIED_ELEMENT_DISTINCTNESS, COLLISION)
+     for n in range(2, 8)]
+    + [(BUMPY, 4, 2), (seeded_labeling(2, 5), 5, 4), (seeded_labeling(3, 6), 6, 3)],
+    ids=lambda v: getattr(v, "name", v),
+)
+def test_search_program_is_the_posed_build_lp(monkeypatch, prop, n, m):
+    # the search grows one posed program by columns; at every degree it must
+    # be the posing of that degree's build_lp, entry for entry, and the
+    # simplex must hold that program
+    seen = []
+
+    def recording(posed, simplex):
+        solution = solve(posed, simplex)
+        seen.append((copy.deepcopy(posed), simplex.program))
+        return solution
+
+    monkeypatch.setattr(degreelp, "solve", recording)
+    cert = approx_degree(prop, n, m, THIRD)
+    assert len(seen) == len(cert.steps)
+    for d, (posed, held) in enumerate(seen):
+        program = build_lp(prop, n, m, d).program
+        expected = posed_by_rule(program)
+        assert posed == expected == degreelp._pose(program)
+        assert held == _prefix(expected, expected.num_vars)
+
+
+@pytest.mark.parametrize(
+    "prop,n,m",
+    [(ELEMENT_DISTINCTNESS, 6, 6), (COLLISION, 6, 8), (BUMPY, 4, 2), (seeded_labeling(2, 5), 5, 4)],
+    ids=lambda v: getattr(v, "name", v),
+)
+def test_search_enumerates_classes_once(monkeypatch, prop, n, m):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return enumerate_classes(*args)
+
+    monkeypatch.setattr(degreelp, "enumerate_classes", counting)
+    cert = approx_degree(prop, n, m, THIRD)
+    assert cert.degree > 0 and calls == [(prop, n, m)]
 
 
 def optimal_duals(simplex):

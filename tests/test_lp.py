@@ -162,6 +162,41 @@ def test_non_int_entries_are_refused(bad):
         make_lp(2, [bad, 1])
 
 
+@pytest.mark.parametrize(
+    "bad", [Fraction(1, 2), Fraction(2), 1.0, True], ids=["half", "whole-fraction", "float", "bool"]
+)
+def test_non_int_columns_are_refused(bad):
+    lp = make_lp(1, [1])
+    lp.add_row([1], "<=", 1)
+    lp.add_row([1], ">=", 0)
+    with pytest.raises(ValueError, match="ints"):
+        lp.add_column(0, True, [1, bad])
+    with pytest.raises(ValueError, match="ints"):
+        lp.add_column(bad, True, [1, 1])
+    assert lp == first_columns(lp, 1) and lp.num_vars == 1
+
+
+def test_column_needs_one_entry_per_row():
+    lp = make_lp(1, [1])
+    lp.add_row([1], "<=", 1)
+    lp.add_row([1], ">=", 0)
+    for column in ([1], [1, 2, 3]):
+        with pytest.raises(ValueError, match="entries"):
+            lp.add_column(0, False, column)
+    assert lp.lhs == [[1], [1]] and lp.num_vars == 1
+
+
+def test_added_column_equals_a_column_from_the_start():
+    wide = make_lp(2, [1, -1], [False, True])
+    wide.add_row([1, 2], "<=", 4)
+    wide.add_row([3, -1], ">=", -2)
+    grown = make_lp(1, [1])
+    grown.add_row([1], "<=", 4)
+    grown.add_row([3], ">=", -2)
+    grown.add_column(-1, True, [2, -1])
+    assert grown == wide
+
+
 def test_row_validation():
     lp = make_lp(2, [1, 1])
     with pytest.raises(ValueError):

@@ -310,6 +310,13 @@ def test_desymmetrize_needs_rows():
         desymmetrize(SymPolynomial(2, {(1,): 1}), 0)
 
 
+@pytest.mark.parametrize("n", [2.0, True], ids=["float", "bool"])
+def test_desymmetrize_needs_an_int_n(n):
+    # refused up front, naming n, before any expansion runs
+    with pytest.raises(ValueError, match="n="):
+        desymmetrize(SymPolynomial(2, {(1, 1): 1}), n)
+
+
 def test_desymmetrize_evaluates_like_source():
     n, m = 3, 2
     for lam_q in [(), (1,), (2,), (1, 1), (2, 1), (3,)]:

@@ -34,6 +34,12 @@ def test_function_table_validates_range():
         FunctionTable(2, 2, (1,))
 
 
+@pytest.mark.parametrize("n,m", [(2.0, 2), (2, 2.0), (True, 2), (2, True)])
+def test_function_table_needs_int_shape(n, m):
+    with pytest.raises(ValueError, match="ints"):
+        FunctionTable(n, m, (1, 1))
+
+
 def test_indicator_and_counts():
     f = FunctionTable(3, 2, (2, 1, 2))
     assert f.indicator(1, 2) == 1
