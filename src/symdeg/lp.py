@@ -11,24 +11,41 @@ that knows another feasible point x0 poses its program in x - x0, as
 
 The tableau is a dictionary over one denominator (Edmonds 1967, Bareiss
 1968; the integer pivoting of Avis's lrs, 2000).  For the current basis
-B it stores only the nonbasic columns: row i holds the entries of
-den * B^-1 A in the nonbasic columns, then den * B^-1 b, and the cost row
-holds den times the reduced costs, then -den times the objective, where
+B it has only the nonbasic columns: row i is the entries of den * B^-1 A
+in the nonbasic columns, then den * B^-1 b, and the cost row is den
+times the reduced costs, then -den times the objective, where
 den = |det B|.  By Cramer's rule every one of these is an integer (a
 minor of the program's matrix, up to sign), so the tableau is Python ints
-with no denominator per row and no common factor to divide out.  A
-pivot on the entry p of row r and the entering column's slot s sets
-every other entry v of the tableau, with f the entry of v's row in slot
-s and w the entry of row r in v's slot, to
-(v * |p| - sign(p) * f * w) // den, and the division is exact.  Row r
-becomes sign(p) times itself, the slot s passes to the leaving column,
-which holds sign(p) * den in row r and -sign(p) * f in every other row,
-and den becomes |p|.  No Fraction is built inside the
-loop.  The ratio test compares rhs_r * a_s with rhs_s * a_r, and a
-reduced cost has the sign of its integer, since den > 0.  A program is
-ints (its rows, right-hand sides and objective; anything else, a bool
-too, is refused with a ValueError), so the slack basis starts over
-den = 1; Fraction appears only in the solution.
+with no denominator per row and no common factor to divide out.
+
+Only the kernel of the dictionary is stored in full: the rows whose
+basic column is a program variable, and the cost row.  A row whose basic
+column is slack t stores its right-hand side alone, because the rest of
+it follows from its own constraint a_t (sign-adjusted) and the kernel
+rows R_b, b running over the basic program columns: solving row t for
+the slack and substituting each R_b gives, in the slot of program
+column j, den * a_tj - sum_b a_tb * R_b[slot], and in a slack's slot
+-sum_b a_tb * R_b[slot] (the revised simplex of Dantzig and Orchard-Hays,
+1954, for a basis that is the identity on most rows).  A derived entry
+is a product sum of ints, with no division, and equals the stored one of
+the full dictionary.  A pivot on the entry p of row r and the entering
+column's slot s sets every other entry v of a kernel row or the cost
+row, with f the entry of v's row in slot s and w the entry of row r in
+v's slot, to (v * |p| - sign(p) * f * w) // den, and the right-hand side
+of every slack row by the same formula, with f derived.  These are the
+entries of the full dictionary after the pivot, integers by Cramer's
+rule, so the division is exact.  Row r becomes sign(p) times itself (in
+full, derived first if it was a slack row), the slot s passes to the
+leaving column, which holds sign(p) * den in row r and -sign(p) * f in
+every other row, and den becomes |p|; row r is kept in full if the
+entering column is a program variable, else as its right-hand side.  The
+ratio test reads each row's entry in the entering slot, derived for the
+slack rows, and compares rhs_r * a_s with rhs_s * a_r, and a reduced
+cost has the sign of its integer, since den > 0.  No Fraction is built
+inside the loop.  A program is ints (its rows, right-hand sides and
+objective; anything else, a bool too, is refused with a ValueError), so
+the slack basis starts over den = 1 with every row a slack row;
+Fraction appears only in the solution.
 
 The entering column has the reduced cost largest in size among the
 eligible ones (Dantzig's rule), the smallest column index breaking ties
@@ -47,13 +64,15 @@ programs always gives the same optimal basic solution.
 A `Simplex` keeps the tableau between solves.  Given a program that
 repeats the previous one's rows and appends columns (as
 `LinearProgram.add_column` grows one program in place), it appends
-den * B^-1 a for every new column a, and its reduced cost
-den * c_a + sum_i a_i * (slack i's stored reduced cost), and re-optimizes
-from the current basis, which stays feasible.  Column i of den * B^-1 is
-slack i's stored column when slack i is nonbasic, and den times the unit
-vector of its row when it is basic (whose reduced cost is 0), so the
-rest of the tableau stays as it is.  `solve` without a `Simplex` is the
-cold entry to the same code: a fresh tableau for one program.
+den * B^-1 a to the kernel rows for every new column a, and its reduced
+cost den * c_a + sum_i a_i * (slack i's stored reduced cost), and
+re-optimizes from the current basis, which stays feasible.  Column i of
+den * B^-1 is slack i's stored column when slack i is nonbasic, and den
+times the unit vector of its row, a slack row, when it is basic (whose
+reduced cost is 0), so the rest of the tableau stays as it is, and a
+slack row derives its entries in the new columns like any others.
+`solve` without a `Simplex` is the cold entry to the same code: a fresh
+tableau for one program.
 
 Every program variable has one column, numbered after the slack columns.
 A free column is eligible to enter with a reduced cost of either sign (a
@@ -148,23 +167,30 @@ class Simplex:
     it had.  Columns are numbered in the order they were added: one slack
     column per row, then one per program variable.
 
-    Row i of the tableau is `rows[i]` over `den`, and the reduced-cost row
-    is `costrow` over the same `den` = |det B| > 0: Python ints, entry k
-    for the column `nonbasic[k]`, which sits in slot k, and the right-hand
-    side (in the cost row, minus the objective) last.  Row i's basic
-    column is `basis[i]`; basic columns are not stored.  A pivot gives the
-    entering column's slot to the leaving column.  `pivots` counts the
-    pivots made across all solves.
+    Row i's basic column is `basis[i]`; basic columns are not stored, and
+    slot k holds the nonbasic column `nonbasic[k]`.  The reduced-cost row
+    is `costrow` over `den` = |det B| > 0: Python ints, entry k for slot k,
+    then minus the objective.  Row i is stored in full, as `rows[i]` over
+    the same `den` with the right-hand side last, only when `basis[i]` is
+    a program column: these are the kernel rows R_b, b running over the
+    basic program columns.  A row whose basic column is slack t stores its
+    right-hand side alone, `[rhs]`, and its entry in slot k is derived
+    from the kernel rows and its own constraint a_t (sign-adjusted,
+    `lhs[t]`) when needed: den * a_tj - sum_b a_tb * R_b[k] if the slot
+    holds program column j, and -sum_b a_tb * R_b[k] if it holds a slack.
+    A pivot gives the entering column's slot to the leaving column.
+    `pivots` counts the pivots made across all solves.
     """
 
     def __init__(self) -> None:
-        self.rows: list[list[int]] = []  # numerators of the tableau rows, right-hand side last
+        self.rows: list[list[int]] = []  # per row: in full for a kernel row, else [rhs]
         self.costrow: list[int] = []  # numerators of the reduced costs, minus the objective last
         self.den = 1  # the denominator of every entry: |det B|
         self.basis: list[int] = []  # per row: its basic column
         self.nonbasic: list[int] = []  # per slot: its column
         self.free: list[bool] = []  # per column: may it be negative
         self.sign: list[int] = []  # per row: -1 if it is a >= row, negated into a <= row
+        self.lhs: list[list[int]] = []  # per row: its program coefficients times its sign
         self.width = 0  # slack columns, one per row; the variables' columns follow
         self.program: Optional[tuple] = None
         self.pivots = 0
@@ -188,32 +214,35 @@ class Simplex:
     def _start(self, lp: LinearProgram) -> None:
         """The tableau of the slack basis, with no nonbasic column yet:
         every >= row negated into a <= row, whose right-hand side is then
-        >= 0, over den = 1."""
+        >= 0, over den = 1.  Every row is a slack row."""
         for rel, rhs in zip(lp.rel, lp.rhs):
             if not (rel == "<=" and rhs >= 0 or rel == ">=" and rhs <= 0):
                 raise ValueError(f"the origin does not satisfy a row {rel} {rhs}")
         self.sign = [1 if rel == "<=" else -1 for rel in lp.rel]
         self.width = width = len(lp.rhs)
         self.rows = [[abs(rhs)] for rhs in lp.rhs]
+        self.lhs = [[] for _ in range(width)]
         self.costrow = [0]
         self.basis = list(range(width))
         self.free = [False] * width
 
     def _append(self, lp: LinearProgram) -> None:
-        """Add the columns of lp's variables not yet in the tableau as
-        den * B^-1 a, and their reduced costs den * c + sum_i a_i * y_i,
-        where y_i is slack i's stored reduced cost (minus den times its
-        dual value).  Column i of den * B^-1 is slack i's stored column if
-        slack i is nonbasic, and den times the unit vector of its row if
-        it is basic, with reduced cost 0."""
+        """Add the columns of lp's variables not yet in the tableau: to
+        `lhs`, to each kernel row as den * B^-1 a, and to the cost row as
+        den * c + sum_i a_i * y_i, where y_i is slack i's stored reduced
+        cost (minus den times its dual value).  Column i of den * B^-1 is
+        slack i's stored column if slack i is nonbasic, and den times the
+        unit vector of its row, a slack row, if it is basic, with reduced
+        cost 0.  A slack row derives its new entries from `lhs`."""
         new_vars = range(len(self.free) - self.width, lp.num_vars)
-        columns = [[s * row[j] for s, row in zip(self.sign, lp.lhs)] for j in new_vars]
+        for s, row, a in zip(self.sign, lp.lhs, self.lhs):
+            a += row[new_vars.start :] if s > 0 else [-v for v in row[new_vars.start :]]
+        columns = [[a[j] for a in self.lhs] for j in new_vars]
         slack_slots = [(k, i) for k, i in enumerate(self.nonbasic) if i < self.width]
         for row, bv in zip(self.rows, self.basis):
-            inverse = [(i, row[k]) for k, i in slack_slots if row[k]]
-            if bv < self.width:
-                inverse.append((bv, self.den))
-            row[-1:-1] = [sum(b * a[i] for i, b in inverse if a[i]) for a in columns]
+            if bv >= self.width:
+                inverse = [(i, row[k]) for k, i in slack_slots if row[k]]
+                row[-1:-1] = [sum(b * a[i] for i, b in inverse if a[i]) for a in columns]
         costrow = self.costrow
         duals = [(i, costrow[k]) for k, i in slack_slots if costrow[k]]
         costrow[-1:-1] = [
@@ -222,6 +251,35 @@ class Simplex:
         ]
         self.nonbasic += range(len(self.free), len(self.free) + len(columns))
         self.free += lp.free[new_vars.start :]
+
+    def _column(self, s: int) -> list[int]:
+        """Every row's entry in slot s: stored in a kernel row, derived in
+        a slack row t as den * a_tj - sum_b a_tb * R_b[s] (a_tj = 0 if the
+        slot holds a slack), one kernel row b at a time over all slack
+        rows."""
+        rows, basis, width = self.rows, self.basis, self.width
+        j = self.nonbasic[s] - width
+        lhs = [self.lhs[bv] for bv in basis if bv < width]
+        derived = [self.den * a[j] for a in lhs] if j >= 0 else [0] * len(lhs)
+        for row, bv in zip(rows, basis):
+            if bv >= width and row[s]:
+                b, v = bv - width, row[s]
+                derived = [e - a[b] * v for e, a in zip(derived, lhs)]
+        slack = iter(derived)
+        return [row[s] if bv >= width else next(slack) for row, bv in zip(rows, basis)]
+
+    def _derived_row(self, i: int) -> list[int]:
+        """Slack row i in full: each slot's entry derived as in `_column`,
+        then its stored right-hand side."""
+        width = self.width
+        a = self.lhs[self.basis[i]]
+        row = [self.den * a[j - width] if j >= width else 0 for j in self.nonbasic]
+        for kernel_row, bv in zip(self.rows, self.basis):
+            if bv >= width and a[bv - width]:
+                c = a[bv - width]
+                # zip stops before the kernel row's right-hand side
+                row = [v - c * w for v, w in zip(row, kernel_row)]
+        return row + self.rows[i]
 
     def _run(self) -> bool:
         """Pivot to an optimum (True), or stop on an unbounded ray (False)."""
@@ -241,13 +299,15 @@ class Simplex:
                 # Bland: the smallest eligible column
                 entering = min(eligible, key=nonbasic.__getitem__)
             increasing = costrow[entering] < 0
+            column = self._column(entering)
             # the smallest ratio rhs / a leaves, ties to the smallest basic
             # column; every entry sits over den, which cancels
             leaving = None
-            for r, row in enumerate(rows):
-                a = row[entering] if increasing else -row[entering]
+            for r, a in enumerate(column):
+                if not increasing:
+                    a = -a
                 if a > 0 and not free[basis[r]]:
-                    b = row[-1]
+                    b = rows[r][-1]
                     if leaving is None or b * best_a < best_b * a or (
                         b * best_a == best_b * a and basis[r] < basis[leaving]
                     ):
@@ -255,26 +315,36 @@ class Simplex:
             if leaving is None:
                 return False
             degenerate = degenerate + 1 if best_b == 0 else 0
-            self._pivot(leaving, nonbasic[entering])
+            self._pivot(leaving, nonbasic[entering], column)
 
-    def _pivot(self, r: int, col: int) -> None:
-        """Pivot column col into the basis in row r; the leaving column
-        takes col's slot."""
+    def _pivot(self, r: int, col: int, column: list[int]) -> None:
+        """Pivot column col into the basis in row r, given every row's
+        entry in col's slot (`_column`); the leaving column takes col's
+        slot.  The kernel rows and the cost row are updated in full, a
+        slack row's right-hand side alone, and row r is stored in full if
+        col is a program column, else as its right-hand side."""
         s = self.nonbasic.index(col)
-        rows, den = self.rows, self.den
-        p = rows[r][s]
+        rows, basis, den, width = self.rows, self.basis, self.den, self.width
+        p = column[r]
         q = abs(p)
         # row r over the new den = |p| is sign(p) times itself, and the
         # leaving column's entry in it is sign(p) * den
-        pivot_row = rows[r] if p > 0 else [-v for v in rows[r]]
+        pivot_row = rows[r] if basis[r] >= width else self._derived_row(r)
+        if p < 0:
+            pivot_row = [-v for v in pivot_row]
         pivot_row[s] = den if p > 0 else -den
-        rows[r] = pivot_row
-        for i, row in enumerate(rows):
-            if i != r:
+        w = pivot_row[-1]
+        for i, (row, bv) in enumerate(zip(rows, basis)):
+            if i == r:
+                continue
+            if bv >= width:
                 rows[i] = _eliminate(row, pivot_row, s, q, den)
+            else:
+                row[-1] = (row[-1] * q - column[i] * w) // den
         self.costrow = _eliminate(self.costrow, pivot_row, s, q, den)
         self.den = q
-        self.nonbasic[s], self.basis[r] = self.basis[r], col
+        rows[r] = pivot_row if col >= width else [w]
+        self.nonbasic[s], basis[r] = basis[r], col
         self.pivots += 1
 
 

@@ -193,7 +193,7 @@ GOLDEN_EPS_MIN = {
     (COLLISION, 4): "1/2,1/2,2/5,0",
     (COLLISION, 6): "1/2,1/2,4/9,5/21",
     (COLLISION, 8): "1/2,1/2,6/13,7/22",
-    # the frontier; ED n = 14..20 is in ed_frontier.json, and CI checks n = 14..18
+    # the frontier; ED n = 14..22 is in ed_frontier.json, and CI checks n = 14..20
     (ELEMENT_DISTINCTNESS, 9): "1/2,1/2,35/71,55/116,169/394,693/1901,15041/55280",
     (ELEMENT_DISTINCTNESS, 10): "1/2,1/2,44/89,35/73,1310/2951,110902/283957,27134878/86902331",
     (ELEMENT_DISTINCTNESS, 11): (
@@ -225,8 +225,11 @@ def test_golden_eps_min_tables(prop, n):
     assert ",".join(str(step.eps_min) for step in cert.steps) == GOLDEN_EPS_MIN[prop, n]
 
 
-# eps_min at d* for ED n = 19 and 20, as recorded when the search first
-# reached them (ROADMAP item 1); their full tables are checked outside CI
+# eps_min at d* for ED n = 19..22, as recorded when the search first
+# reached them (ROADMAP item 1): n = 21 by the solver that stored every
+# row of the dictionary, so its table in ed_frontier.json, found by the
+# kernel dictionary, is checked by a second path.  The CI frontier step
+# checks the full tables of n = 14..20.
 ED_FRONTIER_LAST = {
     "19": (
         "1253975992086186528564656561670494633053795635794155896945/"
@@ -236,13 +239,21 @@ ED_FRONTIER_LAST = {
         "2771136059191519102639973504837103323728726172786122982891750693512099800/"
         "9514706741639733242923974083797957986054474669360796413892886582342491891"
     ),
+    "21": (
+        "4978690442324389733689782586471857339558810308949076594145043599511649580/"
+        "16251796835510321038261948832485141021559863951252843645301934308888145369"
+    ),
+    "22": (
+        "4614572510101166587467085897513422965298619740722589952811607457659051712636109254210/"
+        "14291727068681353960303691023195915017917786721109194657119438530623831059646856358251"
+    ),
 }
 
 
 def test_ed_frontier_tables_are_well_formed():
     with open(pathlib.Path(__file__).with_name("ed_frontier.json"), encoding="utf-8") as f:
         tables = json.load(f)
-    assert list(tables) == [str(n) for n in range(14, 21)]
+    assert list(tables) == [str(n) for n in range(14, 23)]
     for table in tables.values():
         values = [Fraction(v) for v in table]
         assert values[:2] == [Fraction(1, 2)] * 2
@@ -418,6 +429,24 @@ def test_warm_search_pivot_count():
     for d in range(7):
         solve_lp(build_lp(ELEMENT_DISTINCTNESS, 9, 9, d), simplex)
     assert simplex.pivots == 64
+
+
+def test_search_stores_full_rows_only_for_basic_program_columns(monkeypatch):
+    # the ED n = 12 search (d* = 7) ends on a 155-row tableau, of which
+    # only the rows of its 16 basic program columns are stored in full
+    made = []
+
+    def recorded():
+        made.append(Simplex())
+        return made[-1]
+
+    monkeypatch.setattr(degreelp, "Simplex", recorded)
+    assert approx_degree(ELEMENT_DISTINCTNESS, 12, 12, THIRD).degree == 7
+    (simplex,) = made
+    slots = len(simplex.nonbasic)
+    stored = [bv >= simplex.width for bv in simplex.basis]
+    assert [len(row) for row in simplex.rows] == [slots + 1 if full else 1 for full in stored]
+    assert (len(stored), sum(stored)) == (155, 16)
 
 
 def posed_by_rule(program):

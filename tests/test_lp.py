@@ -137,6 +137,40 @@ def test_dantzig_ties_go_to_the_smallest_column():
     assert reference_solve(lp) == ("unbounded", None)
 
 
+def test_kernel_shrinks_and_slacks_trade_places():
+    """Pivots that change which rows are stored in full, each checked
+    against the recomputed tableau: slack 1 leaves for x2 and slack 2 for
+    x0 (two kernel rows stored), slack 1 enters in place of slack 0 (the
+    pivot row is derived in full, and row 0 stays a slack row), and slack
+    2 enters in place of the sign-constrained x2, whose row turns into a
+    slack row.  Columns 0..2 are the slacks, 3..5 are x0..x2."""
+    lp = make_lp(3, [-1, 3, -2])
+    lp.add_row([1, -3, 3], "<=", 4)
+    lp.add_row([-1, 2, 3], "<=", 1)
+    lp.add_row([0, -1, -2], ">=", -1)
+    pivots = []
+    pivot = Simplex._pivot
+
+    def checked(self, r, col, column):
+        pivots.append((self.basis[r], col))
+        pivot(self, r, col, column)
+        check_integer_tableau(self)
+
+    with patch.object(Simplex, "_pivot", checked):
+        simplex = Simplex()
+        sol = solve(lp, simplex)
+    assert pivots == [(1, 5), (2, 3), (0, 1), (5, 2)]
+    assert [len(row) > 1 for row in simplex.rows] == [False, False, True]
+    assert sol.x == [Fraction(4), Fraction(0), Fraction(0)]
+    assert reference_solve(lp) == ("optimal", sol.value) == ("optimal", -4)
+    # the same program with a row the origin violates is refused unpivoted
+    lp.rhs[2] = 1
+    simplex = Simplex()
+    with pytest.raises(ValueError, match="origin"):
+        solve(lp, simplex)
+    assert simplex.pivots == 0 and simplex.rows == []
+
+
 def test_solver_is_deterministic():
     lp = make_lp(3, [-1, -1, -1])
     lp.add_row([1, 2, 3], "<=", 6)
@@ -271,15 +305,27 @@ def recomputed_tableau(simplex):
 
 def check_integer_tableau(simplex):
     # ints over one positive denominator, basis and nonbasic columns a
-    # partition of every column, and each entry, the reduced costs included,
-    # equal to den times the one recomputed from the program: den = |det B|
-    # makes every one an integer
+    # partition of every column, a full row stored exactly for the rows of
+    # basic program columns, and each entry of every row, the reduced costs
+    # included, equal to den times the one recomputed from the program:
+    # den = |det B| makes every one an integer.  A slack row's entries are
+    # derived from the kernel rows, as the pivot derives them, both a row
+    # at a time and a slot at a time.
     assert all(type(v) is int for row in [*simplex.rows, simplex.costrow] for v in row)
     assert type(simplex.den) is int and simplex.den > 0
     assert sorted(simplex.basis + simplex.nonbasic) == list(range(len(simplex.free)))
+    slots = len(simplex.nonbasic)
+    assert [len(row) for row in simplex.rows] == [
+        slots + 1 if bv >= simplex.width else 1 for bv in simplex.basis
+    ]
     det, entries, reduced = recomputed_tableau(simplex)
     assert simplex.den == det
-    assert simplex.rows == [[simplex.den * v for v in row] for row in entries]
+    full = [
+        row if bv >= simplex.width else simplex._derived_row(i)
+        for i, (row, bv) in enumerate(zip(simplex.rows, simplex.basis))
+    ]
+    assert full == [[simplex.den * v for v in row] for row in entries]
+    assert [simplex._column(k) for k in range(slots)] == [[row[k] for row in full] for k in range(slots)]
     assert simplex.costrow == [simplex.den * v for v in reduced]
 
 
@@ -297,11 +343,11 @@ def check_prefixes(lp, widths):
     pivots = 0
     pivot = Simplex._pivot
 
-    def capped(self, r, col):
+    def capped(self, *args):
         nonlocal pivots
         pivots += 1
         assert pivots <= PIVOT_CAP, f"more than {PIVOT_CAP} pivots: the solver cycles"
-        pivot(self, r, col)
+        pivot(self, *args)
 
     with patch.object(Simplex, "_pivot", capped):
         simplex = Simplex()
