@@ -241,15 +241,18 @@ def approx_degree(
     d with the columns of the new partitions appended (its rows are the
     same, and `coefficient_basis(d)` is a prefix of
     `coefficient_basis(d + 1)`), so each later degree appends only those
-    columns, read off `msym_rows` over the classes and posed by
-    `_add_posed_column`, and one `Simplex` re-optimizes from the previous
-    optimal basis: d = 0 starts from the slack basis at eps = 1/2.
+    columns, posed by `_add_posed_column`, and one `Simplex` re-optimizes
+    from the previous optimal basis: d = 0 starts from the slack basis at
+    eps = 1/2.  The classes' rows are kept across the search too: each
+    `msym_rows` call extends them in place by the new partitions' entries
+    alone, so every entry is computed once.
     """
     eps = check_instance(prop, n, m, eps)
     base = build_lp(prop, n, m, 0)
     cap = max(n, len(base.classes))
     points = [lam for lam, _ in base.classes]
     lambdas = base.lambdas
+    rows = [[1] for _ in points]  # the entries of m_() in `base`
     posed = _pose(base.program)
     steps: list[DegreeStep] = []
     previous: Optional[Fraction] = None
@@ -257,7 +260,7 @@ def approx_degree(
     for d in range(cap + 1):
         if d:
             basis = coefficient_basis(n, m, d)
-            rows = msym_rows(points, basis)
+            msym_rows(points, basis, rows)
             for j in range(len(lambdas), len(basis)):
                 # a class's two bound rows share its m_lambda entry
                 _add_posed_column(posed, 0, True, (v for row in rows for v in (row[j], row[j])))

@@ -9,25 +9,36 @@ over distinct variable indices, each distinct monomial counted once.
 A partition longer than the variable count denotes the zero basis element
 and is never stored.
 
-Every m_lambda at a point z comes out of one generating function,
+Every m_lambda at a point z comes out of the power sums P_r(z) = sum_i
+z_i^r by the product rule for m_mu * p_r (Macdonald, Symmetric Functions
+and Hall Polynomials, 1995, ch. I sections 2 and 6).  Take lambda != ()
+with smallest part p, and let mu be lambda with one p removed.  Times
+z_i^p, a monomial of m_mu either gives the exponent p to a variable
+outside its support, which makes a monomial of m_lambda, or raises one of
+its exponents a to a + p, which makes a monomial of m_{nu_a}: nu_a is mu
+with one a raised to a + p, or lambda with one a and one p merged.  Each
+monomial of m_lambda arises mult_p(lambda) times (once per variable of
+exponent p), and each monomial of m_{nu_a} c_a times, c_a being the
+number of parts equal to a + p in nu_a, so
 
-    prod_i (1 + sum_{p >= 1} z_i^p x_p) = sum_lambda m_lambda(z) prod_{p in lambda} x_p,
+    m_mu * P_p = mult_p(lambda) * m_lambda + sum_a c_a * m_{nu_a}
 
-because each factor picks at most one exponent for its coordinate, so a
-product term is one distinct monomial.  `msym_rows` expands it over the
-coordinates of many points at once, truncated to a basis of partitions
-that is closed under removing a part (the LP's columns, or all partitions
-of weight <= d).  It builds one insertion table per call: for each basis
-partition and each part p, the index of the partition with p inserted.
-Each coordinate v of a point then adds c * v^p from every entry c of the
-point's row into the entry the table names, so with k coordinates and
-P(d) basis partitions a point costs O(k * P(d) * d) exact integer
-multiply-adds, with no tuple built and no partition rescanned.
-`partition_basis` is the one spelling of "all partitions of weight <= d
-with at most k parts", and `SymPolynomial.numerators` is the one rule
-that evaluates a symmetric polynomial: one `msym_rows` call over that
-basis for all its points, in integers over the common denominator of
-its coefficients.  `SymPolynomial.evaluate` and `eval_msym` are its
+over the distinct parts a of mu.  This is an identity of polynomials in
+any number of variables, so at any integer point, whatever its number of
+nonzero coordinates, m_lambda(z) is the exact quotient
+
+    (m_mu(z) * P_p(z) - sum_a c_a * m_{nu_a}(z)) // mult_p(lambda).
+
+mu weighs less than lambda, and each nu_a weighs the same with one part
+fewer and comes earlier in reverse-lexicographic order, so `msym_rows`
+fills a point's row in basis order from the row itself: O(distinct
+parts) integer operations per entry, and no state but the row, which can
+later be extended in place to a larger basis.  `partition_basis` is the
+one spelling of "all partitions of weight <= d with at most k parts", in
+an order the recurrence follows, and `SymPolynomial.numerators` is the
+one rule that evaluates a symmetric polynomial: one `msym_rows` call over
+that basis for all its points, in integers over the common denominator
+of its coefficients.  `SymPolynomial.evaluate` and `eval_msym` are its
 one-point `Fraction` views.
 
 `ZPolynomial` is the non-symmetric companion: a polynomial in the named
@@ -49,7 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
-from operator import mul
+from operator import ge, mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .sparse import CoeffLike, SparsePolynomial, concat_product
@@ -61,11 +72,10 @@ Partition = tuple[int, ...]
 def check_partition(parts: Iterable[int]) -> Partition:
     """Validate and return a partition: positive parts, non-increasing."""
     parts = tuple(parts)
-    if not all(type(p) is int for p in parts):
+    if not {*map(type, parts)} <= {int}:
         raise ValueError(f"partition parts must be integers, got {parts}")
-    for a, b in zip(parts, parts[1:]):
-        if a < b:
-            raise ValueError(f"partition parts must be non-increasing, got {parts}")
+    if not all(map(ge, parts, parts[1:])):
+        raise ValueError(f"partition parts must be non-increasing, got {parts}")
     if parts and parts[-1] <= 0:
         raise ValueError(f"partition parts must be positive, got {parts}")
     return parts
@@ -84,38 +94,44 @@ def partitions(total: int, max_parts: int | None = None) -> Iterator[Partition]:
     """Partitions of `total` in reverse-lexicographic order: (n), ..., (1,..,1).
 
     `max_parts` bounds the number of parts.  total = 0 yields exactly the
-    empty partition.
+    empty partition.  Each step lowers the rightmost part that can drop by
+    one while the parts from it on still fit in the slots left, each at
+    most its new value, and refills those slots greedily from the left:
+    the largest partition below the current one.
     """
     if total < 0:
         raise ValueError("cannot partition a negative total")
     slots = total if max_parts is None else min(max_parts, total)
-    yield from _partitions(total, total, slots)
+    if total and slots <= 0:
+        return
+    parts = [total] if total else []
+    while True:
+        yield tuple(parts)
+        rest = 0
+        for i in reversed(range(len(parts))):
+            rest += parts[i]  # sum(parts[i:])
+            lowered = parts[i] - 1
+            if lowered and rest <= (slots - i) * lowered:
+                break
+        else:
+            return
+        full, left = divmod(rest, lowered)
+        parts[i:] = [lowered] * full
+        if left:
+            parts.append(left)
 
 
 def partition_basis(degree: int, max_parts: int) -> tuple[Partition, ...]:
     """Every partition of weight <= degree with at most `max_parts` parts,
     by weight, then in the reverse-lexicographic order of `partitions`.
-    It starts with () and is closed under removing a part, as `msym_rows`
-    needs, and it holds every partition of weight <= degree whose m_lambda
-    can be nonzero at a point with at most `max_parts` nonzero counts."""
+    It starts with (), is closed under removing a part and under merging
+    two parts, and lists each partition after the ones its `msym_rows`
+    entry uses, as `msym_rows` needs.  It holds every partition of weight
+    <= degree whose m_lambda can be nonzero at a point with at most
+    `max_parts` nonzero counts."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
     return tuple(lam for w in range(degree + 1) for lam in partitions(w, max_parts=max_parts))
-
-
-def _partitions(remaining: int, largest: int, room: int) -> Iterator[Partition]:
-    """Partitions of `remaining` into at most `room` parts, each at most
-    `largest`, in reverse-lexicographic order.  A module function, not a
-    closure: a recursive closure refers to itself, and each call would
-    leave a reference cycle for the cyclic collector."""
-    if remaining == 0:
-        yield ()
-        return
-    if room == 0:
-        return
-    for head in range(min(largest, remaining), 0, -1):
-        for tail in _partitions(remaining - head, head, room - 1):
-            yield (head,) + tail
 
 
 def distinct_permutations(items: Iterable[int]) -> Iterator[tuple[int, ...]]:
@@ -189,54 +205,87 @@ class FrequencyVector:
         return self.parts + (0,) * (self.m - len(self.parts))
 
 
-def msym_rows(points: Iterable[Sequence[int]], basis: Sequence[Partition]) -> list[list[int]]:
-    """For each point (a sequence of counts; zeros change nothing), the
-    list [m_lambda(point) for lambda in basis], from the truncated expansion
-    of prod_i (1 + sum_p z_i^p x_p) (see the module docstring).
-
-    The basis must start with () and be closed under removing a part: the
-    coefficient of a partition then grows only from coefficients of its
-    parents, all in the basis, so truncating the expansion to the basis is
-    exact.  The insertion table is built once per call: for each basis
-    index i, the pairs (p, j) with basis[j] = basis[i] with p inserted; an
-    index with no child in the basis is left out.  p is stored with j
-    because a child outside the basis is skipped, so the powers of a
-    coordinate cannot be taken in sequence.
-    """
+def _recurrence(basis: Sequence[Partition]) -> list[tuple]:
+    """For each basis partition lambda after (), in order, the step
+    (mu, p, mult_p(lambda), ((c_a, nu_a), ...)) by which
+    `msym_rows` computes its entry, with mu and each nu_a as basis
+    indices.  Refuses a basis that breaks the contract of `msym_rows`."""
     index = {lam: j for j, lam in enumerate(basis)}
     if not basis or basis[0] != () or len(index) != len(basis):
         raise ValueError("the basis must start with () and hold each partition once")
-    top = max(map(sum, basis))
-    table: list[tuple[int, list[tuple[int, int]]]] = []  # only indices with children
-    parents = [0] * len(basis)
-    for i, lam in enumerate(basis):
-        children = []
-        for p in range(1, top - sum(lam) + 1):
-            k = 0
-            while k < len(lam) and lam[k] >= p:
-                k += 1
-            j = index.get(lam[:k] + (p,) + lam[k:])
-            if j is not None:
-                children.append((p, j))
-                parents[j] += 1
-        if children:
-            table.append((i, children))
-    # a partition with k distinct parts has k parents, one per removed part
-    if any(count != len(set(lam)) for count, lam in zip(parents, basis)):
-        raise ValueError("the basis must be closed under removing a part")
-    rows = []
-    for point in points:
-        row = [1] + [0] * (len(basis) - 1)
-        for v in point:
-            powers = [v**p for p in range(top + 1)]
-            grown = row[:]
-            for i, children in table:
-                c = row[i]
-                if c:
-                    for p, j in children:
-                        grown[j] += c * powers[p]
-            row = grown
-        rows.append(row)
+    steps = []
+    for j, lam in enumerate(basis[1:], 1):
+        check_partition(lam)
+        p = lam[-1]
+        used = []
+        # each distinct part a, removed, then merged with each distinct
+        # part b <= a of what is left: every removal and merge, each once
+        a_seen = 0
+        for i, a in enumerate(lam):
+            if a == a_seen:
+                continue
+            a_seen = a
+            rest = lam[:i] + lam[i + 1 :]
+            if rest not in index:
+                raise ValueError("the basis must be closed under removing a part")
+            b_seen = 0
+            for k in range(i, len(rest)):
+                b = rest[k]
+                if b == b_seen:
+                    continue
+                b_seen = b
+                nu = index.get(tuple(sorted(rest[:k] + rest[k + 1 :] + (a + b,), reverse=True)))
+                if nu is None:
+                    raise ValueError("the basis must be closed under merging two parts")
+                if b == p:
+                    used.append((1 + lam.count(a + p), nu))
+        mu = index[lam[:-1]]
+        if mu >= j or any(nu >= j for _, nu in used):
+            raise ValueError("the basis must list each partition after the entries it uses")
+        steps.append((mu, p, lam.count(p), tuple(used)))
+    return steps
+
+
+def msym_rows(
+    points: Iterable[Sequence[int]],
+    basis: Sequence[Partition],
+    rows: Optional[list[list[int]]] = None,
+) -> list[list[int]]:
+    """For each point (a sequence of counts; zeros change nothing), the
+    list [m_lambda(point) for lambda in basis], by the power-sum
+    recurrence of the module docstring, in exact integers.
+
+    The basis must start with (), hold each partition once, be closed
+    under removing a part and under merging two parts, and list each
+    partition after the mu and nu_a its entry uses; the order of
+    `partition_basis` does, since mu weighs less and nu_a weighs the same
+    and comes first in reverse-lexicographic order.  Any other basis is
+    refused with a ValueError.
+
+    Without `rows`, every row is computed from its first entry.  `rows`,
+    if given, holds one row per point, each holding the entries of a
+    prefix of the basis (the rows of a shorter basis that this one
+    extends); each row is extended in place by the entries it lacks, and
+    no entry it holds is computed again.  The rows are returned either
+    way.
+    """
+    steps = _recurrence(basis)
+    top = max((p for _, p, _, _ in steps), default=0)
+    if rows is None:
+        points = list(points)
+        rows = [[] for _ in points]
+    for point, row in zip(points, rows, strict=True):
+        sums, power = [0], point  # sums[p] = P_p(point) for p >= 1
+        for _ in range(top):
+            sums.append(sum(power))
+            power = list(map(mul, power, point))
+        if not row:
+            row.append(1)
+        for mu, p, mult, used in steps[len(row) - 1 :]:
+            value = row[mu] * sums[p]
+            for c, nu in used:
+                value -= c * row[nu]
+            row.append(value // mult)
     return rows
 
 

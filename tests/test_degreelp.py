@@ -38,7 +38,7 @@ from symdeg.properties import (
     enumerate_classes,
     property_from_classes,
 )
-from symdeg.sympoly import FrequencyVector, SymPolynomial, partitions
+from symdeg.sympoly import FrequencyVector, SymPolynomial, msym_rows, partitions
 
 from test_sympoly import direct_msym_value
 
@@ -429,6 +429,29 @@ def test_warm_search_pivot_count():
     for d in range(7):
         solve_lp(build_lp(ELEMENT_DISTINCTNESS, 9, 9, d), simplex)
     assert simplex.pivots == 64
+
+
+def test_search_extends_the_class_rows_in_place(monkeypatch):
+    # the ED n = 9 search (d* = 6): build_lp computes the degree-0 rows,
+    # and each later degree's call extends the rows of the one before, so
+    # every entry of the final rows is computed exactly once
+    calls = []
+
+    def spy(points, basis, rows=None):
+        before = None if rows is None else [len(row) for row in rows]
+        result = msym_rows(points, basis, rows)
+        calls.append((before, len(basis), [len(row) for row in result]))
+        return result
+
+    monkeypatch.setattr(degreelp, "msym_rows", spy)
+    cert = approx_degree(ELEMENT_DISTINCTNESS, 9, 9, THIRD)
+    assert cert.degree == 6
+    classes = len(list(partitions(9)))
+    assert len(calls) == 7
+    for (_, width, _), (before, _, _) in zip(calls, calls[1:]):
+        assert before == [width] * classes
+    computed = sum(sum(after) - sum(before or [0]) for before, _, after in calls)
+    assert computed == classes * len(coefficient_basis(9, 9, 6))
 
 
 def test_search_stores_full_rows_only_for_basic_program_columns(monkeypatch):

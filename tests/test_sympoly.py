@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import comb, factorial, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symdeg.degreelp import coefficient_basis
@@ -57,11 +57,39 @@ def test_partitions_reverse_lex_order():
         assert all(sum(lam) == total for lam in seq)
 
 
+def test_partitions_match_brute_force_order():
+    # every composition of the total (one per set of cut points) that is
+    # non-increasing, sorted descending, for every bound on the number of
+    # parts
+    for total in range(15):
+        every = [()] if total == 0 else []
+        for k in range(total):
+            for cuts in itertools.combinations(range(1, total), k):
+                ends = (0, *cuts, total)
+                parts = tuple(b - a for a, b in zip(ends, ends[1:]))
+                if list(parts) == sorted(parts, reverse=True):
+                    every.append(parts)
+        for max_parts in [None, *range(total + 2)]:
+            expected = sorted(
+                (parts for parts in every if max_parts is None or len(parts) <= max_parts),
+                reverse=True,
+            )
+            assert list(partitions(total, max_parts)) == expected, (total, max_parts)
+
+
 def test_check_partition_rejects_bad_input():
-    with pytest.raises(ValueError):
-        check_partition((1, 2))
-    with pytest.raises(ValueError):
-        check_partition((2, 0))
+    cases = [
+        ((2, 1.0), "integers"),
+        ((True,), "integers"),
+        (("a", 1), "integers"),
+        ((1, 2), "non-increasing"),
+        ((3, 3, 4), "non-increasing"),
+        ((2, 0), "positive"),
+        ((-1,), "positive"),
+    ]
+    for parts, fault in cases:
+        with pytest.raises(ValueError, match=f"partition parts must be {fault}"):
+            check_partition(parts)
 
 
 def test_distinct_permutations_match_set_of_permutations():
@@ -233,6 +261,98 @@ def test_msym_rows_matches_direct_expansion():
                 assert msym_rows(points, basis) == expected
 
 
+@settings(max_examples=200, deadline=None)
+@example(counts=[1, 1, 1], degree=2, cap=1)  # m_(1) = m_(2) = 3, past a cap of 1
+@given(
+    st.lists(st.integers(0, 4) | st.integers(0, 10**6), max_size=6),
+    st.integers(0, 5),
+    st.integers(0, 4),
+)
+def test_msym_rows_match_direct_expansion_on_arbitrary_counts(counts, degree, cap):
+    # zeros anywhere, and more nonzero counts than the basis's part cap:
+    # an entry is m_lambda at the whole point, whatever the cap
+    basis = partition_basis(degree, cap)
+    expected = [direct_msym_value(lam, counts) for lam in basis]
+    assert msym_rows([counts], basis) == [expected]
+
+
+def test_msym_rows_extend_rows_in_place():
+    # the rows of coefficient_basis(n, m, d - 1), extended to d, equal a
+    # fresh call at d; the list and each row are the ones passed in
+    for n in range(1, 8):
+        for m in range(1, n + 2):
+            points = list(partitions(n, max_parts=m))
+            for d in range(1, n + 1):
+                shorter = coefficient_basis(n, m, d - 1)
+                rows = msym_rows(points, shorter)
+                kept = [row[:] for row in rows]
+                ids = [id(row) for row in rows]
+                assert msym_rows(points, coefficient_basis(n, m, d), rows) is rows
+                assert [id(row) for row in rows] == ids
+                assert rows == msym_rows(points, coefficient_basis(n, m, d))
+                assert [row[: len(shorter)] for row in rows] == kept
+
+
+def insertion_table_rows(points, basis):
+    """A second exact route to the rows of `msym_rows`, independent of the
+    power-sum recurrence: the truncated expansion of
+    prod_i (1 + sum_p z_i^p x_p) over an insertion table.  For each
+    basis index i, the table holds the pairs (p, j) with basis[j] =
+    basis[i] with p inserted; each coordinate v of a point adds c * v^p
+    from every entry c of the point's row into the entry the table names."""
+    index = {lam: j for j, lam in enumerate(basis)}
+    if not basis or basis[0] != () or len(index) != len(basis):
+        raise ValueError("the basis must start with () and hold each partition once")
+    top = max(map(sum, basis))
+    table: list[tuple[int, list[tuple[int, int]]]] = []  # only indices with children
+    parents = [0] * len(basis)
+    for i, lam in enumerate(basis):
+        children = []
+        for p in range(1, top - sum(lam) + 1):
+            k = 0
+            while k < len(lam) and lam[k] >= p:
+                k += 1
+            j = index.get(lam[:k] + (p,) + lam[k:])
+            if j is not None:
+                children.append((p, j))
+                parents[j] += 1
+        if children:
+            table.append((i, children))
+    # a partition with k distinct parts has k parents, one per removed part
+    if any(count != len(set(lam)) for count, lam in zip(parents, basis)):
+        raise ValueError("the basis must be closed under removing a part")
+    rows = []
+    for point in points:
+        row = [1] + [0] * (len(basis) - 1)
+        for v in point:
+            powers = [v**p for p in range(top + 1)]
+            grown = row[:]
+            for i, children in table:
+                c = row[i]
+                if c:
+                    for p, j in children:
+                        grown[j] += c * powers[p]
+            row = grown
+        rows.append(row)
+    return rows
+
+
+def assert_rows_match_insertion_table(ns, degrees):
+    """At every class of each weight n in `ns`, `msym_rows` over
+    coefficient_basis(n, n, d) equals `insertion_table_rows` for every d
+    in `degrees`."""
+    for n in ns:
+        points = list(partitions(n))
+        for d in degrees:
+            basis = coefficient_basis(n, n, d)
+            assert msym_rows(points, basis) == insertion_table_rows(points, basis), (n, d)
+
+
+def test_msym_rows_match_the_insertion_table():
+    # n = 13..18 at d <= 10 runs as a CI step of its own
+    assert_rows_match_insertion_table(range(1, 13), range(9))
+
+
 def test_msym_rows_takes_counts_with_zeros():
     basis = coefficient_basis(4, 4, 3)
     assert msym_rows([(0, 2, 0, 1, 1)], basis) == msym_rows([(2, 1, 1)], basis)
@@ -250,6 +370,11 @@ def test_msym_rows_takes_counts_with_zeros():
         [(), (1,), (2, 1)],
         [(), (2,), (2, 1)],
         [(), (1,), (1, 1, 1)],
+        [(), (1,), (1, 1)],  # closed under removal, but (2,) is missing
+        [(), (1,), (1, 1), (2,)],  # (1, 1) comes before (2,), which it uses
+        # every mu and nu_a the recurrence uses is here, but merging the
+        # parts 3 and 2 of (3, 2, 1) gives (5, 1), which is not
+        [lam for lam in partition_basis(6, 3) if lam not in {(5, 1), (4, 1, 1)}],
     ],
 )
 def test_msym_rows_rejects_a_basis_not_closed_under_removal(basis):
