@@ -35,8 +35,8 @@ class BoolAssignment:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bits", tuple(self.bits))
-        if self.n < 1:
-            raise ValueError("the tree needs n >= 1")
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError(f"the tree needs an int n >= 1, got {self.n!r}")
         if len(self.bits) != self.n * self.n:
             raise ValueError(f"expected {self.n * self.n} bits, got {len(self.bits)}")
         if any(b not in (0, 1) for b in self.bits):

@@ -53,11 +53,16 @@ class LPInstance:
     program: LinearProgram
 
 
+def part_cap(n: int, m: int) -> int:
+    """The LP's part cap min(n, m): a longer partition evaluates to zero
+    on every weight-n frequency vector over m outputs, so it would be a
+    useless LP column."""
+    return min(n, m)
+
+
 def coefficient_basis(n: int, m: int, degree: int) -> tuple[Partition, ...]:
-    """The LP's columns: `partition_basis` with at most min(n, m) parts.
-    Longer partitions evaluate to zero on every weight-n frequency vector,
-    so they would be useless LP columns."""
-    return partition_basis(degree, min(n, m))
+    """The LP's columns: `partition_basis` under the part cap."""
+    return partition_basis(degree, part_cap(n, m))
 
 
 def _bound_rows(label: Label) -> tuple[tuple[int, Relation, int], ...]:
@@ -97,7 +102,7 @@ def build_lp(prop: PropertySpec, n: int, m: int, degree: int) -> LPInstance:
         raise ValueError("degree must be >= 0")
     lambdas = coefficient_basis(n, m, degree)
     classes = tuple(enumerate_classes(prop, n, m))
-    rows = msym_rows((lam for lam, _ in classes), lambdas)
+    rows = msym_rows((lam for lam, _ in classes), degree, part_cap(n, m))
     program = _min_error_program(len(lambdas), zip(rows, (label for _, label in classes)))
     return LPInstance(prop.name, n, m, degree, lambdas, classes, program)
 
@@ -243,24 +248,26 @@ def approx_degree(
     `coefficient_basis(d + 1)`), so each later degree appends only those
     columns, posed by `_add_posed_column`, and one `Simplex` re-optimizes
     from the previous optimal basis: d = 0 starts from the slack basis at
-    eps = 1/2.  The classes' rows are kept across the search too: each
-    `msym_rows` call extends them in place by the new partitions' entries
+    eps = 1/2.  The classes' rows are kept across the search too: they
+    start as `msym_rows` at degree 0 under the part cap, and each later
+    degree's call extends them in place by the new partitions' entries
     alone, so every entry is computed once.
     """
     eps = check_instance(prop, n, m, eps)
     base = build_lp(prop, n, m, 0)
     cap = max(n, len(base.classes))
+    max_parts = part_cap(n, m)
     points = [lam for lam, _ in base.classes]
     lambdas = base.lambdas
-    rows = [[1] for _ in points]  # the entries of m_() in `base`
+    rows = msym_rows(points, 0, max_parts)
     posed = _pose(base.program)
     steps: list[DegreeStep] = []
     previous: Optional[Fraction] = None
     simplex = Simplex()
     for d in range(cap + 1):
         if d:
-            basis = coefficient_basis(n, m, d)
-            msym_rows(points, basis, rows)
+            basis = partition_basis(d, max_parts)
+            msym_rows(points, d, max_parts, rows)
             for j in range(len(lambdas), len(basis)):
                 # a class's two bound rows share its m_lambda entry
                 _add_posed_column(posed, 0, True, (v for row in rows for v in (row[j], row[j])))
@@ -302,7 +309,7 @@ def sweep(
     solved: dict[tuple, DegreeCertificate] = {}
     certs = []
     for m in ms:
-        key = (tuple(enumerate_classes(prop, n, m)), min(n, m))
+        key = (tuple(enumerate_classes(prop, n, m)), part_cap(n, m))
         if key not in solved:
             solved[key] = approx_degree(prop, n, m, eps)
         certs.append(replace(solved[key], m=m))

@@ -29,17 +29,19 @@ nonzero coordinates, m_lambda(z) is the exact quotient
 
     (m_mu(z) * P_p(z) - sum_a c_a * m_{nu_a}(z)) // mult_p(lambda).
 
-mu weighs less than lambda, and each nu_a weighs the same with one part
-fewer and comes earlier in reverse-lexicographic order, so `msym_rows`
-fills a point's row in basis order from the row itself: O(distinct
-parts) integer operations per entry, and no state but the row, which can
-later be extended in place to a larger basis.  `partition_basis` is the
-one spelling of "all partitions of weight <= d with at most k parts", in
-an order the recurrence follows, and `SymPolynomial.numerators` is the
-one rule that evaluates a symmetric polynomial: one `msym_rows` call over
-that basis for all its points, in integers over the common denominator
-of its coefficients.  `SymPolynomial.evaluate` and `eval_msym` are its
-one-point `Fraction` views.
+`partition_basis(d, k)` is the one spelling of "all partitions of
+weight <= d with at most k parts", and `msym_rows(points, d, k)` builds
+that basis itself.  The basis holds the mu and every nu_a of each of its
+partitions, listed earlier: mu weighs less than lambda, and each nu_a
+weighs the same with one part fewer and comes first in
+reverse-lexicographic order.  So `msym_rows` fills a point's row in basis
+order from the row itself: O(distinct parts) integer operations per
+entry, and no state but the row, which can later be extended in place to
+a larger degree.  `SymPolynomial.numerators` is the one rule that
+evaluates a symmetric polynomial: one `msym_rows` call for all its
+points, in integers over the common denominator of its coefficients.
+`SymPolynomial.evaluate` and `eval_msym` are its one-point `Fraction`
+views.
 
 `ZPolynomial` is the non-symmetric companion: a polynomial in the named
 variables z_1..z_M with arbitrary integer exponents.  It appears as the
@@ -123,12 +125,11 @@ def partitions(total: int, max_parts: int | None = None) -> Iterator[Partition]:
 
 def partition_basis(degree: int, max_parts: int) -> tuple[Partition, ...]:
     """Every partition of weight <= degree with at most `max_parts` parts,
-    by weight, then in the reverse-lexicographic order of `partitions`.
-    It starts with (), is closed under removing a part and under merging
-    two parts, and lists each partition after the ones its `msym_rows`
-    entry uses, as `msym_rows` needs.  It holds every partition of weight
-    <= degree whose m_lambda can be nonzero at a point with at most
-    `max_parts` nonzero counts."""
+    by weight, then in the reverse-lexicographic order of `partitions`:
+    the basis of `msym_rows(points, degree, max_parts)`, in which each
+    partition comes after the ones its entry uses.  It holds every
+    partition of weight <= degree whose m_lambda can be nonzero at a
+    point with at most `max_parts` nonzero counts."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
     return tuple(lam for w in range(degree + 1) for lam in partitions(w, max_parts=max_parts))
@@ -206,77 +207,51 @@ class FrequencyVector:
 
 
 def _recurrence(basis: Sequence[Partition]) -> list[tuple]:
-    """For each basis partition lambda after (), in order, the step
-    (mu, p, mult_p(lambda), ((c_a, nu_a), ...)) by which
-    `msym_rows` computes its entry, with mu and each nu_a as basis
-    indices.  Refuses a basis that breaks the contract of `msym_rows`."""
+    """For each partition lambda after () of a `partition_basis` result,
+    in order, the step (mu, p, mult_p(lambda), ((c_a, nu_a), ...)) by
+    which `msym_rows` computes its entry, with mu and each nu_a as basis
+    indices: p is the last (smallest) part of lambda, mu is lambda
+    without it, nu_a is mu with one a raised to a + p and re-sorted, one
+    per distinct part a of mu, and c_a = 1 + lambda.count(a + p)."""
     index = {lam: j for j, lam in enumerate(basis)}
-    if not basis or basis[0] != () or len(index) != len(basis):
-        raise ValueError("the basis must start with () and hold each partition once")
     steps = []
-    for j, lam in enumerate(basis[1:], 1):
-        check_partition(lam)
-        p = lam[-1]
+    for lam in basis[1:]:
+        mu, p = lam[:-1], lam[-1]
         used = []
-        # each distinct part a, removed, then merged with each distinct
-        # part b <= a of what is left: every removal and merge, each once
-        a_seen = 0
-        for i, a in enumerate(lam):
-            if a == a_seen:
-                continue
-            a_seen = a
-            rest = lam[:i] + lam[i + 1 :]
-            if rest not in index:
-                raise ValueError("the basis must be closed under removing a part")
-            b_seen = 0
-            for k in range(i, len(rest)):
-                b = rest[k]
-                if b == b_seen:
-                    continue
-                b_seen = b
-                nu = index.get(tuple(sorted(rest[:k] + rest[k + 1 :] + (a + b,), reverse=True)))
-                if nu is None:
-                    raise ValueError("the basis must be closed under merging two parts")
-                if b == p:
-                    used.append((1 + lam.count(a + p), nu))
-        mu = index[lam[:-1]]
-        if mu >= j or any(nu >= j for _, nu in used):
-            raise ValueError("the basis must list each partition after the entries it uses")
-        steps.append((mu, p, lam.count(p), tuple(used)))
+        for i, a in enumerate(mu):
+            if i == 0 or a != mu[i - 1]:  # the first a of each distinct part
+                nu = sorted(mu[:i] + (a + p,) + mu[i + 1 :], reverse=True)
+                used.append((1 + lam.count(a + p), index[tuple(nu)]))
+        steps.append((index[mu], p, lam.count(p), tuple(used)))
     return steps
 
 
 def msym_rows(
     points: Iterable[Sequence[int]],
-    basis: Sequence[Partition],
+    degree: int,
+    max_parts: int,
     rows: Optional[list[list[int]]] = None,
 ) -> list[list[int]]:
     """For each point (a sequence of counts; zeros change nothing), the
-    list [m_lambda(point) for lambda in basis], by the power-sum
-    recurrence of the module docstring, in exact integers.
-
-    The basis must start with (), hold each partition once, be closed
-    under removing a part and under merging two parts, and list each
-    partition after the mu and nu_a its entry uses; the order of
-    `partition_basis` does, since mu weighs less and nu_a weighs the same
-    and comes first in reverse-lexicographic order.  Any other basis is
-    refused with a ValueError.
+    list [m_lambda(point) for lambda in partition_basis(degree,
+    max_parts)], by the power-sum recurrence of the module docstring, in
+    exact integers.  A point may have more nonzero counts than
+    `max_parts`: an entry is m_lambda at the whole point.
 
     Without `rows`, every row is computed from its first entry.  `rows`,
     if given, holds one row per point, each holding the entries of a
-    prefix of the basis (the rows of a shorter basis that this one
-    extends); each row is extended in place by the entries it lacks, and
-    no entry it holds is computed again.  The rows are returned either
-    way.
+    prefix of the basis (the rows of a smaller degree at the same
+    `max_parts`); each row is extended in place by the entries it lacks,
+    and no entry it holds is computed again.  The rows are returned
+    either way.
     """
-    steps = _recurrence(basis)
-    top = max((p for _, p, _, _ in steps), default=0)
+    steps = _recurrence(partition_basis(degree, max_parts))
     if rows is None:
         points = list(points)
         rows = [[] for _ in points]
     for point, row in zip(points, rows, strict=True):
         sums, power = [0], point  # sums[p] = P_p(point) for p >= 1
-        for _ in range(top):
+        for _ in range(degree):
             sums.append(sum(power))
             power = list(map(mul, power, point))
         if not row:
@@ -429,10 +404,11 @@ class SymPolynomial(SparsePolynomial):
             if z.m != self.m:
                 raise ValueError(f"point has {z.m} variables but polynomial has {self.m}")
         den = lcm(*(c.denominator for c in self.terms.values()))
-        basis = partition_basis(self.degree() or 0, max((len(z.parts) for z in points), default=0))
+        degree = self.degree() or 0
+        longest = max((len(z.parts) for z in points), default=0)
         coeffs = {lam: c.numerator * (den // c.denominator) for lam, c in self.terms.items()}
-        weights = [coeffs.get(lam, 0) for lam in basis]
-        rows = msym_rows((z.parts for z in points), basis)
+        weights = [coeffs.get(lam, 0) for lam in partition_basis(degree, longest)]
+        rows = msym_rows((z.parts for z in points), degree, longest)
         return den, [sum(map(mul, row, weights)) for row in rows]
 
     def evaluate(self, z: FrequencyVector) -> Fraction:

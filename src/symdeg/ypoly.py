@@ -56,6 +56,8 @@ class FunctionTable:
         if len(self.values) != self.n:
             raise ValueError(f"expected {self.n} values, got {len(self.values)}")
         for v in self.values:
+            if type(v) is not int:
+                raise ValueError(f"values must be ints, got {v!r}")
             if not 1 <= v <= self.m:
                 raise ValueError(f"value {v} outside the range 1..{self.m}")
 

@@ -34,6 +34,12 @@ def test_assignment_validation():
         BoolAssignment(0, ())
 
 
+@pytest.mark.parametrize("n", [2.0, True, "2", None], ids=repr)
+def test_assignment_needs_int_n(n):
+    with pytest.raises(ValueError, match="an int n >= 1"):
+        BoolAssignment(n, (1, 0, 0, 1))
+
+
 def test_andor_value_small_cases():
     # n = 2: groups are positions (1, 2) and (3, 4)
     assert andor_value(BoolAssignment(2, (1, 0, 0, 1))) == 1

@@ -38,7 +38,7 @@ from symdeg.properties import (
     enumerate_classes,
     property_from_classes,
 )
-from symdeg.sympoly import FrequencyVector, SymPolynomial, msym_rows, partitions
+from symdeg.sympoly import FrequencyVector, SymPolynomial, msym_rows, partition_basis, partitions
 
 from test_sympoly import direct_msym_value
 
@@ -432,25 +432,30 @@ def test_warm_search_pivot_count():
 
 
 def test_search_extends_the_class_rows_in_place(monkeypatch):
-    # the ED n = 9 search (d* = 6): build_lp computes the degree-0 rows,
+    # the ED n = 9 search (d* = 6): build_lp computes the degree-0 rows of
+    # the posed program, the search starts its own class rows at degree 0,
     # and each later degree's call extends the rows of the one before, so
-    # every entry of the final rows is computed exactly once
+    # every entry of the search's final rows is computed exactly once
     calls = []
 
-    def spy(points, basis, rows=None):
+    def spy(points, degree, max_parts, rows=None):
         before = None if rows is None else [len(row) for row in rows]
-        result = msym_rows(points, basis, rows)
-        calls.append((before, len(basis), [len(row) for row in result]))
+        result = msym_rows(points, degree, max_parts, rows)
+        width = len(partition_basis(degree, max_parts))
+        calls.append((before, width, [len(row) for row in result]))
         return result
 
     monkeypatch.setattr(degreelp, "msym_rows", spy)
     cert = approx_degree(ELEMENT_DISTINCTNESS, 9, 9, THIRD)
     assert cert.degree == 6
     classes = len(list(partitions(9)))
-    assert len(calls) == 7
-    for (_, width, _), (before, _, _) in zip(calls, calls[1:]):
+    assert len(calls) == 8
+    assert calls[0] == (None, 1, [1] * classes)
+    search = calls[1:]
+    assert search[0][0] is None
+    for (_, width, _), (before, _, _) in zip(search, search[1:]):
         assert before == [width] * classes
-    computed = sum(sum(after) - sum(before or [0]) for before, _, after in calls)
+    computed = sum(sum(after) - sum(before or [0]) for before, _, after in search)
     assert computed == classes * len(coefficient_basis(9, 9, 6))
 
 

@@ -258,7 +258,7 @@ def test_msym_rows_matches_direct_expansion():
             for d in range(n + 1):
                 basis = coefficient_basis(n, m, d)
                 expected = [[direct(lam, parts) for lam in basis] for parts in points]
-                assert msym_rows(points, basis) == expected
+                assert msym_rows(points, d, min(n, m)) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -271,26 +271,25 @@ def test_msym_rows_matches_direct_expansion():
 def test_msym_rows_match_direct_expansion_on_arbitrary_counts(counts, degree, cap):
     # zeros anywhere, and more nonzero counts than the basis's part cap:
     # an entry is m_lambda at the whole point, whatever the cap
-    basis = partition_basis(degree, cap)
-    expected = [direct_msym_value(lam, counts) for lam in basis]
-    assert msym_rows([counts], basis) == [expected]
+    expected = [direct_msym_value(lam, counts) for lam in partition_basis(degree, cap)]
+    assert msym_rows([counts], degree, cap) == [expected]
 
 
 def test_msym_rows_extend_rows_in_place():
-    # the rows of coefficient_basis(n, m, d - 1), extended to d, equal a
-    # fresh call at d; the list and each row are the ones passed in
+    # the rows at degree d - 1, extended to d under the same part cap,
+    # equal a fresh call at d; the list and each row are the ones passed in
     for n in range(1, 8):
-        for m in range(1, n + 2):
-            points = list(partitions(n, max_parts=m))
+        for cap in range(1, n + 2):
+            points = list(partitions(n, max_parts=cap))
             for d in range(1, n + 1):
-                shorter = coefficient_basis(n, m, d - 1)
-                rows = msym_rows(points, shorter)
+                rows = msym_rows(points, d - 1, cap)
                 kept = [row[:] for row in rows]
                 ids = [id(row) for row in rows]
-                assert msym_rows(points, coefficient_basis(n, m, d), rows) is rows
+                assert msym_rows(points, d, cap, rows) is rows
                 assert [id(row) for row in rows] == ids
-                assert rows == msym_rows(points, coefficient_basis(n, m, d))
-                assert [row[: len(shorter)] for row in rows] == kept
+                assert rows == msym_rows(points, d, cap)
+                assert [len(row) for row in rows] == [len(partition_basis(d, cap))] * len(points)
+                assert [row[: len(kept[0])] for row in rows] == kept
 
 
 def insertion_table_rows(points, basis):
@@ -338,14 +337,14 @@ def insertion_table_rows(points, basis):
 
 
 def assert_rows_match_insertion_table(ns, degrees):
-    """At every class of each weight n in `ns`, `msym_rows` over
-    coefficient_basis(n, n, d) equals `insertion_table_rows` for every d
-    in `degrees`."""
+    """At every class of each weight n in `ns`, `msym_rows` at degree d
+    and part cap n equals `insertion_table_rows` over coefficient_basis(n,
+    n, d) for every d in `degrees`."""
     for n in ns:
         points = list(partitions(n))
         for d in degrees:
             basis = coefficient_basis(n, n, d)
-            assert msym_rows(points, basis) == insertion_table_rows(points, basis), (n, d)
+            assert msym_rows(points, d, n) == insertion_table_rows(points, basis), (n, d)
 
 
 def test_msym_rows_match_the_insertion_table():
@@ -354,32 +353,38 @@ def test_msym_rows_match_the_insertion_table():
 
 
 def test_msym_rows_takes_counts_with_zeros():
-    basis = coefficient_basis(4, 4, 3)
-    assert msym_rows([(0, 2, 0, 1, 1)], basis) == msym_rows([(2, 1, 1)], basis)
-    assert msym_rows([(), (0, 0)], basis) == [[1] + [0] * (len(basis) - 1)] * 2
+    width = len(coefficient_basis(4, 4, 3))
+    assert msym_rows([(0, 2, 0, 1, 1)], 3, 4) == msym_rows([(2, 1, 1)], 3, 4)
+    assert msym_rows([(), (0, 0)], 3, 4) == [[1] + [0] * (width - 1)] * 2
 
 
-@pytest.mark.parametrize(
-    "basis",
-    [
-        [],
-        [(1,)],
-        [(1,), ()],
-        [(), (1,), (1,)],
-        [(), (1,), (2,), (1, 2)],
-        [(), (1,), (2, 1)],
-        [(), (2,), (2, 1)],
-        [(), (1,), (1, 1, 1)],
-        [(), (1,), (1, 1)],  # closed under removal, but (2,) is missing
-        [(), (1,), (1, 1), (2,)],  # (1, 1) comes before (2,), which it uses
-        # every mu and nu_a the recurrence uses is here, but merging the
-        # parts 3 and 2 of (3, 2, 1) gives (5, 1), which is not
-        [lam for lam in partition_basis(6, 3) if lam not in {(5, 1), (4, 1, 1)}],
-    ],
-)
-def test_msym_rows_rejects_a_basis_not_closed_under_removal(basis):
-    with pytest.raises(ValueError):
-        msym_rows([(2, 1)], basis)
+def test_msym_rows_at_degree_zero_or_cap_zero_is_the_constant():
+    # the basis is () alone, so every row is [m_()] = [1]
+    points = [(), (0,), (3,), (2, 1, 1), (5, 0, 5)]
+    for k in range(6):
+        assert msym_rows(points, 0, k) == [[1]] * len(points)
+    for d in range(6):
+        assert msym_rows(points, d, 0) == [[1]] * len(points)
+    rows = msym_rows(points, 0, 3)
+    assert msym_rows(points, 2, 3, rows) is rows
+    assert rows == msym_rows(points, 2, 3)
+
+
+def test_partition_basis_lists_each_step_before_the_partition_it_feeds():
+    # the recurrence for lambda != () reads mu (lambda without its last
+    # part p) and each nu_a (mu with one distinct part a raised to a + p,
+    # re-sorted); both must sit in the basis at a smaller index
+    for d in range(13):
+        for k in range(d + 2):
+            basis = partition_basis(d, k)
+            index = {lam: j for j, lam in enumerate(basis)}
+            assert basis[0] == () and len(index) == len(basis)
+            for j, lam in enumerate(basis[1:], 1):
+                mu, p = lam[:-1], lam[-1]
+                assert index.get(mu, j) < j, (d, k, lam)
+                for i, a in enumerate(mu):
+                    nu = tuple(sorted(mu[:i] + (a + p,) + mu[i + 1 :], reverse=True))
+                    assert index.get(nu, j) < j, (d, k, lam, nu)
 
 
 def test_eval_msym_long_all_ones_partition():

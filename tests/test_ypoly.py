@@ -40,6 +40,14 @@ def test_function_table_needs_int_shape(n, m):
         FunctionTable(n, m, (1, 1))
 
 
+@pytest.mark.parametrize("values", [(1.0, True), (1, 2.0), (True, 1), (1, "2"), (1, Fraction(2))])
+def test_function_table_needs_int_values(values):
+    # a float or a bool would pass the range check and then fail as a
+    # list index in frequency_counts
+    with pytest.raises(ValueError, match="values must be ints"):
+        FunctionTable(2, 2, values)
+
+
 def test_indicator_and_counts():
     f = FunctionTable(3, 2, (2, 1, 2))
     assert f.indicator(1, 2) == 1
