@@ -35,7 +35,7 @@ from typing import Iterable, Optional
 from .lp import LinearProgram, Relation, Simplex, solve
 from .oracle import class_indices, enumerate_functions
 from .properties import Label, PropertySpec, bounds_for, check_instance, enumerate_classes
-from .sympoly import Partition, SymPolynomial, msym_rows, partition_basis
+from .sympoly import Partition, SymPolynomial, check_degree, msym_columns
 from .ypoly import Monomial
 
 
@@ -58,11 +58,6 @@ def part_cap(n: int, m: int) -> int:
     on every weight-n frequency vector over m outputs, so it would be a
     useless LP column."""
     return min(n, m)
-
-
-def coefficient_basis(n: int, m: int, degree: int) -> tuple[Partition, ...]:
-    """The LP's columns: `partition_basis` under the part cap."""
-    return partition_basis(degree, part_cap(n, m))
 
 
 def _bound_rows(label: Label) -> tuple[tuple[int, Relation, int], ...]:
@@ -91,18 +86,20 @@ def _min_error_program(width: int, rows: Iterable[tuple[list[int], Label]]) -> L
     )
     for row, label in rows:
         for eps_entry, rel, rhs in _BOUND_ROWS[label]:
-            program.add_row([eps_entry] + row, rel, rhs)
+            program.add_row([eps_entry, *row], rel, rhs)
     return program
 
 
 def build_lp(prop: PropertySpec, n: int, m: int, degree: int) -> LPInstance:
-    """Assemble the minimum-error LP for the property at the given degree.
+    """Assemble the minimum-error LP for the property at the given degree:
+    its columns are the blocks of `msym_columns` at the classes under the
+    part cap, weight by weight, and a class's row reads its entry of each.
     Row and column order are fixed, so instances are deterministic."""
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    lambdas = coefficient_basis(n, m, degree)
+    check_degree(degree)
     classes = tuple(enumerate_classes(prop, n, m))
-    rows = msym_rows((lam for lam, _ in classes), degree, part_cap(n, m))
+    blocks = msym_columns((lam for lam, _ in classes), degree, part_cap(n, m))
+    lambdas, columns = zip(*(pair for block in blocks for pair in block))
+    rows = zip(*columns)
     program = _min_error_program(len(lambdas), zip(rows, (label for _, label in classes)))
     return LPInstance(prop.name, n, m, degree, lambdas, classes, program)
 
@@ -243,35 +240,29 @@ def approx_degree(
     One posed program carries the whole search.  `build_lp` at degree 0
     labels the classes (the search's only `enumerate_classes` call) and
     gives the rows, which `_pose` poses once.  The LP at d + 1 is the LP at
-    d with the columns of the new partitions appended (its rows are the
-    same, and `coefficient_basis(d)` is a prefix of
-    `coefficient_basis(d + 1)`), so each later degree appends only those
-    columns, posed by `_add_posed_column`, and one `Simplex` re-optimizes
-    from the previous optimal basis: d = 0 starts from the slack basis at
-    eps = 1/2.  The classes' rows are kept across the search too: they
-    start as `msym_rows` at degree 0 under the part cap, and each later
-    degree's call extends them in place by the new partitions' entries
-    alone, so every entry is computed once.
+    d with the columns of the weight-(d + 1) partitions appended (its rows
+    are the same), so the search opens one `msym_columns` generator over
+    the classes, up to the cap, and draws one block per degree: each later
+    degree appends that block's columns, posed by `_add_posed_column`, and
+    one `Simplex` re-optimizes from the previous optimal basis; d = 0
+    starts from the slack basis at eps = 1/2.  Every entry is computed
+    once, and no block past d* is computed at all.
     """
     eps = check_instance(prop, n, m, eps)
     base = build_lp(prop, n, m, 0)
     cap = max(n, len(base.classes))
-    max_parts = part_cap(n, m)
-    points = [lam for lam, _ in base.classes]
-    lambdas = base.lambdas
-    rows = msym_rows(points, 0, max_parts)
+    blocks = msym_columns((lam for lam, _ in base.classes), cap, part_cap(n, m))
     posed = _pose(base.program)
+    lambdas: list[Partition] = []
     steps: list[DegreeStep] = []
     previous: Optional[Fraction] = None
     simplex = Simplex()
-    for d in range(cap + 1):
-        if d:
-            basis = partition_basis(d, max_parts)
-            msym_rows(points, d, max_parts, rows)
-            for j in range(len(lambdas), len(basis)):
+    for d, block in enumerate(blocks):
+        if d:  # block 0 is m_() alone, which `base` has already posed
+            for _, column in block:
                 # a class's two bound rows share its m_lambda entry
-                _add_posed_column(posed, 0, True, (v for row in rows for v in (row[j], row[j])))
-            lambdas = basis
+                _add_posed_column(posed, 0, True, (a for v in column for a in (v, v)))
+        lambdas += (lam for lam, _ in block)
         x = _solve_from_half(posed, simplex)
         eps_min, coeffs = x[0], _coefficients(lambdas, x)
         if previous is not None and eps_min > previous:
@@ -296,7 +287,7 @@ def sweep(
     checked before anything is solved.
 
     The LP reads m only through the labelled classes and the column cap
-    min(n, m) (`msym_rows` sees a class's nonzero counts alone), so two
+    min(n, m) (`msym_columns` sees a class's nonzero counts alone), so two
     range sizes with the same (classes, cap) key share the LP at every
     degree, and each key is searched once.  For m >= n that key is the
     same for a built-in property: all partitions of n, cap n.  This is the
@@ -336,8 +327,7 @@ def eps_min_indicator_basis(prop: PropertySpec, n: int, m: int, degree: int) -> 
     budget (which does not bound the LP's own cost: keep n and m small).
     The instance is checked by the rule `approx_degree` uses."""
     check_instance(prop, n, m, 0)
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
+    check_degree(degree)
     monos = indicator_monomials(n, m, degree)
     functions = list(enumerate_functions(n, m))
     classes = enumerate_classes(prop, n, m)

@@ -6,12 +6,13 @@ polynomial every individual function table.  Indicator assignments that
 correspond to no function are never visited; the bounds simply do not
 apply there.  Both routes read the polynomial's `numerators`: its values
 as integer numerators over one denominator, for a symmetric polynomial
-at every class from one `msym_rows` call (`SymPolynomial.numerators`),
-for an indicator polynomial at all m^n functions from one walk over the
-rows (`YPolynomial.numerators`).  One walk over the prefixes' column
-counts (`class_indices`) gives each function's class as a small int, so
-no function is classified, sorted or turned into a `Fraction` on its
-own: each distinct (class, value) pair is judged once.  Everything is
+at every class from one `msym_columns` generator
+(`SymPolynomial.numerators`), for an indicator polynomial at all m^n
+functions from one walk over the rows (`YPolynomial.numerators`).  One
+walk over the prefixes' column counts (`class_indices`) gives each
+function's class as a small int, so no function is classified, sorted or
+turned into a `Fraction` on its own: each distinct (class, value) pair
+is judged once.  Everything is
 exact rational arithmetic; a report either passes or carries the
 concrete violating classes/functions.
 """

@@ -29,19 +29,22 @@ nonzero coordinates, m_lambda(z) is the exact quotient
 
     (m_mu(z) * P_p(z) - sum_a c_a * m_{nu_a}(z)) // mult_p(lambda).
 
-`partition_basis(d, k)` is the one spelling of "all partitions of
-weight <= d with at most k parts", and `msym_rows(points, d, k)` builds
-that basis itself.  The basis holds the mu and every nu_a of each of its
-partitions, listed earlier: mu weighs less than lambda, and each nu_a
-weighs the same with one part fewer and comes first in
-reverse-lexicographic order.  So `msym_rows` fills a point's row in basis
-order from the row itself: O(distinct parts) integer operations per
-entry, and no state but the row, which can later be extended in place to
-a larger degree.  `SymPolynomial.numerators` is the one rule that
-evaluates a symmetric polynomial: one `msym_rows` call for all its
-points, in integers over the common denominator of its coefficients.
-`SymPolynomial.evaluate` and `eval_msym` are its one-point `Fraction`
-views.
+`msym_columns(points, d, k)` is the one place that evaluates m_lambda:
+a lazy generator that yields, for each weight w = 0..d in turn, the block
+of columns [m_lambda(point) for point in points], one per partition
+lambda of w with at most k parts, in the reverse-lexicographic order of
+`partitions`.  mu weighs less than lambda, and each nu_a weighs the same
+with one part fewer and comes earlier in that order, so every column is
+computed once, from columns the generator already holds, with
+O(distinct parts) integer operations per entry.  It looks mu and each
+nu_a up by partition, so a wrong order fails with a KeyError, never with
+a wrong number.  A caller that needs the partitions reads them from the
+blocks: `build_lp` turns the blocks into its columns and rows, and the
+degree search draws one block per degree.  `SymPolynomial.numerators`
+is the one rule that evaluates a symmetric polynomial: the sum of
+coefficient times column over the partitions it holds, in integers over
+the common denominator of its coefficients.  `SymPolynomial.evaluate`
+and `eval_msym` are its one-point `Fraction` views.
 
 `ZPolynomial` is the non-symmetric companion: a polynomial in the named
 variables z_1..z_M with arbitrary integer exponents.  It appears as the
@@ -92,15 +95,24 @@ def check_counts(counts: Iterable[int]) -> tuple[int, ...]:
     return counts
 
 
+def check_degree(degree: int) -> None:
+    """The one degree rule: an int >= 0 (a bool is refused)."""
+    if type(degree) is not int or degree < 0:
+        raise ValueError(f"degree must be >= 0 and an int, got {degree!r}")
+
+
 def partitions(total: int, max_parts: int | None = None) -> Iterator[Partition]:
     """Partitions of `total` in reverse-lexicographic order: (n), ..., (1,..,1).
 
-    `max_parts` bounds the number of parts.  total = 0 yields exactly the
-    empty partition.  Each step lowers the rightmost part that can drop by
-    one while the parts from it on still fit in the slots left, each at
-    most its new value, and refills those slots greedily from the left:
-    the largest partition below the current one.
+    `max_parts` (an int, or None for no bound) bounds the number of parts.
+    total = 0 yields exactly the empty partition.  Each step lowers the
+    rightmost part that can drop by one while the parts from it on still
+    fit in the slots left, each at most its new value, and refills those
+    slots greedily from the left: the largest partition below the current
+    one.
     """
+    if type(total) is not int or type(max_parts) not in (int, type(None)):
+        raise ValueError(f"partitions needs int arguments, got {total!r}, {max_parts!r}")
     if total < 0:
         raise ValueError("cannot partition a negative total")
     slots = total if max_parts is None else min(max_parts, total)
@@ -121,18 +133,6 @@ def partitions(total: int, max_parts: int | None = None) -> Iterator[Partition]:
         parts[i:] = [lowered] * full
         if left:
             parts.append(left)
-
-
-def partition_basis(degree: int, max_parts: int) -> tuple[Partition, ...]:
-    """Every partition of weight <= degree with at most `max_parts` parts,
-    by weight, then in the reverse-lexicographic order of `partitions`:
-    the basis of `msym_rows(points, degree, max_parts)`, in which each
-    partition comes after the ones its entry uses.  It holds every
-    partition of weight <= degree whose m_lambda can be nonzero at a
-    point with at most `max_parts` nonzero counts."""
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    return tuple(lam for w in range(degree + 1) for lam in partitions(w, max_parts=max_parts))
 
 
 def distinct_permutations(items: Iterable[int]) -> Iterator[tuple[int, ...]]:
@@ -206,62 +206,43 @@ class FrequencyVector:
         return self.parts + (0,) * (self.m - len(self.parts))
 
 
-def _recurrence(basis: Sequence[Partition]) -> list[tuple]:
-    """For each partition lambda after () of a `partition_basis` result,
-    in order, the step (mu, p, mult_p(lambda), ((c_a, nu_a), ...)) by
-    which `msym_rows` computes its entry, with mu and each nu_a as basis
-    indices: p is the last (smallest) part of lambda, mu is lambda
-    without it, nu_a is mu with one a raised to a + p and re-sorted, one
-    per distinct part a of mu, and c_a = 1 + lambda.count(a + p)."""
-    index = {lam: j for j, lam in enumerate(basis)}
-    steps = []
-    for lam in basis[1:]:
-        mu, p = lam[:-1], lam[-1]
-        used = []
-        for i, a in enumerate(mu):
-            if i == 0 or a != mu[i - 1]:  # the first a of each distinct part
-                nu = sorted(mu[:i] + (a + p,) + mu[i + 1 :], reverse=True)
-                used.append((1 + lam.count(a + p), index[tuple(nu)]))
-        steps.append((index[mu], p, lam.count(p), tuple(used)))
-    return steps
-
-
-def msym_rows(
-    points: Iterable[Sequence[int]],
-    degree: int,
-    max_parts: int,
-    rows: Optional[list[list[int]]] = None,
-) -> list[list[int]]:
-    """For each point (a sequence of counts; zeros change nothing), the
-    list [m_lambda(point) for lambda in partition_basis(degree,
+def msym_columns(
+    points: Iterable[Sequence[int]], degree: int, max_parts: int
+) -> Iterator[list[tuple[Partition, list[int]]]]:
+    """For each weight w = 0..degree in turn, the block [(lambda,
+    [m_lambda(point) for point in points]) for lambda in partitions(w,
     max_parts)], by the power-sum recurrence of the module docstring, in
-    exact integers.  A point may have more nonzero counts than
-    `max_parts`: an entry is m_lambda at the whole point.
-
-    Without `rows`, every row is computed from its first entry.  `rows`,
-    if given, holds one row per point, each holding the entries of a
-    prefix of the basis (the rows of a smaller degree at the same
-    `max_parts`); each row is extended in place by the entries it lacks,
-    and no entry it holds is computed again.  The rows are returned
-    either way.
+    exact integers.  A point is a sequence of counts (zeros change
+    nothing) and may have more nonzero counts than `max_parts`: an entry
+    is m_lambda at the whole point.  Each column is computed once, when
+    its block is drawn, from the columns of the blocks before it and the
+    ones before it in its own block.  The degree is checked by
+    `check_degree` when the first block is drawn.
     """
-    steps = _recurrence(partition_basis(degree, max_parts))
-    if rows is None:
-        points = list(points)
-        rows = [[] for _ in points]
-    for point, row in zip(points, rows, strict=True):
-        sums, power = [0], point  # sums[p] = P_p(point) for p >= 1
-        for _ in range(degree):
-            sums.append(sum(power))
-            power = list(map(mul, power, point))
-        if not row:
-            row.append(1)
-        for mu, p, mult, used in steps[len(row) - 1 :]:
-            value = row[mu] * sums[p]
-            for c, nu in used:
-                value -= c * row[nu]
-            row.append(value // mult)
-    return rows
+    check_degree(degree)
+    points = list(points)
+    columns = {(): [1] * len(points)}
+    yield [((), columns[()])]
+    sums: list[list[int]] = [[]]  # sums[p][k] = P_p(points[k]) for p >= 1
+    powers = [[1] * len(point) for point in points]
+    for w in range(1, degree + 1):
+        powers = [list(map(mul, power, point)) for power, point in zip(powers, points)]
+        sums.append([sum(power) for power in powers])
+        block = []
+        for lam in partitions(w, max_parts):
+            mu, p = lam[:-1], lam[-1]
+            column = list(map(mul, columns[mu], sums[p]))
+            for i, a in enumerate(mu):
+                if i == 0 or a != mu[i - 1]:  # the first a of each distinct part
+                    nu = tuple(sorted(mu[:i] + (a + p,) + mu[i + 1 :], reverse=True))
+                    c = 1 + lam.count(a + p)
+                    column = [v - c * u for v, u in zip(column, columns[nu])]
+            mult = lam.count(p)
+            if mult > 1:
+                column = [v // mult for v in column]
+            columns[lam] = column
+            block.append((lam, column))
+        yield block
 
 
 def eval_msym(lam: Partition, z: FrequencyVector) -> Fraction:
@@ -269,7 +250,7 @@ def eval_msym(lam: Partition, z: FrequencyVector) -> Fraction:
     polynomial m_lambda itself, evaluated by `SymPolynomial.evaluate`.
     The empty partition evaluates to 1, and a lambda longer than the number
     of nonzero coordinates to 0 (for one longer than m, by convention).
-    To evaluate many partitions or many points, call `msym_rows` or
+    To evaluate many partitions or many points, call `msym_columns` or
     `SymPolynomial.numerators` once.
     """
     return SymPolynomial(z.m, [(lam, 1)]).evaluate(z)
@@ -397,19 +378,22 @@ class SymPolynomial(SparsePolynomial):
         int at each point z, in order (well defined: q is symmetric, so any
         ordering of a class's counts gives the same value).
 
-        One `msym_rows` call gives every point's row over the partitions
+        One `msym_columns` generator gives the columns of the partitions
         of weight <= deg q with at most as many parts as the longest
         point; a term longer than every point is 0 at all of them."""
         for z in points:
             if z.m != self.m:
                 raise ValueError(f"point has {z.m} variables but polynomial has {self.m}")
         den = lcm(*(c.denominator for c in self.terms.values()))
-        degree = self.degree() or 0
         longest = max((len(z.parts) for z in points), default=0)
-        coeffs = {lam: c.numerator * (den // c.denominator) for lam, c in self.terms.items()}
-        weights = [coeffs.get(lam, 0) for lam in partition_basis(degree, longest)]
-        rows = msym_rows((z.parts for z in points), degree, longest)
-        return den, [sum(map(mul, row, weights)) for row in rows]
+        values = [0] * len(points)
+        for block in msym_columns((z.parts for z in points), self.degree() or 0, longest):
+            for lam, column in block:
+                c = self.terms.get(lam)
+                if c:
+                    k = c.numerator * (den // c.denominator)
+                    values = [v + k * u for v, u in zip(values, column)]
+        return den, values
 
     def evaluate(self, z: FrequencyVector) -> Fraction:
         """Value at a frequency class: the one-point view of `numerators`."""

@@ -85,7 +85,7 @@ def test_degree_property_file(wavy_file, capsys):
     assert data["degree"] == 2
 
 
-# stdout sha256 of `degree --property <prop> --n n --m n` for n = 2..10:
+# stdout sha256 of `degree --property <prop> --n n --m n` for n = 2..13:
 # the eps_min tables and the witness coefficients, byte for byte
 DEGREE_SHA256 = {
     "collision": [
@@ -98,6 +98,9 @@ DEGREE_SHA256 = {
         "422e096719453c874c15c22d92ef3e1436b1734935614c5dcabb3afda098d71a",
         "41c6ed94849fb1ce811ea70624941d93d424e8dcc52b724601c4348d86c0e683",
         "1abfc935ea3edba09312989e6651da2bb8122243aa0b39e4d30c010cd1588205",
+        "219f3458a53358c0a583eb28ac7e809f7053dc7522e1694542583b08031ed221",
+        "6bb05f6a15a7788cb5b241ea9a544046903784e221715dde94c988edfdfb3acd",
+        "f5e4876b0f47c9d2f579e2d4ec0050a024830c3ab56c725e14ff77cf9bad53f4",
     ],
     "ed": [
         "86992c7c82d39771df33a690a8ff182fe92cf492f888e74593036ef6c8c7d2fe",
@@ -109,6 +112,9 @@ DEGREE_SHA256 = {
         "bac533a83bb5e54ca046fbb3cabf765acdb3a2aeb40f28d7b44bf52caaa145ea",
         "ae93e8237e92a54567acfd445860b229687951dcffaf8197d30bb3acff9e0b4f",
         "0d9f1e48744bbc0b7e8c374b03f57988e08a3bfb5e3cb1dd3346470b7d8ef761",
+        "7f92670bffc74595dde4c75a00b52a3b1b97e945b1fd3a62b5b45cd418f0e324",
+        "a75ac45e4a7caa77db23e290a45ea798475981ffb9d06629daa20e1f881994c6",
+        "91a4bc4de86fc41c14e0f5273d5d4e75a914348a5393d2ecbb9f57956b933911",
     ],
     "med": [
         "64526244f40a8566ee145ec53a250c39031acdf6d5aa3384ae2e58aedbeb9029",
@@ -120,6 +126,9 @@ DEGREE_SHA256 = {
         "f60e92f67f83770d47225778fdf60b332b31b357f595bbe91e823f9b1a133fbd",
         "e28521191810b2fa1931969ff83a527c3191e3b4e52a4b72cc9d1a3c0f4ba448",
         "7f41be8b5f01c35300abdb786ac9ea7dd65311ea5d465e82245df46702a8b7ff",
+        "ad658c32e4467cd8587e439bdbbdd5bd1abc05828a1b594475aea2040f0e320c",
+        "5c517d24f1866025dff4a183311a607b563358e085383acb26fe93ae3700c783",
+        "c2faf381b581e724074d4de76683b0b68de9d8e356f8d438e27fceaf75c5d0e8",
     ],
 }
 

@@ -20,7 +20,6 @@ from symdeg.degreelp import (
     DegreeCertificate,
     approx_degree,
     build_lp,
-    coefficient_basis,
     eps_min_indicator_basis,
     indicator_monomials,
     solve_lp,
@@ -38,7 +37,7 @@ from symdeg.properties import (
     enumerate_classes,
     property_from_classes,
 )
-from symdeg.sympoly import FrequencyVector, SymPolynomial, msym_rows, partition_basis, partitions
+from symdeg.sympoly import FrequencyVector, SymPolynomial, msym_columns, partitions
 
 from test_sympoly import direct_msym_value
 
@@ -51,10 +50,24 @@ THIRD = Fraction(1, 3)
 
 
 def test_coefficient_basis_order_and_cap():
-    assert coefficient_basis(2, 2, 2) == ((), (1,), (2,), (1, 1))
+    assert build_lp(ELEMENT_DISTINCTNESS, 2, 2, 2).lambdas == ((), (1,), (2,), (1, 1))
     # partition length capped by min(n, m)
-    assert coefficient_basis(3, 1, 3) == ((), (1,), (2,), (3,))
-    assert coefficient_basis(1, 3, 2) == ((), (1,), (2,))
+    assert build_lp(ALWAYS_ONE, 3, 1, 3).lambdas == ((), (1,), (2,), (3,))
+    assert build_lp(ALWAYS_ONE, 1, 3, 2).lambdas == ((), (1,), (2,))
+
+
+def test_one_degree_rule():
+    # both LPs and the m_lambda columns refuse anything but an int >= 0;
+    # True used to build the degree-1 LP, and a negative degree used to
+    # give the columns the weight-0 block
+    for degree in (True, False, 1.5, -1, "1"):
+        for run in (
+            lambda: build_lp(ELEMENT_DISTINCTNESS, 3, 3, degree),
+            lambda: eps_min_indicator_basis(ELEMENT_DISTINCTNESS, 2, 2, degree),
+            lambda: next(msym_columns([(2, 1)], degree, 2)),
+        ):
+            with pytest.raises(ValueError, match="degree must be >= 0 and an int"):
+                run()
 
 
 def test_build_lp_shape():
@@ -432,31 +445,25 @@ def test_warm_search_pivot_count():
 
 
 def test_search_extends_the_class_rows_in_place(monkeypatch):
-    # the ED n = 9 search (d* = 6): build_lp computes the degree-0 rows of
-    # the posed program, the search starts its own class rows at degree 0,
-    # and each later degree's call extends the rows of the one before, so
-    # every entry of the search's final rows is computed exactly once
-    calls = []
+    # the ED n = 9 search (d* = 6): build_lp draws the one block of its
+    # degree-0 generator, and the search opens one generator of its own,
+    # up to the interpolation cap, and draws blocks 0..6 once each, so
+    # every column of the final LP is computed exactly once
+    drawn = []
 
-    def spy(points, degree, max_parts, rows=None):
-        before = None if rows is None else [len(row) for row in rows]
-        result = msym_rows(points, degree, max_parts, rows)
-        width = len(partition_basis(degree, max_parts))
-        calls.append((before, width, [len(row) for row in result]))
-        return result
+    def spy(points, degree, max_parts):
+        opened = []
+        drawn.append((degree, max_parts, opened))
+        for block in msym_columns(points, degree, max_parts):
+            opened.append([lam for lam, _ in block])
+            yield block
 
-    monkeypatch.setattr(degreelp, "msym_rows", spy)
+    monkeypatch.setattr(degreelp, "msym_columns", spy)
     cert = approx_degree(ELEMENT_DISTINCTNESS, 9, 9, THIRD)
     assert cert.degree == 6
     classes = len(list(partitions(9)))
-    assert len(calls) == 8
-    assert calls[0] == (None, 1, [1] * classes)
-    search = calls[1:]
-    assert search[0][0] is None
-    for (_, width, _), (before, _, _) in zip(search, search[1:]):
-        assert before == [width] * classes
-    computed = sum(sum(after) - sum(before or [0]) for before, _, after in search)
-    assert computed == classes * len(coefficient_basis(9, 9, 6))
+    blocks = [list(partitions(w)) for w in range(7)]
+    assert drawn == [(0, 9, [[()]]), (max(9, classes), 9, blocks)]
 
 
 def test_search_stores_full_rows_only_for_basic_program_columns(monkeypatch):

@@ -120,7 +120,7 @@ def test_sym_route_argument_validation():
 def per_class_report(q, prop, n, eps):
     """The class route written out class by class: classify each class and
     sum its terms, each m_lambda from `direct_msym_value`, which lists the
-    monomials one by one and never calls `msym_rows`."""
+    monomials one by one and never calls `msym_columns`."""
     violations, table = [], []
     for lam in partitions(n, max_parts=q.m):
         z = FrequencyVector(q.m, lam)

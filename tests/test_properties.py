@@ -97,6 +97,19 @@ def test_n_and_m_must_be_ints(n, m):
             run()
 
 
+@pytest.mark.parametrize("eps", [False, True])
+def test_eps_must_not_be_a_bool(eps):
+    # False used to run as eps = 0, like a bool n or m it is refused
+    q = SymPolynomial(3, {(): Fraction(1, 2)})
+    for run in (
+        lambda: approx_degree(ELEMENT_DISTINCTNESS, 3, 3, eps),
+        lambda: sweep(ELEMENT_DISTINCTNESS, 3, [3], eps),
+        lambda: verify_approximation(q, ELEMENT_DISTINCTNESS, 3, 3, eps),
+    ):
+        with pytest.raises(ValueError, match="bool"):
+            run()
+
+
 def test_get_property_aliases():
     assert get_property("ed") is ELEMENT_DISTINCTNESS
     assert get_property("element-distinctness") is ELEMENT_DISTINCTNESS

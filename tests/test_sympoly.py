@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symdeg.degreelp import coefficient_basis
+import symdeg.sympoly as sympoly
 from symdeg.ypoly import FunctionTable
 from symdeg.sympoly import (
     FrequencyVector,
@@ -18,10 +18,9 @@ from symdeg.sympoly import (
     check_partition,
     distinct_permutations,
     eval_msym,
-    msym_rows,
+    msym_columns,
     msym_to_zpoly,
     multinomial,
-    partition_basis,
     partitions,
     symmetrize_variables,
 )
@@ -240,25 +239,33 @@ def test_numerators_match_direct_expansion_on_arbitrary_counts(counts, degree):
         assert eval_msym(lam, z) == direct_msym_value(lam, counts)
 
 
-def test_partition_basis_rejects_negative_degree():
-    with pytest.raises(ValueError):
-        partition_basis(-1, 2)
-    with pytest.raises(ValueError):
-        coefficient_basis(2, 2, -1)
+def weights_up_to(degree, max_parts):
+    """Every partition of weight <= degree with at most `max_parts` parts,
+    by weight, each weight in the order of `partitions`: the order of the
+    columns of `msym_columns(points, degree, max_parts)`."""
+    return [lam for w in range(degree + 1) for lam in partitions(w, max_parts=max_parts)]
+
+
+def column_rows(points, degree, max_parts):
+    """The partitions of all blocks of `msym_columns` in order, and each
+    point's row of their columns' entries."""
+    pairs = [pair for block in msym_columns(points, degree, max_parts) for pair in block]
+    columns = [column for _, column in pairs]
+    return [lam for lam, _ in pairs], [list(row) for row in zip(*columns)]
 
 
 def test_msym_rows_matches_direct_expansion():
-    # every class of weight n <= 7 over the LP's column basis at every
-    # degree and every range m <= n + 1; for m < n the basis caps the
-    # length at m, so inserting a part can leave it
+    # every class of weight n <= 7 under the LP's part cap min(n, m) at
+    # every degree and every range m <= n + 1; for m < n the cap bounds
+    # the length at m, so inserting a part can leave the basis
     direct = functools.cache(direct_msym_value)  # a value reads only the nonzero counts
     for n in range(1, 8):
         for m in range(1, n + 2):
             points = list(partitions(n, max_parts=m))
             for d in range(n + 1):
-                basis = coefficient_basis(n, m, d)
+                basis = weights_up_to(d, min(n, m))
                 expected = [[direct(lam, parts) for lam in basis] for parts in points]
-                assert msym_rows(points, d, min(n, m)) == expected
+                assert column_rows(points, d, min(n, m)) == (basis, expected)
 
 
 @settings(max_examples=200, deadline=None)
@@ -269,31 +276,33 @@ def test_msym_rows_matches_direct_expansion():
     st.integers(0, 4),
 )
 def test_msym_rows_match_direct_expansion_on_arbitrary_counts(counts, degree, cap):
-    # zeros anywhere, and more nonzero counts than the basis's part cap:
-    # an entry is m_lambda at the whole point, whatever the cap
-    expected = [direct_msym_value(lam, counts) for lam in partition_basis(degree, cap)]
-    assert msym_rows([counts], degree, cap) == [expected]
+    # zeros anywhere, and more nonzero counts than the part cap: an entry
+    # is m_lambda at the whole point, whatever the cap
+    basis = weights_up_to(degree, cap)
+    expected = [direct_msym_value(lam, counts) for lam in basis]
+    assert column_rows([counts], degree, cap) == (basis, [expected])
 
 
 def test_msym_rows_extend_rows_in_place():
-    # the rows at degree d - 1, extended to d under the same part cap,
-    # equal a fresh call at d; the list and each row are the ones passed in
+    # a generator drawn block by block: after block d, the columns drawn
+    # equal a fresh call at degree d under the same part cap, and no
+    # column drawn earlier is replaced or changed by a later block
     for n in range(1, 8):
-        for cap in range(1, n + 2):
+        for cap in range(n + 2):
             points = list(partitions(n, max_parts=cap))
-            for d in range(1, n + 1):
-                rows = msym_rows(points, d - 1, cap)
-                kept = [row[:] for row in rows]
-                ids = [id(row) for row in rows]
-                assert msym_rows(points, d, cap, rows) is rows
-                assert [id(row) for row in rows] == ids
-                assert rows == msym_rows(points, d, cap)
-                assert [len(row) for row in rows] == [len(partition_basis(d, cap))] * len(points)
-                assert [row[: len(kept[0])] for row in rows] == kept
+            drawn = []
+            for d, block in enumerate(msym_columns(points, n, cap)):
+                kept = [(lam, column, column[:]) for lam, column in drawn]
+                drawn += block
+                fresh = [pair for b in msym_columns(points, d, cap) for pair in b]
+                assert drawn == fresh, (n, cap, d)
+                for (_, now), (_, column, copy) in zip(drawn, kept):
+                    assert now is column and column == copy
+            assert d == n
 
 
 def insertion_table_rows(points, basis):
-    """A second exact route to the rows of `msym_rows`, independent of the
+    """A second exact route to the m_lambda rows, independent of the
     power-sum recurrence: the truncated expansion of
     prod_i (1 + sum_p z_i^p x_p) over an insertion table.  For each
     basis index i, the table holds the pairs (p, j) with basis[j] =
@@ -337,14 +346,16 @@ def insertion_table_rows(points, basis):
 
 
 def assert_rows_match_insertion_table(ns, degrees):
-    """At every class of each weight n in `ns`, `msym_rows` at degree d
-    and part cap n equals `insertion_table_rows` over coefficient_basis(n,
-    n, d) for every d in `degrees`."""
+    """At every class of each weight n in `ns` and every d in `degrees`,
+    the blocks of `msym_columns` at degree d and part cap n list the
+    partitions of weight <= d by weight, and their columns, read row by
+    row, equal `insertion_table_rows` over those partitions."""
     for n in ns:
         points = list(partitions(n))
         for d in degrees:
-            basis = coefficient_basis(n, n, d)
-            assert msym_rows(points, d, n) == insertion_table_rows(points, basis), (n, d)
+            basis = weights_up_to(d, n)
+            expected = insertion_table_rows(points, basis)
+            assert column_rows(points, d, n) == (basis, expected), (n, d)
 
 
 def test_msym_rows_match_the_insertion_table():
@@ -353,38 +364,59 @@ def test_msym_rows_match_the_insertion_table():
 
 
 def test_msym_rows_takes_counts_with_zeros():
-    width = len(coefficient_basis(4, 4, 3))
-    assert msym_rows([(0, 2, 0, 1, 1)], 3, 4) == msym_rows([(2, 1, 1)], 3, 4)
-    assert msym_rows([(), (0, 0)], 3, 4) == [[1] + [0] * (width - 1)] * 2
+    width = len(weights_up_to(3, 4))
+    assert column_rows([(0, 2, 0, 1, 1)], 3, 4) == column_rows([(2, 1, 1)], 3, 4)
+    assert column_rows([(), (0, 0)], 3, 4)[1] == [[1] + [0] * (width - 1)] * 2
 
 
 def test_msym_rows_at_degree_zero_or_cap_zero_is_the_constant():
-    # the basis is () alone, so every row is [m_()] = [1]
+    # the only column is m_() = 1: at degree 0 the one block holds it, and
+    # under cap 0 every later block is empty
     points = [(), (0,), (3,), (2, 1, 1), (5, 0, 5)]
+    ones = [((), [1] * len(points))]
     for k in range(6):
-        assert msym_rows(points, 0, k) == [[1]] * len(points)
+        assert list(msym_columns(points, 0, k)) == [ones]
     for d in range(6):
-        assert msym_rows(points, d, 0) == [[1]] * len(points)
-    rows = msym_rows(points, 0, 3)
-    assert msym_rows(points, 2, 3, rows) is rows
-    assert rows == msym_rows(points, 2, 3)
+        assert list(msym_columns(points, d, 0)) == [ones] + [[]] * d
+    assert list(msym_columns([], 2, 3)) == [[((), [])], [((1,), [])], [((2,), []), ((1, 1), [])]]
 
 
 def test_partition_basis_lists_each_step_before_the_partition_it_feeds():
-    # the recurrence for lambda != () reads mu (lambda without its last
-    # part p) and each nu_a (mu with one distinct part a raised to a + p,
-    # re-sorted); both must sit in the basis at a smaller index
+    # the order contract: block w lists exactly partitions(w, cap), and in
+    # that order the recurrence for lambda != () finds mu (lambda without
+    # its last part p) and each nu_a (mu with one distinct part a raised
+    # to a + p, re-sorted) already drawn
     for d in range(13):
         for k in range(d + 2):
-            basis = partition_basis(d, k)
-            index = {lam: j for j, lam in enumerate(basis)}
-            assert basis[0] == () and len(index) == len(basis)
-            for j, lam in enumerate(basis[1:], 1):
+            blocks = list(msym_columns([(2, 1)], d, k))
+            drawn = [lam for block in blocks for lam, _ in block]
+            assert [[lam for lam, _ in block] for block in blocks] == [
+                list(partitions(w, max_parts=k)) for w in range(d + 1)
+            ], (d, k)
+            index = {lam: j for j, lam in enumerate(drawn)}
+            for j, lam in enumerate(drawn[1:], 1):
                 mu, p = lam[:-1], lam[-1]
-                assert index.get(mu, j) < j, (d, k, lam)
+                assert index[mu] < j, (d, k, lam)
                 for i, a in enumerate(mu):
                     nu = tuple(sorted(mu[:i] + (a + p,) + mu[i + 1 :], reverse=True))
-                    assert index.get(nu, j) < j, (d, k, lam, nu)
+                    assert index[nu] < j, (d, k, lam, nu)
+
+
+def test_msym_columns_fail_loudly_out_of_order(monkeypatch):
+    # in ascending order (1, 1) comes before the (2,) its recurrence
+    # reads, so the lookup by partition raises instead of reading a
+    # wrong entry
+    ordered = sympoly.partitions
+    monkeypatch.setattr(sympoly, "partitions", lambda w, k: iter(sorted(ordered(w, k))))
+    with pytest.raises(KeyError):
+        list(msym_columns([(2, 1)], 2, 2))
+
+
+def test_partitions_need_int_arguments():
+    for total, max_parts in [(True, None), (2.5, None), (3, 1.0), (3, True), ("3", None)]:
+        with pytest.raises(ValueError):
+            list(partitions(total, max_parts))
+    assert list(partitions(3, None)) == list(partitions(3))
 
 
 def test_eval_msym_long_all_ones_partition():
