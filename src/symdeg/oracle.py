@@ -12,9 +12,12 @@ functions from one walk over the rows (`YPolynomial.numerators`).  One
 walk over the prefixes' column counts (`class_indices`) gives each
 function's class as a small int, so no function is classified, sorted or
 turned into a `Fraction` on its own: each distinct (class, value) pair
-is judged once.  Everything is
-exact rational arithmetic; a report either passes or carries the
-concrete violating classes/functions.
+is judged once.  The points are walked again, in order, only to gather
+the violations when some pair fails, and once more to build the
+report's table of one row per point, the first time that is read: a
+caller that reads only `passed` (as `transfer_approximation` does) pays
+for neither.  Everything is exact rational arithmetic; a report either
+passes or carries the concrete violating classes/functions.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .budget import check_grid_budget
 from .properties import Label, PropertySpec, bounds_for, check_instance, enumerate_classes
@@ -102,11 +105,27 @@ class Violation:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Report:
+    """The outcome of a check: `passed`, the `violations` in point order,
+    and `table`, one row per point checked.  The rows may be given as any
+    iterable; it is drawn into a tuple the first time `table` is read, so
+    a caller that reads only the verdict never builds them."""
+
     passed: bool
     violations: tuple[Violation, ...]
-    table: tuple[dict, ...] = field(default=())
+    _table: Iterable[dict] = field(default=(), repr=False)
+
+    @property
+    def table(self) -> tuple[dict, ...]:
+        if type(self._table) is not tuple:
+            object.__setattr__(self, "_table", tuple(self._table))
+        return self._table
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Report:
+            return NotImplemented
+        return (self.passed, self.violations, self.table) == (other.passed, other.violations, other.table)
 
     def to_dict(self) -> dict:
         return {
@@ -132,8 +151,9 @@ def verify_approximation(
     `numerators` and the labels from the class table of
     `enumerate_classes`, and a point's verdict depends only on its
     (class, value) pair, so each distinct pair is judged and formatted
-    once; the rows are built in one pass after.
-    The instance must pass `check_instance`, as for the degree search.
+    once.  The violations are gathered in point order only when some pair
+    fails, and the rows are built the first time the report's `table` is
+    read.  The instance must pass `check_instance`, as for the degree search.
     """
     eps = check_instance(prop, n, m, eps)
     if isinstance(poly, YPolynomial):
@@ -149,29 +169,32 @@ def verify_approximation(
     classes = enumerate_classes(prop, n, m)
     if isinstance(poly, SymPolynomial):
         kind = "class"
-        points = [lam for lam, _ in classes]
-        ids = range(len(points))
-        den, nums = poly.numerators([FrequencyVector(m, lam) for lam in points])
+        where = [lam for lam, _ in classes]
+        ids = range(len(where))
+        den, nums = poly.numerators([FrequencyVector(m, lam) for lam in where])
     else:
         kind = "function"
         den, nums = poly.numerators()
-        points = product(range(1, m + 1), repeat=n)  # the order of numerators
+        where = None  # the functions in the order of numerators, walked afresh each time
         ids = class_indices(n, m, [lam for lam, _ in classes])
-    judged: dict[tuple[int, int], tuple] = {}  # (shown label, value text, ok, violation fields)
+    judged: dict[tuple[int, int], tuple] = {}  # (ok, shown label, value text, violation fields)
     for k, num in set(zip(ids, nums)):
         label = classes[k][1]
         lower, upper = bounds_for(label, eps)
         value = Fraction(num, den)
-        ok = lower <= value <= upper
-        judged[k, num] = (label.value, str(value), ok, (label, value, lower, upper))
-    rows = [judged[key] for key in zip(ids, nums)]
-    table = tuple([
-        {"kind": kind, "where": where, "label": shown, "value": text, "ok": ok}
-        for where, (shown, text, ok, _) in zip(map(list, points), rows)
-    ])
-    violations = tuple(
-        Violation(kind, tuple(row["where"]), *found)
-        for row, (_, _, ok, found) in zip(table, rows)
-        if not ok
+        judged[k, num] = (lower <= value <= upper, label.value, str(value), (label, value, lower, upper))
+
+    def verdicts() -> Iterator[tuple[tuple[int, ...], tuple]]:
+        points = where if where is not None else product(range(1, m + 1), repeat=n)
+        return zip(points, map(judged.__getitem__, zip(ids, nums)))
+
+    violations = ()
+    if not all(ok for ok, *_ in judged.values()):
+        violations = tuple(
+            Violation(kind, tuple(point), *found) for point, (ok, _, _, found) in verdicts() if not ok
+        )
+    rows = (
+        {"kind": kind, "where": list(point), "label": shown, "value": text, "ok": ok}
+        for point, (ok, shown, text, _) in verdicts()
     )
-    return Report(not violations, violations, table)
+    return Report(not violations, violations, rows)

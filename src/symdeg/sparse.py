@@ -7,7 +7,9 @@ kind does the same way: normalizing, merging and zero-dropping terms on
 construction, addition, scaling, equality, degree, canonical term order,
 evaluation at a 0/1 point, the shared JSON envelope and the printed form.
 A sum of many pieces is one constructor call on all their terms, since
-the constructor already merges duplicate keys and drops zeros.
+the constructor already merges duplicate keys and drops zeros.  A
+producer whose terms are canonical by construction hands its dict to
+`_canonical`, which checks the shape alone.
 
 A kind supplies its shape fields (`_SHAPE`, in constructor order), a key
 normalizer and a few one-line hooks.  The core refuses a shape size that
@@ -79,6 +81,15 @@ class SparsePolynomial:
                 continue
             acc[key] = acc.get(key, Fraction(0)) + Fraction(coeff)
         self.terms = {key: c for key, c in acc.items() if c != 0}
+
+    @classmethod
+    def _canonical(cls, *args):
+        """A polynomial from its shape and a dict already in canonical form:
+        canonical keys, each with a nonzero `Fraction`.  The shape is still
+        checked; the terms are taken as they are, not copied."""
+        poly = cls(*args[:-1])
+        poly.terms = args[-1]
+        return poly
 
     def _shape(self) -> tuple[int, ...]:
         return tuple(getattr(self, name) for name in self._SHAPE)

@@ -22,11 +22,20 @@ Both directions work per column pattern: the column multiplicities mu of
 a monomial, sorted non-increasing (`column_pattern`).  Permuting rows and
 renaming columns maps every monomial of one pattern to every other.
 
-- `symmetrize`: the product above equals prod_j (z_j)_{mu_j} / (N)_k, with
+- `symmetrize`: the product above equals prod_a (z_a)_{mu_a} / (N)_k, with
   (x)_e the falling factorial, so once the columns are averaged away it
-  depends on mu alone.  The coefficients are summed per pattern and each
-  pattern is averaged once: at most p(0) + ... + p(d) patterns at degree
-  d (12 at d = 4), however many terms the polynomial has.
+  depends on mu alone.  The coefficients are summed per pattern, as
+  integers over one denominator, and each pattern is averaged once: at
+  most p(0) + ... + p(d) patterns at degree d (12 at d = 4), however many
+  terms the polynomial has.  (z)_e = sum_t s(e, t) z^t, with s the signed
+  Stirling numbers of the first kind (`stirling_row`), and a named
+  monomial prod_a z_a^{t_a} averages over the permutations of the m
+  variables to m_lambda / orbit(lambda, m), where lambda sorts t and
+  orbit(lambda, m) counts the monomials of m_lambda.  So pattern mu with
+  summed coefficient c adds c * W / (orbit(lambda, m) * (N)_k) to
+  m_lambda, where the integer W is the sum of prod_a s(mu_a, t_a) over
+  the t that sort to lambda.  No named-variable polynomial is built;
+  `symmetrize_monomial` builds one, and the tests check against it.
 - `desymmetrize`: (y[1,j] + ... + y[N,j])^e normalizes to the sum over
   the nonempty row sets R of surj(e, |R|) * prod_{i in R} y[i,j], where
   surj(e, k) = sum_t (-1)^t C(k, t) (k - t)^e counts the onto maps from
@@ -34,8 +43,11 @@ renaming columns maps every monomial of one pattern to every other.
   its column a gets sum_lambda c_lambda * sum_e prod_a surj(e_a, k_a),
   over q's partitions lambda of length r and the distinct orderings e of
   each.  That coefficient is computed once per pattern, and every
-  monomial of the pattern is written down with it: the cost is the size
-  of the result, with no product of column sums multiplied out.
+  monomial of the pattern (a set of k rows, zipped with an arrangement
+  of its columns) is written down with it.  Those monomials are
+  canonical and pairwise distinct by construction, so they go into the
+  result's terms as they are: the cost is the size of the result, with
+  no product of column sums multiplied out and no monomial normalized.
 
 The enumeration half (`functions_with_counts`, `functions_in_class`,
 `class_size`, `average_over_counts`, `average_oracle`) is the ground truth
@@ -48,8 +60,8 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
-from math import comb, prod
+from itertools import combinations, product
+from math import comb, lcm, perm, prod
 from typing import Iterable, Iterator, Sequence
 
 from .budget import check_budget
@@ -116,25 +128,37 @@ def symmetrize(p: YPolynomial) -> SymPolynomial:
     For every frequency class z, the result evaluates to the exact average
     of p over all functions in the class; the degree never grows (it may
     shrink through cancellation).  The coefficients are summed per column
-    pattern, and each pattern is averaged once, on the monomial with rows
-    1..k and column a repeated mu_a times (see the module docstring).
+    pattern mu, and each pattern's average prod_a (z_a)_{mu_a} / (N)_k is
+    expanded by Stirling numbers into integer weights per partition (see
+    the module docstring).
     """
-    by_pattern: dict[Partition, Fraction] = {}
-    for mono, coeff in p.terms.items():
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    by_pattern: dict[Partition, int] = {}  # den times the summed coefficients
+    for mono, c in p.terms.items():
         mu = column_pattern(mono)
-        by_pattern[mu] = by_pattern.get(mu, 0) + coeff
-    terms = (
-        (lam, coeff * c)
-        for mu, coeff in by_pattern.items()
-        for lam, c in symmetrize_monomial(_pattern_monomial(mu), p.n, p.m).terms.items()
-    )
-    return SymPolynomial(p.m, terms)
+        by_pattern[mu] = by_pattern.get(mu, 0) + c.numerator * (den // c.denominator)
+    coeffs: dict[Partition, Fraction] = {}
+    for mu, num in by_pattern.items():
+        rows = [stirling_row(e) for e in mu]
+        weights: dict[Partition, int] = {}
+        for t in product(*(range(1, e + 1) for e in mu)):
+            lam = tuple(sorted(t, reverse=True))
+            weights[lam] = weights.get(lam, 0) + prod(row[s] for row, s in zip(rows, t))
+        scale = Fraction(num, den * perm(p.n, sum(mu)))
+        for lam, w in weights.items():
+            orbit = multinomial([*Counter(lam).values(), p.m - len(lam)])
+            coeffs[lam] = coeffs.get(lam, 0) + scale * w / orbit
+    return SymPolynomial(p.m, coeffs)
 
 
-def _pattern_monomial(mu: Partition) -> Monomial:
-    """The monomial y[1,1]...y[mu_1,1] y[mu_1+1,2]... of column pattern mu."""
-    columns = [a for a, mult in enumerate(mu, start=1) for _ in range(mult)]
-    return tuple(enumerate(columns, start=1))
+def stirling_row(e: int) -> list[int]:
+    """[s(e, 0), ..., s(e, e)], the signed Stirling numbers of the first
+    kind: the coefficients of the falling factorial (z)_e = z (z - 1) ...
+    (z - e + 1) in the powers of z."""
+    row = [1]
+    for i in range(e):
+        row = [a - i * b for a, b in zip([0, *row], [*row, 0])]
+    return row
 
 
 def desymmetrize(q: SymPolynomial, n: int) -> YPolynomial:
@@ -146,19 +170,16 @@ def desymmetrize(q: SymPolynomial, n: int) -> YPolynomial:
     if type(n) is not int or n < 1:
         raise ValueError(f"desymmetrize needs an int n >= 1 rows, got n={n!r}")
     m = q.m
-    terms: list = []
+    terms: dict = {}
     for kappa, coeff in _pattern_coefficients(q, n).items():
+        row_sets = list(combinations(range(1, n + 1), sum(kappa)))
         for columns in combinations(range(1, m + 1), len(kappa)):
             for counts in distinct_permutations(kappa):
-                # the column of each row, 0 for a row the monomial leaves out
-                labels = [0] * (n - sum(kappa)) + [
-                    j for j, count in zip(columns, counts) for _ in range(count)
-                ]
-                terms.extend(
-                    (tuple((i, j) for i, j in enumerate(row_columns, start=1) if j), coeff)
-                    for row_columns in distinct_permutations(labels)
-                )
-    return YPolynomial(n, m, terms)
+                labels = [j for j, count in zip(columns, counts) for _ in range(count)]
+                for arrangement in distinct_permutations(labels):
+                    for rows in row_sets:
+                        terms[tuple(zip(rows, arrangement))] = coeff
+    return YPolynomial._canonical(n, m, terms)
 
 
 def _pattern_coefficients(q: SymPolynomial, n: int) -> dict[Partition, Fraction]:
@@ -247,5 +268,6 @@ def _exact_mean(p: YPolynomial, functions: Iterable[FunctionTable], size: int) -
     for f in functions:
         total += p.evaluate(f)
         seen += 1
-    assert seen == size
+    if seen != size:
+        raise RuntimeError(f"expected {size} functions, got {seen}")
     return total / size

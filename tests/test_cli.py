@@ -444,6 +444,32 @@ def test_verify_failing_z_polynomial_exact_bytes(tmp_path, capsys, prop):
     assert hashlib.sha256(out.encode()).hexdigest() == FAILING_Z_VERIFY_SHA256[prop]
 
 
+# stdout sha256 of `verify --property ed` on the approx_degree(ed, 3, 3)
+# witness extended to m = 4, desymmetrized ("y", 64 functions) and as it is
+# ("z", 3 classes, with --n 3); both pass (exit code 0)
+PASSING_VERIFY_SHA256 = {
+    "y": "13388b932aecd97b625f30178b9741b63954eefcf7aee56c0ef5dcbf5141f655",
+    "z": "e9facf59142009339a1b243b982b85773527f13b0bfe3687cbbada0cada233ee",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PASSING_VERIFY_SHA256))
+def test_verify_passing_exact_bytes(tmp_path, capsys, kind):
+    src = tmp_path / "p.json"
+    wide = symdeg.extend(symdeg.approx_degree(symdeg.get_property("ed"), 3, 3).optimal_polynomial(), 4)
+    if kind == "y":
+        dump_polynomial(symdeg.desymmetrize(wide, 3), src)
+        args, points = [], 64
+    else:
+        dump_polynomial(wide, src)
+        args, points = ["--n", "3"], 3
+    assert main(["verify", "--property", "ed", "--input", str(src), *args]) == 0
+    out = capsys.readouterr().out
+    data = json.loads(out)
+    assert data["pass"] is True and len(data["table"]) == points
+    assert hashlib.sha256(out.encode()).hexdigest() == PASSING_VERIFY_SHA256[kind]
+
+
 def test_verify_y_polynomial_checks_n(tmp_path, capsys):
     src = tmp_path / "p.json"
     from symdeg.symmetrize import desymmetrize

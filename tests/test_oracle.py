@@ -289,12 +289,30 @@ def test_indicator_route_matches_the_per_function_reference():
             expected = per_function_report(p, prop, THIRD)
             assert report.to_dict() == expected.to_dict()
             assert report.violations == expected.violations
+            assert report == expected
             failing += not report.passed
     assert failing > 100  # most of the 181 reports carry violations
     shared = verify_approximation(EDGE_POLYNOMIALS[5], ELEMENT_DISTINCTNESS, 3, 4, THIRD)
     assert {(row["label"], row["value"], row["ok"]) for row in shared.table} == {
         ("Zero", "1/5", True), ("One", "1/5", False),
     }
+
+
+@pytest.mark.parametrize(
+    "p, prop",
+    [(YPolynomial.zero(3, 4), ELEMENT_DISTINCTNESS), (YPolynomial.constant(3, 4, 1), ALWAYS_ONE)],
+    ids=["failing", "passing"],
+)
+def test_report_builds_its_table_when_first_read(p, prop):
+    # the verdict and the violations are read without building the rows;
+    # the first read of the table builds all m**n of them, once
+    report = verify_approximation(p, prop, 3, 4, THIRD)
+    expected = per_function_report(p, prop, THIRD)
+    assert (report.passed, report.violations) == (expected.passed, expected.violations)
+    assert type(report._table) is not tuple
+    assert len(report.table) == 4**3
+    assert report.table is report.table
+    assert report == expected and report.to_dict() == expected.to_dict()
 
 
 def test_indicator_route_classifies_each_class_once():

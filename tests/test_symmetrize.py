@@ -5,6 +5,7 @@ ground truth here; the closed-form routes must reproduce them exactly.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from symdeg.sympoly import (
     partitions,
 )
 from symdeg.symmetrize import (
+    _exact_mean,
     average_oracle,
     average_over_counts,
     class_size,
@@ -30,6 +32,7 @@ from symdeg.symmetrize import (
     functions_in_class,
     functions_with_counts,
     monomial_class_expectation,
+    stirling_row,
     surj,
     symmetrize,
     symmetrize_monomial,
@@ -109,6 +112,16 @@ def test_expectation_matches_ordered_average():
             if sum(counts) != n:
                 continue
             assert formula.evaluate(counts) == average_over_counts(p, counts)
+
+
+def test_exact_mean_refuses_a_wrong_function_count():
+    # the count is checked by a raise, so it holds under python -O as well
+    p = YPolynomial(2, 2, {((1, 1),): 1})
+    functions = list(functions_with_counts((1, 1)))
+    assert _exact_mean(p, functions, 2) == Fraction(1, 2)
+    for wrong in (1, 3):
+        with pytest.raises(RuntimeError, match=f"expected {wrong} functions, got 2"):
+            _exact_mean(p, functions, wrong)
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +391,9 @@ def desymmetrize_by_substitution(q, n):
 
 @st.composite
 def normalized_polynomials(draw):
-    """A polynomial on a grid up to 4x4 whose terms are normalized monomials
+    """A polynomial on a grid up to 5x6 whose terms are normalized monomials
     drawn row set first, so none of them vanishes on construction."""
-    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 6))
     monos = st.sets(st.integers(1, n)).flatmap(
         lambda rows: st.tuples(*[st.tuples(st.just(i), st.integers(1, m)) for i in sorted(rows)])
     )
@@ -393,9 +406,17 @@ def normalized_polynomials(draw):
 @example(YPolynomial.constant(4, 4, Fraction(5, 3)))
 @example(YPolynomial(4, 4, {((1, 1), (2, 2)): 1, ((3, 4), (4, 3)): -1}))
 @example(YPolynomial(4, 2, {((1, 1), (2, 1), (3, 2), (4, 2)): Fraction(1, 7)}))
+@example(YPolynomial(5, 2, {((1, 1), (2, 1), (3, 1), (4, 2), (5, 2)): 3, ((2, 2),): Fraction(-1, 4)}))
+@example(YPolynomial(3, 5, {((1, 5), (2, 5), (3, 2)): Fraction(2, 3), ((1, 4),): 1, (): -1}))
+@example(YPolynomial(5, 6, {((1, 1), (2, 1), (3, 2), (4, 3), (5, 3)): Fraction(2, 3), ((2, 6),): -1}))
 @settings(max_examples=200, deadline=None)
 def test_symmetrize_equals_the_sum_of_monomial_averages(p):
-    assert symmetrize(p).terms == symmetrize_by_monomial(p).terms
+    q = symmetrize(p)
+    assert q.terms == symmetrize_by_monomial(p).terms
+    if p.m**p.n <= 256:  # small enough to average by enumeration too
+        for lam in partitions(p.n, max_parts=p.m):
+            z = FrequencyVector(p.m, lam)
+            assert q.evaluate(z) == average_oracle(p, z)
 
 
 def test_column_pattern():
@@ -419,7 +440,16 @@ def test_column_pattern():
     ],
 )
 def test_desymmetrize_equals_column_sum_substitution(q, n):
-    assert desymmetrize(q, n).terms == desymmetrize_by_substitution(q, n).terms
+    result = desymmetrize(q, n)
+    assert_canonical(result)
+    assert result.terms == desymmetrize_by_substitution(q, n).terms
+
+
+def assert_canonical(p):
+    """The terms are exactly what the validating constructor would store:
+    normalized, distinct monomials, each with a nonzero Fraction."""
+    assert all(type(c) is Fraction and c for c in p.terms.values())
+    assert p == YPolynomial(p.n, p.m, list(p.terms.items()))
 
 
 def test_desymmetrize_of_lambdas_longer_than_n_is_zero():
@@ -439,7 +469,18 @@ sympolys = st.integers(1, 4).flatmap(
 @given(sympolys, st.integers(1, 4))
 @settings(max_examples=150, deadline=None)
 def test_desymmetrize_equals_column_sum_substitution_on_random_input(q, n):
-    assert desymmetrize(q, n).terms == desymmetrize_by_substitution(q, n).terms
+    result = desymmetrize(q, n)
+    assert_canonical(result)
+    assert result.terms == desymmetrize_by_substitution(q, n).terms
+
+
+def test_stirling_row_expands_the_falling_factorial():
+    for e in range(8):
+        row = stirling_row(e)
+        assert len(row) == e + 1
+        assert row[e] == 1 and row[0] == (e == 0)
+        for z in range(-3, 10):
+            assert sum(s * z**t for t, s in enumerate(row)) == math.prod(z - i for i in range(e))
 
 
 def test_surj_counts_onto_maps():

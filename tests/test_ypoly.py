@@ -168,6 +168,15 @@ def test_dimension_mismatch_rejected():
         a * b
 
 
+def test_canonical_terms_are_taken_as_they_are_but_the_shape_is_checked():
+    terms = {(): Fraction(1, 3), ((1, 2), (2, 3)): Fraction(-1, 2)}
+    p = YPolynomial._canonical(2, 3, terms)
+    assert p.terms is terms and p == YPolynomial(2, 3, terms)
+    for n in (0, 2.0, True):
+        with pytest.raises(ValueError, match="n must be an int >= 1"):
+            YPolynomial._canonical(n, 3, terms)
+
+
 def test_variable_bounds_checked():
     with pytest.raises(ValueError):
         YPolynomial(2, 2, {((3, 1),): 1})
