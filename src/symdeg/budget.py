@@ -6,7 +6,9 @@ so oversized requests fail fast instead of running away: all m**n
 functions (`verify_approximation` on an indicator polynomial, and so
 `transfer_approximation`; `oracle.enumerate_functions`, behind
 `eps_min_indicator_basis`), one frequency class (`functions_in_class`,
-`average_oracle`) and one ordered frequency vector (`average_over_counts`).
+`average_oracle`), one ordered frequency vector (`average_over_counts`)
+and the range sizes of one sweep (`degreelp.sweep`, counted before any
+size is checked).
 A function grid past the budget by bit length alone is refused before
 m**n is built (`check_grid_budget`).  The budget is 10**6 items unless
 the SYMDEG_BUDGET environment variable sets another; it is the one

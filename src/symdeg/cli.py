@@ -11,15 +11,20 @@ transforms (symmetrize, extend, restrict, andor-reduce) share one handler,
 `cmd_transform`, over `_TRANSFORMS`: each command's input kind and
 transform.  An --n given to andor-reduce or to verify on a y-polynomial
 must match the file's n.  `_SUBCOMMANDS` lists every subcommand with its
-options, in --help order.  Exit codes: 0 success, 1 a requested assertion
-failed (--assert-flat, or a failing verify), 2 bad arguments or malformed
-input files, 3 enumeration budget exceeded.
+options, in --help order, and `build_parser` builds the one parser from
+it.  `main` parses with one parser per process, built on its first call
+(argparse keeps no per-call state in it), so a process that calls `main`
+many times pays for the parser once.  Exit codes: 0 success, 1 a
+requested assertion failed (--assert-flat, or a failing verify), 2 bad
+arguments or malformed input files, 3 enumeration budget exceeded (the
+sweep's count of range sizes too).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -51,8 +56,9 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
 
 
-def _m_range(text: str) -> list[int]:
-    """Parse '4' or '3..6' into the list of range sizes to sweep."""
+def _m_range(text: str) -> range:
+    """Parse '4' or '3..6' into the range of sizes to sweep, unbuilt:
+    `sweep` counts it against the enumeration budget first."""
     try:
         if ".." in text:
             lo_text, hi_text = text.split("..", 1)
@@ -65,7 +71,7 @@ def _m_range(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"empty range: {text!r}")
     if lo < 1:
         raise argparse.ArgumentTypeError(f"range sizes start at 1: {text!r}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _add_property_arguments(parser: argparse.ArgumentParser) -> None:
@@ -217,7 +223,10 @@ _SUBCOMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every `main`
+    call: nothing may mutate it."""
     parser = argparse.ArgumentParser(
         prog="symdeg",
         description=(

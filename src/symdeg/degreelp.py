@@ -30,8 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
+from .budget import check_budget
 from .lp import LinearProgram, Relation, Simplex, solve
 from .oracle import class_indices, enumerate_functions
 from .properties import Label, PropertySpec, bounds_for, check_instance, enumerate_classes
@@ -281,10 +282,12 @@ def approx_degree(
 
 
 def sweep(
-    prop: PropertySpec, n: int, ms: Iterable[int], eps: Fraction | int | str = Fraction(1, 3)
+    prop: PropertySpec, n: int, ms: Sequence[int], eps: Fraction | int | str = Fraction(1, 3)
 ) -> tuple[DegreeCertificate, ...]:
-    """`approx_degree(prop, n, m, eps)` for each m in `ms`, every instance
-    checked before anything is solved.
+    """`approx_degree(prop, n, m, eps)` for each m in `ms` (a list or a
+    range), every instance checked before anything is solved.  The count
+    of range sizes is checked against the enumeration budget first, so a
+    range like 3..3000000000 is refused before any size is checked.
 
     The LP reads m only through the labelled classes and the column cap
     min(n, m) (`msym_columns` sees a class's nonzero counts alone), so two
@@ -294,7 +297,11 @@ def sweep(
     paper's collapse of every range M >= N onto M = N.  The labels are
     compared, not assumed, since a custom rule may read m.
     """
-    ms = list(ms)
+    try:
+        count = len(ms)
+    except OverflowError:  # a range of more than sys.maxsize sizes
+        count = (ms[-1] - ms[0]) // ms.step + 1
+    check_budget(count)
     for m in ms:
         eps = check_instance(prop, n, m, eps)
     solved: dict[tuple, DegreeCertificate] = {}

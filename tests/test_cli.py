@@ -1,5 +1,6 @@
 """Tests for the command-line interface: output formats and exit codes."""
 
+import argparse
 import hashlib
 import json
 import pathlib
@@ -10,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 import symdeg
+from symdeg import cli
 from symdeg.cli import main
 from symdeg.polyio import dump_polynomial, load_polynomial
 from symdeg.sympoly import SymPolynomial
@@ -244,6 +246,28 @@ def test_sweep_rejects_bad_range_syntax():
     with pytest.raises(SystemExit) as info:
         main(["sweep", "--property", "ed", "--n", "2", "--m", "two"])
     assert info.value.code == 2
+
+
+def test_sweep_counts_its_range_sizes_against_the_budget(capsys, monkeypatch):
+    monkeypatch.setenv("SYMDEG_BUDGET", "3")
+    sweep_ed = ["sweep", "--property", "ed", "--n", "3", "--m"]
+    assert main(sweep_ed + ["3..6"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: enumeration of 4 items exceeds the budget of 3 (raise it via SYMDEG_BUDGET)\n"
+    )
+    assert main(sweep_ed + ["3..5"]) == 0
+    assert capsys.readouterr().out.count("\n") == 4  # header + three rows
+
+
+def test_sweep_refuses_a_range_too_long_to_count_with_len(capsys, monkeypatch):
+    # len() of this range overflows; the refusal still names its size
+    monkeypatch.delenv("SYMDEG_BUDGET", raising=False)
+    assert main(["sweep", "--property", "ed", "--n", "3", "--m", f"3..{10**30}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "enumeration of 2**99 or more items" in captured.err
 
 
 def test_sweep_output_file(tmp_path, capsys):
@@ -540,6 +564,7 @@ def run_module(args, hashseed):
             "PATH": "/usr/bin:/bin",
             "PYTHONHASHSEED": hashseed,
             "PYTHONPATH": SYMDEG_PATH,
+            "COLUMNS": "80",
         },
         cwd="/",
     )
@@ -557,3 +582,58 @@ def test_sweep_bytes_identical_across_hash_seeds():
     second = run_module(args, "42")
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_main_builds_its_parser_once_per_process(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    argv = ["sweep", "--property", "ed", "--n", "2", "--m", "2..3"]
+    assert main(argv) == 0
+    once = len(built)
+    assert main(argv) == 0
+    assert len(built) == once
+
+
+def test_reused_parser_carries_no_state_between_calls(tmp_path, wavy_file, capsys, monkeypatch):
+    # each call in a sequence must print what a fresh process prints for
+    # the same argv: an earlier call's option, error or output file may
+    # not leak into a later one through the shared parser
+    monkeypatch.setenv("COLUMNS", "80")
+    sweep_ed = ["sweep", "--property", "ed", "--n", "2", "--m", "2..3"]
+    bad_m = ["sweep", "--property", "ed", "--n", "2", "--m", "two"]
+    degree = ["degree", "--n", "3", "--m", "3"]
+    degree_ed = degree + ["--property", "ed"]
+    helps = [["--help"]] + [[name, "--help"] for name, *_ in cli._SUBCOMMANDS]
+    sequences = [
+        [sweep_ed + ["--eps", "1/4"], sweep_ed],
+        [bad_m, sweep_ed],
+        [degree + ["--property-file", str(wavy_file)], degree_ed],
+        [degree_ed + ["--output", str(tmp_path / "cert.json")], degree_ed],
+        *([argv, argv] for argv in helps),
+    ]
+    fresh = {}
+    for sequence in sequences:
+        for argv in sequence:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            key = tuple(argv)
+            if key not in fresh:
+                result = run_module(argv, "0")
+                fresh[key] = (result.returncode, result.stdout, result.stderr)
+            assert (code, captured.out, captured.err) == fresh[key], argv
+    assert fresh[tuple(sweep_ed)][1].splitlines()[1].split(",")[3] == "1/3"
+    assert fresh[tuple(bad_m)][0] == 2
+    assert all(fresh[tuple(argv)][0] == 0 and fresh[tuple(argv)][1] for argv in helps)

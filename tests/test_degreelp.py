@@ -412,6 +412,17 @@ def test_sweep_checks_every_m_before_solving(monkeypatch):
         sweep(ELEMENT_DISTINCTNESS, 3, [3, 2])
 
 
+@pytest.mark.parametrize("ms", [range(3, 10**12), range(3, 10**30)], ids=["10**12", "10**30"])
+def test_sweep_counts_its_sizes_before_checking_any(monkeypatch, ms):
+    # never built: the count is refused before a size is checked
+    monkeypatch.delenv("SYMDEG_BUDGET", raising=False)
+    monkeypatch.setattr(
+        degreelp, "check_instance", lambda *args: pytest.fail("checked a size before counting them")
+    )
+    with pytest.raises(BudgetExceededError):
+        sweep(ELEMENT_DISTINCTNESS, 3, ms)
+
+
 def seeded_labeling(seed, n):
     rng = random.Random(seed)
     return property_from_classes(
