@@ -144,7 +144,8 @@ def verify_approximation(
 ) -> Report:
     """Check that `poly` eps-approximates the property over [n] -> [m].
 
-    Symmetric polynomials are checked class by class (cheap); indicator
+    Symmetric polynomials are checked class by class (cheap), at vectors
+    built unchecked from the `enumerate_classes` partitions; indicator
     polynomials function by function, in lexicographic order, after
     checking m**n against the budget, with class indices from
     `class_indices`.  Either way the values come from the polynomial's
@@ -171,7 +172,7 @@ def verify_approximation(
         kind = "class"
         where = [lam for lam, _ in classes]
         ids = range(len(where))
-        den, nums = poly.numerators([FrequencyVector(m, lam) for lam in where])
+        den, nums = poly.numerators([FrequencyVector._of_partition(m, lam) for lam in where])
     else:
         kind = "function"
         den, nums = poly.numerators()

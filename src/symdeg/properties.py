@@ -6,6 +6,11 @@ the promise; an approximating polynomial only has to stay within [0, 1]
 there).  Because the label depends only on the multiset of preimage
 counts, a property is symmetric by construction: permuting inputs or
 renaming outputs never changes the label.
+
+`enumerate_classes` labels the classes of an instance: it builds each
+class's `FrequencyVector` once, from the partition `partitions` yields,
+without checking it again, and the built-in rules read only the ends of
+the sorted parts (the largest and the smallest count), not every part.
 """
 
 from __future__ import annotations
@@ -53,24 +58,29 @@ class PropertySpec:
         return self.rule(z)
 
 
+# The built-in rules read the ends of z.parts, which FrequencyVector keeps
+# positive and non-increasing: parts[0] is the largest count and parts[-1]
+# the smallest.  The weight-0 vector has no parts and is one-to-one.
+
+
 def _collision_rule(z: FrequencyVector) -> Label:
-    if all(p == 1 for p in z.parts):
+    if not z.parts or z.parts[0] <= 1:
         return Label.ONE
-    if all(p == 2 for p in z.parts):
+    if z.parts[0] == z.parts[-1] == 2:
         return Label.ZERO
     return Label.UNDEFINED
 
 
 def _element_distinctness_rule(z: FrequencyVector) -> Label:
-    if all(p == 1 for p in z.parts):
+    if not z.parts or z.parts[0] <= 1:
         return Label.ONE
     return Label.ZERO
 
 
 def _modified_element_distinctness_rule(z: FrequencyVector) -> Label:
-    if all(p == 1 for p in z.parts):
+    if not z.parts or z.parts[0] <= 1:
         return Label.ONE
-    if any(p >= 3 for p in z.parts):
+    if z.parts[0] >= 3:
         return Label.ZERO
     return Label.UNDEFINED
 
@@ -133,11 +143,17 @@ def check_instance(prop: PropertySpec, n: int, m: int, eps: Fraction | int | str
 
 def enumerate_classes(prop: PropertySpec, n: int, m: int) -> list[tuple[Partition, Label]]:
     """All frequency classes of functions [n] -> [m] with their labels:
-    one entry per partition of n with at most m parts, in reverse-lex order."""
+    one entry per partition of n with at most m parts, in reverse-lex order.
+
+    Each class's vector is built once, by `FrequencyVector._of_partition`,
+    from the partition `partitions` yields: n and m are ints >= 1 (checked
+    here and by `partitions`, which refuses a bool or any other non-int)
+    and the parts are positive, non-increasing and at most m, so the
+    checks of `FrequencyVector(m, lam)` are not run again."""
     if n < 1 or m < 1:
         raise ValueError("class enumeration needs n >= 1 and m >= 1")
     return [
-        (lam, prop.classify(FrequencyVector(m, lam)))
+        (lam, prop.classify(FrequencyVector._of_partition(m, lam)))
         for lam in partitions(n, max_parts=m)
     ]
 

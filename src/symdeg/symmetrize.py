@@ -262,12 +262,17 @@ def average_oracle(p: YPolynomial, z: FrequencyVector) -> Fraction:
 
 def _exact_mean(p: YPolynomial, functions: Iterable[FunctionTable], size: int) -> Fraction:
     """Mean of p over `functions`, which must be exactly `size` functions;
-    they are counted as they come, so a wrong `size` cannot pass unnoticed."""
-    total = Fraction(0)
-    seen = 0
+    they are counted as they come, so a wrong `size` cannot pass unnoticed.
+    The coefficients are put over their common denominator once, so each
+    function adds the int numerators of the terms it satisfies; the
+    caller has checked that the functions are on p's grid."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    terms = [(key, c.numerator * (den // c.denominator)) for key, c in p.terms.items()]
+    total = seen = 0
     for f in functions:
-        total += p.evaluate(f)
+        true = set(enumerate(f.values, 1))
+        total += sum(num for key, num in terms if true.issuperset(key))
         seen += 1
     if seen != size:
         raise RuntimeError(f"expected {size} functions, got {seen}")
-    return total / size
+    return Fraction(total, den * size)

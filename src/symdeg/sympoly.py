@@ -188,6 +188,16 @@ class FrequencyVector:
             )
 
     @classmethod
+    def _of_partition(cls, m: int, parts: Partition) -> "FrequencyVector":
+        """The vector of a partition that `partitions(n, max_parts=m)` has
+        just yielded, for an int m >= 1: every rule of `__post_init__`
+        already holds, so it is not run again."""
+        z = object.__new__(cls)
+        object.__setattr__(z, "m", m)
+        object.__setattr__(z, "parts", parts)
+        return z
+
+    @classmethod
     def from_counts(cls, counts: Sequence[int]) -> "FrequencyVector":
         """Canonicalize an ordered tuple of per-output counts (zeros allowed)."""
         counts = check_counts(counts)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from symdeg import sympoly
 from symdeg.degreelp import approx_degree, sweep
 from symdeg.oracle import verify_approximation
 from symdeg.properties import (
@@ -56,6 +57,48 @@ def test_modified_element_distinctness_labels():
     assert MODIFIED_ELEMENT_DISTINCTNESS.classify(fv(2, 1, m=3)) is Label.UNDEFINED
     assert MODIFIED_ELEMENT_DISTINCTNESS.classify(fv(2, 2, m=4)) is Label.UNDEFINED
     assert MODIFIED_ELEMENT_DISTINCTNESS.classify(fv(4, 2, m=6)) is Label.ZERO
+
+
+# The defining forms of the built-in rules, which read every part; the rules
+# themselves read only the ends of the sorted parts.
+
+
+def defining_element_distinctness(parts):
+    return Label.ONE if all(p == 1 for p in parts) else Label.ZERO
+
+
+def defining_modified_element_distinctness(parts):
+    if all(p == 1 for p in parts):
+        return Label.ONE
+    if any(p >= 3 for p in parts):
+        return Label.ZERO
+    return Label.UNDEFINED
+
+
+def defining_collision(parts):
+    if all(p == 1 for p in parts):
+        return Label.ONE
+    if all(p == 2 for p in parts):
+        return Label.ZERO
+    return Label.UNDEFINED
+
+
+@pytest.mark.parametrize(
+    "prop, defining",
+    [
+        (ELEMENT_DISTINCTNESS, defining_element_distinctness),
+        (MODIFIED_ELEMENT_DISTINCTNESS, defining_modified_element_distinctness),
+        (COLLISION, defining_collision),
+    ],
+)
+def test_builtin_rules_equal_their_defining_forms(prop, defining):
+    # every partition of n = 0..14 (n = 0 is the empty one), with no zero
+    # count and with two; m = 0 is no frequency vector, so the empty
+    # partition takes m = 1 instead
+    for n in range(15):
+        for lam in partitions(n):
+            for m in (max(len(lam), 1), len(lam) + 2):
+                assert prop.classify(FrequencyVector(m, lam)) is defining(lam), (lam, m)
 
 
 def test_always_one():
@@ -203,6 +246,43 @@ def test_enumerate_classes_validates():
         enumerate_classes(COLLISION, 0, 2)
     with pytest.raises(ValueError):
         enumerate_classes(COLLISION, 2, 0)
+
+
+def test_enumerate_classes_checks_no_partition_again(monkeypatch):
+    seen = []
+    check = sympoly.check_partition
+    monkeypatch.setattr(sympoly, "check_partition", lambda parts: seen.append(parts) or check(parts))
+    assert len(enumerate_classes(ELEMENT_DISTINCTNESS, 9, 9)) == 30
+    assert seen == []
+    FrequencyVector(9, (9,))  # the spy is live: a checked vector calls it
+    assert seen == [(9,)]
+
+
+def test_unchecked_class_vectors_equal_checked_ones():
+    for n in range(11):
+        for lam in partitions(n):
+            for m in range(max(len(lam), 1), n + 2):
+                z, checked = FrequencyVector._of_partition(m, lam), FrequencyVector(m, lam)
+                assert z == checked and hash(z) == hash(checked)
+
+
+def test_enumerate_classes_labels_as_checked_vectors_do():
+    custom = property_from_dict(
+        {
+            "n": 4,
+            "classes": [
+                {"partition": [4], "label": "One"},
+                {"partition": [2, 2], "label": "Zero"},
+                {"partition": [2, 1, 1], "label": "One"},
+            ],
+        }
+    )
+    reads_m = PropertySpec("reads-m", lambda z: Label.ONE if z.m > len(z.parts) else Label.ZERO)
+    for prop in (custom, reads_m, *set(BUILTIN_PROPERTIES.values())):
+        for m in range(1, 7):
+            assert enumerate_classes(prop, 4, m) == [
+                (lam, prop.classify(FrequencyVector(m, lam))) for lam in partitions(4, max_parts=m)
+            ]
 
 
 def test_class_count_equals_bounded_partition_count():

@@ -124,6 +124,23 @@ def test_exact_mean_refuses_a_wrong_function_count():
             _exact_mean(p, functions, wrong)
 
 
+@pytest.mark.parametrize("n, m", [*itertools.product(range(2, 5), repeat=2), (3, 5)])
+def test_average_oracle_equals_the_mean_of_fraction_values(n, m):
+    # the integer numerators against the mean of p.evaluate, a Fraction per
+    # function, at every class: the zero polynomial, a constant, and every
+    # monomial of degree <= 2 with its own denominator
+    mixed = {
+        mono: Fraction((-1) ** k * (k + 1), k + 2)
+        for k, mono in enumerate(all_normalized_monomials(n, m, 2))
+    }
+    for p in (YPolynomial(n, m), YPolynomial(n, m, {(): Fraction(7, 3)}), YPolynomial(n, m, mixed)):
+        for lam in partitions(n, max_parts=m):
+            z = FrequencyVector(m, lam)
+            functions = list(functions_in_class(z))
+            want = sum((p.evaluate(f) for f in functions), Fraction(0)) / len(functions)
+            assert average_oracle(p, z) == want, (p, lam)
+
+
 # ---------------------------------------------------------------------------
 # ordered average vs class average: these differ, deliberately
 

@@ -131,6 +131,15 @@ def test_frequency_vector_rejects_non_integer_parts():
         FrequencyVector(3, (2.5, 1))
 
 
+@pytest.mark.parametrize(
+    "m, parts",
+    [(3, (1, 2)), (3, (2, 0)), (3, (2, -1)), (3, (True, 1)), (0, ()), (True, (1,)), (2.0, (1,))],
+)
+def test_frequency_vector_refuses_what_is_no_class(m, parts):
+    with pytest.raises(ValueError):
+        FrequencyVector(m, parts)
+
+
 @pytest.mark.parametrize("counts", [(2.5, 1), (True, 2), (1.0, 1), (-1, 2)])
 def test_from_counts_rejects_invalid_counts(counts):
     with pytest.raises(ValueError, match="counts must be non-negative integers"):
