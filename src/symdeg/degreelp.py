@@ -73,21 +73,27 @@ def _bound_rows(label: Label) -> tuple[tuple[int, Relation, int], ...]:
     return (int(lower0 - lower1), ">=", int(lower0)), (int(upper0 - upper1), "<=", int(upper0))
 
 
-_BOUND_ROWS = {label: _bound_rows(label) for label in Label}
+# keyed by the member's name: a str hashes in C, an Enum member through
+# the Python-level Enum.__hash__
+_BOUND_ROWS = {label._name_: _bound_rows(label) for label in Label}
 
 
 def _min_error_program(width: int, rows: Iterable[tuple[list[int], Label]]) -> LinearProgram:
     """min eps over eps >= 0 and `width` free coefficients: for each
     (row, label), the two rows lower(eps) <= row . coefficients <=
-    upper(eps) of the label's band."""
+    upper(eps) of the label's band, all added in one `add_rows` block."""
     program = LinearProgram(
         num_vars=1 + width,  # eps first, then the coefficients
         objective=[1] + [0] * width,
         free=[False] + [True] * width,
     )
+    lhs, rels, rhss = [], [], []
     for row, label in rows:
-        for eps_entry, rel, rhs in _BOUND_ROWS[label]:
-            program.add_row([eps_entry, *row], rel, rhs)
+        (lower, lower_rel, lower_rhs), (upper, upper_rel, upper_rhs) = _BOUND_ROWS[label._name_]
+        lhs += [lower, *row], [upper, *row]
+        rels += lower_rel, upper_rel
+        rhss += lower_rhs, upper_rhs
+    program.add_rows(lhs, rels, rhss)
     return program
 
 
@@ -124,14 +130,17 @@ def _pose(program: LinearProgram) -> LinearProgram:
 
     In x' = x - x0, eps' is free, with one new first row -2 eps' <= 1 for
     eps >= 0, and every other row a.x ~ b becomes 2a.x' ~ 2b - a_0 - a_1,
-    doubled so that its entries stay ints.  The rows are posed first and
-    the columns appended one by one through `_add_posed_column`, which is
-    also how the degree search appends each degree's new columns: x0
-    touches only degree-0 columns, so no right-hand side moves."""
+    doubled so that its entries stay ints.  The rows are posed first, in
+    one `add_rows` block, and the columns appended one by one through
+    `_add_posed_column`, which is also how the degree search appends each
+    degree's new columns: x0 touches only degree-0 columns, so no
+    right-hand side moves."""
     posed = LinearProgram(0, [], [])
-    posed.add_row([], "<=", 1)
-    for row, rel, b in zip(program.lhs, program.rel, program.rhs):
-        posed.add_row([], rel, 2 * b - row[0] - row[1])
+    posed.add_rows(
+        [()] * (1 + len(program.lhs)),
+        ["<=", *program.rel],
+        [1, *(2 * b - row[0] - row[1] for row, b in zip(program.lhs, program.rhs))],
+    )
     for j, (cost, free) in enumerate(zip(program.objective, program.free)):
         column = (row[j] for row in program.lhs)
         _add_posed_column(posed, cost, free or j == 0, column, -2 if j == 0 else 0)

@@ -45,7 +45,11 @@ cost has the sign of its integer, since den > 0.  No Fraction is built
 inside the loop.  A program is ints (its rows, right-hand sides and
 objective; anything else, a bool too, is refused with a ValueError), so
 the slack basis starts over den = 1 with every row a slack row;
-Fraction appears only in the solution.
+Fraction appears only in the solution.  Rows enter a program a block at
+a time, through `LinearProgram.add_rows`, which checks the whole block
+(each row's width, its relation, and that every entry and right-hand
+side is an int) in a few passes in C and appends all of it or none of
+it; `add_row` is its one-row case.
 
 The entering column has the reduced cost largest in size among the
 eligible ones (Dantzig's rule), the smallest column index breaking ties
@@ -88,7 +92,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Iterable, Optional, Sequence
 
 Relation = str  # "<=", ">="
 
@@ -101,8 +106,9 @@ K_DEGENERATE = 50  # degenerate pivots in a row before Bland's rule takes over
 class LinearProgram:
     """minimize objective . x  subject to the rows; x_j >= 0 unless free[j].
     Every cost, coefficient and right-hand side is an int; rows enter
-    only through `add_row`, and a variable enters after the rows only
-    through `add_column`."""
+    only through `add_rows`, a block at a time (`add_row` is its one-row
+    case), and a variable enters after the rows only through
+    `add_column`."""
 
     num_vars: int
     objective: list[int]
@@ -119,17 +125,31 @@ class LinearProgram:
         if len(self.objective) != self.num_vars or len(self.free) != self.num_vars:
             raise ValueError("objective/free length must equal num_vars")
 
-    def add_row(self, coeffs: Sequence[int], rel: Relation, rhs: int) -> None:
-        row = list(coeffs)
-        if len(row) != self.num_vars:
-            raise ValueError(f"row has {len(row)} coefficients, expected {self.num_vars}")
-        if rel not in _RELATIONS:
-            raise ValueError(f"unknown relation {rel!r}")
-        if type(rhs) is not int or not {*map(type, row)} <= {int}:
-            raise ValueError(f"a row must be ints, got {row!r} {rel} {rhs!r}")
-        self.lhs.append(row)
-        self.rel.append(rel)
-        self.rhs.append(rhs)
+    def add_rows(
+        self, rows: Iterable[Iterable[int]], rels: Iterable[Relation], rhss: Iterable[int]
+    ) -> None:
+        """Append the rows rows[i] . x rels[i] rhss[i], each row a copy:
+        the whole block, or nothing if any of it is malformed (a
+        ValueError).  Each check is one pass over the block."""
+        rows, rels, rhss = list(map(list, rows)), list(rels), list(rhss)
+        if not len(rows) == len(rels) == len(rhss):
+            raise ValueError("a block needs one relation and one right-hand side per row")
+        widths = {*map(len, rows)} - {self.num_vars}
+        if widths:
+            raise ValueError(f"a row has {min(widths)} coefficients, expected {self.num_vars}")
+        if not all(map(_RELATIONS.__contains__, rels)):
+            raise ValueError(f"unknown relation {next(r for r in rels if r not in _RELATIONS)!r}")
+        types = {*map(type, rhss), *map(type, chain.from_iterable(rows))} - {int}
+        if types:
+            names = ", ".join(sorted(t.__name__ for t in types))
+            raise ValueError(f"a row must be ints, got entries of type {names}")
+        self.lhs += rows
+        self.rel += rels
+        self.rhs += rhss
+
+    def add_row(self, coeffs: Iterable[int], rel: Relation, rhs: int) -> None:
+        """`add_rows` of one row."""
+        self.add_rows([coeffs], [rel], [rhs])
 
     def add_column(self, cost: int, free: bool, column: Sequence[int]) -> None:
         """Append a variable with this cost and one entry per row."""

@@ -60,29 +60,33 @@ class PropertySpec:
 
 # The built-in rules read the ends of z.parts, which FrequencyVector keeps
 # positive and non-increasing: parts[0] is the largest count and parts[-1]
-# the smallest.  The weight-0 vector has no parts and is one-to-one.
+# the smallest.  The weight-0 vector has no parts and is one-to-one.  They
+# return the members by module-level names, a plain global read, where
+# Label.ONE goes through the enum's class-level lookup.
+
+_ONE, _ZERO, _UNDEFINED = Label.ONE, Label.ZERO, Label.UNDEFINED
 
 
 def _collision_rule(z: FrequencyVector) -> Label:
     if not z.parts or z.parts[0] <= 1:
-        return Label.ONE
+        return _ONE
     if z.parts[0] == z.parts[-1] == 2:
-        return Label.ZERO
-    return Label.UNDEFINED
+        return _ZERO
+    return _UNDEFINED
 
 
 def _element_distinctness_rule(z: FrequencyVector) -> Label:
     if not z.parts or z.parts[0] <= 1:
-        return Label.ONE
-    return Label.ZERO
+        return _ONE
+    return _ZERO
 
 
 def _modified_element_distinctness_rule(z: FrequencyVector) -> Label:
     if not z.parts or z.parts[0] <= 1:
-        return Label.ONE
+        return _ONE
     if z.parts[0] >= 3:
-        return Label.ZERO
-    return Label.UNDEFINED
+        return _ZERO
+    return _UNDEFINED
 
 
 COLLISION = PropertySpec("collision", _collision_rule, requires_m_ge_n=True)

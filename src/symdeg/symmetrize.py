@@ -217,14 +217,16 @@ def functions_with_counts(counts: Sequence[int]) -> Iterator[FunctionTable]:
     (counts[j-1] inputs mapping to output j): one per distinct ordering of
     the value multiset, in lexicographic order of the value tuples.  No
     caller depends on that order, since every average over these functions
-    is an exact sum."""
+    is an exact sum.  The counts are checked once, and every ordering is
+    then a tuple of n values in 1..m, so each table is built by
+    `FunctionTable._of_values`, without checking it again."""
     counts = check_counts(counts)
     n, m = sum(counts), len(counts)
     if n < 1:
         raise ValueError("need at least one input")
     values = [j for j, c in enumerate(counts, start=1) for _ in range(c)]
     for v in distinct_permutations(values):
-        yield FunctionTable(n, m, v)
+        yield FunctionTable._of_values(n, m, v)
 
 
 def functions_in_class(z: FrequencyVector) -> Iterator[FunctionTable]:

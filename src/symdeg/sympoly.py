@@ -36,15 +36,22 @@ lambda of w with at most k parts, in the reverse-lexicographic order of
 `partitions`.  mu weighs less than lambda, and each nu_a weighs the same
 with one part fewer and comes earlier in that order, so every column is
 computed once, from columns the generator already holds, with
-O(distinct parts) integer operations per entry.  It looks mu and each
-nu_a up by partition, so a wrong order fails with a KeyError, never with
-a wrong number.  A caller that needs the partitions reads them from the
-blocks: `build_lp` turns the blocks into its columns and rows, and the
-degree search draws one block per degree.  `SymPolynomial.numerators`
-is the one rule that evaluates a symmetric polynomial: the sum of
-coefficient times column over the partitions it holds, in integers over
-the common denominator of its coefficients.  `SymPolynomial.evaluate`
-and `eval_msym` are its one-point `Fraction` views.
+O(distinct parts) integer operations per entry.  A column is one chain
+of lazy `map`s, drawn into a list once: m_mu * P_p entry by entry, then
+minus c_a * m_{nu_a} for each distinct part a, then floor division by
+mult_p(lambda), so the work per entry runs in C and the Python work per
+column is O(distinct parts).  nu_a is mu with a + p put in at its place,
+not sorted again, and the power sums P_w at weight w are the sums of the
+powers z_i^w, each a `map` over the weight w - 1 powers.  It looks mu
+and each nu_a up by partition, so a wrong order fails with a KeyError,
+never with a wrong number.  A caller that needs the partitions reads
+them from the blocks: `build_lp` turns the blocks into its columns and
+rows, and the degree search draws one block per degree.
+`SymPolynomial.numerators` is the one rule that evaluates a symmetric
+polynomial: the sum of coefficient times column over the partitions it
+holds, in integers over the common denominator of its coefficients.
+`SymPolynomial.evaluate` and `eval_msym` are its one-point `Fraction`
+views.
 
 `ZPolynomial` is the non-symmetric companion: a polynomial in the named
 variables z_1..z_M with arbitrary integer exponents.  It appears as the
@@ -63,9 +70,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb, lcm
-from operator import ge, mul
+from operator import floordiv, ge, mul, sub
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .sparse import CoeffLike, SparsePolynomial, concat_product
@@ -234,23 +241,30 @@ def msym_columns(
     columns = {(): [1] * len(points)}
     yield [((), columns[()])]
     sums: list[list[int]] = [[]]  # sums[p][k] = P_p(points[k]) for p >= 1
-    powers = [[1] * len(point) for point in points]
+    powers = points  # powers[k][i] = points[k][i] ** w at weight w
     for w in range(1, degree + 1):
-        powers = [list(map(mul, power, point)) for power, point in zip(powers, points)]
-        sums.append([sum(power) for power in powers])
+        if w > 1:
+            powers = list(map(list, map(map, repeat(mul), powers, points)))
+        sums.append(list(map(sum, powers)))
         block = []
         for lam in partitions(w, max_parts):
             mu, p = lam[:-1], lam[-1]
-            column = list(map(mul, columns[mu], sums[p]))
+            column = map(mul, columns[mu], sums[p])
+            j = 0  # mu[:j] are the parts >= a + p, so nu goes in at j
             for i, a in enumerate(mu):
-                if i == 0 or a != mu[i - 1]:  # the first a of each distinct part
-                    nu = tuple(sorted(mu[:i] + (a + p,) + mu[i + 1 :], reverse=True))
-                    c = 1 + lam.count(a + p)
-                    column = [v - c * u for v, u in zip(column, columns[nu])]
+                if i and a == mu[i - 1]:  # only the first a of each distinct part
+                    continue
+                b = a + p
+                while mu[j] >= b:
+                    j += 1
+                nu = mu[:j] + (b,) + mu[j:i] + mu[i + 1 :]
+                c = 1 + mu.count(b)
+                scaled = map(mul, columns[nu], repeat(c)) if c > 1 else columns[nu]
+                column = map(sub, column, scaled)
             mult = lam.count(p)
             if mult > 1:
-                column = [v // mult for v in column]
-            columns[lam] = column
+                column = map(floordiv, column, repeat(mult))
+            columns[lam] = column = list(column)
             block.append((lam, column))
         yield block
 

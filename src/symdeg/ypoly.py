@@ -62,6 +62,17 @@ class FunctionTable:
                 raise ValueError(f"value {v} outside the range 1..{self.m}")
 
     @classmethod
+    def _of_values(cls, n: int, m: int, values: tuple[int, ...]) -> "FunctionTable":
+        """The table of a tuple of n ints in 1..m, for ints n, m >= 1, that
+        its maker already guarantees: every rule of `__post_init__`
+        already holds, so it is not run again."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "n", n)
+        object.__setattr__(f, "m", m)
+        object.__setattr__(f, "values", values)
+        return f
+
+    @classmethod
     def all(cls, n: int, m: int) -> Iterator["FunctionTable"]:
         """All m**n function tables, in lexicographic order of value tuples."""
         for values in product(range(1, m + 1), repeat=n):

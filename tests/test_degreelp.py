@@ -550,6 +550,27 @@ def test_search_enumerates_classes_once(monkeypatch, prop, n, m):
     assert cert.degree > 0 and calls == [(prop, n, m)]
 
 
+def test_each_program_adds_its_rows_in_one_block(monkeypatch):
+    # build_lp's program takes all of its rows in one add_rows call, and so
+    # does the search's posing of it: add_row, one add_rows call per row,
+    # is not used (ED n = 6: 11 classes, two rows each, one more posed)
+    blocks = []
+    add_rows = LinearProgram.add_rows
+
+    def spy(program, rows, rels, rhss):
+        before = len(program.lhs)
+        add_rows(program, rows, rels, rhss)
+        blocks.append((program, before, len(program.lhs)))
+
+    monkeypatch.setattr(LinearProgram, "add_rows", spy)
+    inst = build_lp(ELEMENT_DISTINCTNESS, 6, 6, 4)
+    assert [(id(p), a, b) for p, a, b in blocks] == [(id(inst.program), 0, 22)]
+    blocks.clear()
+    assert approx_degree(ELEMENT_DISTINCTNESS, 6, 6, THIRD).degree == 5
+    (base, *base_rows), (posed, *posed_rows) = blocks
+    assert (base_rows, posed_rows) == ([0, 22], [0, 23]) and base is not posed
+
+
 def optimal_duals(simplex):
     """y_i = -sign_i * (slack i's reduced cost) / den for each row i of the
     program last solved, 0 where slack i is basic: the dual values the

@@ -192,6 +192,16 @@ def test_non_int_entries_are_refused(bad):
     with pytest.raises(ValueError, match="ints"):
         lp.add_row([1, 1], "<=", bad)
     assert lp.lhs == [] and lp.rhs == []
+    # in a block, one bad entry or right-hand side in a middle row refuses
+    # the whole block, and the rows added before it stay as they were
+    lp.add_row([2, 3], ">=", 0)
+    for rows, rhss in (
+        ([[1, 1], [1, bad], [0, 1]], [1, 1, 1]),
+        ([[1, 1], [1, 1], [0, 1]], [1, bad, 1]),
+    ):
+        with pytest.raises(ValueError, match="ints"):
+            lp.add_rows(rows, ["<=", ">=", "<="], rhss)
+        assert (lp.lhs, lp.rel, lp.rhs) == ([[2, 3]], [">="], [0])
     with pytest.raises(ValueError, match="ints"):
         make_lp(2, [bad, 1])
 
@@ -241,6 +251,25 @@ def test_row_validation():
         lp.add_row([1, 1], "==", 0)
     with pytest.raises(ValueError):
         LinearProgram(num_vars=2, objective=[1], free=[False, False])
+    # a block with a bad width or relation in a middle row, or without one
+    # relation and one right-hand side per row, is refused whole
+    lp.add_row([1, 1], "<=", 2)
+    for rows, rels, rhss in (
+        ([[1, 0], [1], [0, 1]], ["<=", "<=", "<="], [1, 1, 1]),
+        ([[1, 0], [1, 1, 1], [0, 1]], ["<=", "<=", "<="], [1, 1, 1]),
+        ([[1, 0], [1, 1], [0, 1]], ["<=", "==", "<="], [1, 1, 1]),
+        ([[1, 0], [1, 1], [0, 1]], ["<=", ["<="], "<="], [1, 1, 1]),
+        ([[1, 0], [1, 1], [0, 1]], ["<=", "<="], [1, 1, 1]),
+        ([[1, 0], [1, 1], [0, 1]], ["<=", "<=", "<="], [1, 1]),
+    ):
+        with pytest.raises(ValueError):
+            lp.add_rows(rows, rels, rhss)
+        assert (lp.lhs, lp.rel, lp.rhs) == ([[1, 1]], ["<="], [2])
+    # a good block is appended whole, each row a list of its own
+    rows = [[1, 0], (0, 1)]
+    lp.add_rows(rows, ["<=", ">="], [1, 0])
+    assert (lp.lhs, lp.rel, lp.rhs) == ([[1, 1], [1, 0], [0, 1]], ["<=", "<=", ">="], [2, 1, 0])
+    assert lp.lhs[1] is not rows[0]
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,29 @@ def test_functions_with_counts_lists_each_function_once_in_order():
                     assert listed == sorted(by_counts[counts])
 
 
+def test_functions_with_counts_builds_tables_without_checking_them_again(monkeypatch):
+    # the counts are checked once, so average_oracle walks every class of
+    # the 4 x 4 grid without one FunctionTable.__post_init__ call, and each
+    # table it is given equals the checked one FunctionTable.all makes
+    p = YPolynomial(4, 4, {((1, 1), (2, 2)): Fraction(1, 3), ((3, 4),): 2})
+    classes = [FrequencyVector(4, lam) for lam in partitions(4, max_parts=4)]
+    checked = {}
+    for f in FunctionTable.all(4, 4):
+        checked.setdefault(f.frequency_counts(), []).append(f)
+    calls = []
+    post_init = FunctionTable.__post_init__
+    monkeypatch.setattr(
+        FunctionTable, "__post_init__", lambda f: calls.append(f) or post_init(f)
+    )
+    averages = [average_oracle(p, z) for z in classes]
+    tables = {counts: list(functions_with_counts(counts)) for counts in checked}
+    assert calls == []
+    monkeypatch.undo()
+    assert averages == [symmetrize(p).evaluate(z) for z in classes]
+    assert tables == checked
+    assert all(type(f.values) is tuple for fs in tables.values() for f in fs)
+
+
 @pytest.mark.parametrize("counts", [(1.9, 1), (True, 1), (1, 1.0)])
 def test_functions_with_counts_rejects_invalid_counts(counts):
     with pytest.raises(ValueError, match="counts must be non-negative integers"):
