@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Iterable, Optional, Sequence
 
 from .budget import check_budget
@@ -73,51 +73,62 @@ def _bound_rows(label: Label) -> tuple[tuple[int, Relation, int], ...]:
     return (int(lower0 - lower1), ">=", int(lower0)), (int(upper0 - upper1), "<=", int(upper0))
 
 
-# keyed by the member's name: a str hashes in C, an Enum member through
-# the Python-level Enum.__hash__
-_BOUND_ROWS = {label._name_: _bound_rows(label) for label in Label}
+# the eps entries, the relations and the right-hand sides of a label's
+# two rows, each keyed by the member's name: a str hashes in C, an Enum
+# member through the Python-level Enum.__hash__
+_BAND_PARTS = tuple(
+    {label._name_: tuple(zip(*_bound_rows(label)))[part] for label in Label} for part in range(3)
+)
 
 
-def _min_error_program(width: int, rows: Iterable[tuple[list[int], Label]]) -> LinearProgram:
-    """min eps over eps >= 0 and `width` free coefficients: for each
-    (row, label), the two rows lower(eps) <= row . coefficients <=
-    upper(eps) of the label's band, all added in one `add_rows` block."""
+def _min_error_program(columns: Sequence[Sequence[int]], labels: Iterable[Label]) -> LinearProgram:
+    """min eps over eps >= 0 and one free coefficient per column: column j
+    holds coefficient j's entry at each class or function, and `labels`
+    their labels.  Each class or function gets the two rows lower(eps) <=
+    entries . coefficients <= upper(eps) of its label's band.  All rows
+    enter in one `add_block`: eps's column is the bands' eps entries, and
+    each coefficient column holds each of its entries twice."""
+    names = [label._name_ for label in labels]
+    eps, rels, rhss = (
+        list(chain.from_iterable(map(part.__getitem__, names))) for part in _BAND_PARTS
+    )
+    width = len(columns)
     program = LinearProgram(
         num_vars=1 + width,  # eps first, then the coefficients
         objective=[1] + [0] * width,
         free=[False] + [True] * width,
     )
-    lhs, rels, rhss = [], [], []
-    for row, label in rows:
-        (lower, lower_rel, lower_rhs), (upper, upper_rel, upper_rhs) = _BOUND_ROWS[label._name_]
-        lhs += [lower, *row], [upper, *row]
-        rels += lower_rel, upper_rel
-        rhss += lower_rhs, upper_rhs
-    program.add_rows(lhs, rels, rhss)
+    program.add_block([eps, *map(_twice, columns)], rels, rhss)
     return program
+
+
+def _twice(entries: Sequence[int]) -> list[int]:
+    """Each entry twice in a row: a column's entries in the two bound rows
+    of each class or function."""
+    column = [0] * (2 * len(entries))
+    column[::2] = column[1::2] = entries
+    return column
 
 
 def build_lp(prop: PropertySpec, n: int, m: int, degree: int) -> LPInstance:
     """Assemble the minimum-error LP for the property at the given degree:
     its columns are the blocks of `msym_columns` at the classes under the
-    part cap, weight by weight, and a class's row reads its entry of each.
-    Row and column order are fixed, so instances are deterministic."""
+    part cap, weight by weight, each entry standing in its class's two
+    rows.  Row and column order are fixed, so instances are
+    deterministic."""
     check_degree(degree)
     classes = tuple(enumerate_classes(prop, n, m))
     blocks = msym_columns((lam for lam, _ in classes), degree, part_cap(n, m))
     lambdas, columns = zip(*(pair for block in blocks for pair in block))
-    rows = zip(*columns)
-    program = _min_error_program(len(lambdas), zip(rows, (label for _, label in classes)))
+    program = _min_error_program(columns, (label for _, label in classes))
     return LPInstance(prop.name, n, m, degree, lambdas, classes, program)
 
 
-def _add_posed_column(
-    posed: LinearProgram, cost: int, free: bool, column: Iterable[int], first: int = 0
-) -> None:
-    """Append a column of a minimum-error program, one entry per row, to
-    its posing (see `_pose`): `first` in the new first row, then each entry
-    doubled."""
-    posed.add_column(cost, free, [first] + [2 * a for a in column])
+def _posed_column(column: Iterable[int], first: int = 0) -> list[int]:
+    """A column of a minimum-error program, one entry per row, as its
+    posing (see `_pose`) holds it: `first` in the new first row, then each
+    entry doubled."""
+    return [first] + [2 * a for a in column]
 
 
 def _pose(program: LinearProgram) -> LinearProgram:
@@ -130,20 +141,17 @@ def _pose(program: LinearProgram) -> LinearProgram:
 
     In x' = x - x0, eps' is free, with one new first row -2 eps' <= 1 for
     eps >= 0, and every other row a.x ~ b becomes 2a.x' ~ 2b - a_0 - a_1,
-    doubled so that its entries stay ints.  The rows are posed first, in
-    one `add_rows` block, and the columns appended one by one through
-    `_add_posed_column`, which is also how the degree search appends each
-    degree's new columns: x0 touches only degree-0 columns, so no
-    right-hand side moves."""
-    posed = LinearProgram(0, [], [])
-    posed.add_rows(
-        [()] * (1 + len(program.lhs)),
+    doubled so that its entries stay ints.  The posed program is added in
+    one `add_block`, each column by `_posed_column`, which is also how the
+    degree search poses each degree's new columns: x0 touches only
+    degree-0 columns, so no right-hand side moves."""
+    eps, constant = program.columns[:2]
+    posed = LinearProgram(program.num_vars, program.objective, [True, *program.free[1:]])
+    posed.add_block(
+        [_posed_column(eps, -2), *map(_posed_column, program.columns[1:])],
         ["<=", *program.rel],
-        [1, *(2 * b - row[0] - row[1] for row, b in zip(program.lhs, program.rhs))],
+        [1, *(2 * b - a0 - a1 for b, a0, a1 in zip(program.rhs, eps, constant))],
     )
-    for j, (cost, free) in enumerate(zip(program.objective, program.free)):
-        column = (row[j] for row in program.lhs)
-        _add_posed_column(posed, cost, free or j == 0, column, -2 if j == 0 else 0)
     return posed
 
 
@@ -253,7 +261,7 @@ def approx_degree(
     d with the columns of the weight-(d + 1) partitions appended (its rows
     are the same), so the search opens one `msym_columns` generator over
     the classes, up to the cap, and draws one block per degree: each later
-    degree appends that block's columns, posed by `_add_posed_column`, and
+    degree appends that block's columns, posed by `_posed_column`, and
     one `Simplex` re-optimizes from the previous optimal basis; d = 0
     starts from the slack basis at eps = 1/2.  Every entry is computed
     once, and no block past d* is computed at all.
@@ -271,7 +279,7 @@ def approx_degree(
         if d:  # block 0 is m_() alone, which `base` has already posed
             for _, column in block:
                 # a class's two bound rows share its m_lambda entry
-                _add_posed_column(posed, 0, True, (a for v in column for a in (v, v)))
+                posed.add_column(0, True, _posed_column(_twice(column)))
         lambdas += (lam for lam, _ in block)
         x = _solve_from_half(posed, simplex)
         eps_min, coeffs = x[0], _coefficients(lambdas, x)
@@ -347,8 +355,6 @@ def eps_min_indicator_basis(prop: PropertySpec, n: int, m: int, degree: int) -> 
     monos = indicator_monomials(n, m, degree)
     functions = list(enumerate_functions(n, m))
     classes = enumerate_classes(prop, n, m)
-    rows = (
-        ([int(all(f.values[i - 1] == j for i, j in mono)) for mono in monos], classes[k][1])
-        for f, k in zip(functions, class_indices(n, m, [lam for lam, _ in classes]))
-    )
-    return _solve_from_half(_pose(_min_error_program(len(monos), rows)))[0]
+    labels = [classes[k][1] for k in class_indices(n, m, [lam for lam, _ in classes])]
+    columns = [[int(all(f.values[i - 1] == j for i, j in mono)) for f in functions] for mono in monos]
+    return _solve_from_half(_pose(_min_error_program(columns, labels)))[0]

@@ -18,15 +18,30 @@ den = |det B|.  By Cramer's rule every one of these is an integer (a
 minor of the program's matrix, up to sign), so the tableau is Python ints
 with no denominator per row and no common factor to divide out.
 
+A program is held by columns, the way the revised simplex of Dantzig
+and Orchard-Hays (1954) reads it: `LinearProgram.columns[j]` is
+variable j's entry in every row, and `lhs` is a row view made from them
+on each read.  A program is ints (its entries, right-hand sides and
+objective; anything else, a bool too, is refused with a ValueError), its
+free flags are bools and its variable count is an int.  Rows enter a
+block at a time through `LinearProgram.add_block`, which takes the block
+column by column, checks all of it (one entry per new row in each
+column, each relation, and that every entry and right-hand side is an
+int) in a few passes in C, and appends all of it or none of it;
+`add_row` is its one-row case.  A variable enters after the rows through
+`add_column`.
+
 Only the kernel of the dictionary is stored in full: the rows whose
 basic column is a program variable, and the cost row.  A row whose basic
 column is slack t stores its right-hand side alone, because the rest of
-it follows from its own constraint a_t (sign-adjusted) and the kernel
-rows R_b, b running over the basic program columns: solving row t for
-the slack and substituting each R_b gives, in the slot of program
-column j, den * a_tj - sum_b a_tb * R_b[slot], and in a slack's slot
--sum_b a_tb * R_b[slot] (the revised simplex of Dantzig and Orchard-Hays,
-1954, for a basis that is the identity on most rows).  A derived entry
+it follows from the program's row t and the kernel rows R_b, b running
+over the basic program columns: solving row t for the slack and
+substituting each R_b gives, in the slot of program column j,
+den * a_tj - sum_b a_tb * R_b[slot], and in a slack's slot
+-sum_b a_tb * R_b[slot], where a_tj is entry t of column j with the
+sign of row t (a >= row negated).  The `Simplex` holds each program
+column signed so, signed once when the column is appended, and reads
+the entries a_tb of the slack rows t down each column.  A derived entry
 is a product sum of ints, with no division, and equals the stored one of
 the full dictionary.  A pivot on the entry p of row r and the entering
 column's slot s sets every other entry v of a kernel row or the cost
@@ -42,14 +57,8 @@ entering column is a program variable, else as its right-hand side.  The
 ratio test reads each row's entry in the entering slot, derived for the
 slack rows, and compares rhs_r * a_s with rhs_s * a_r, and a reduced
 cost has the sign of its integer, since den > 0.  No Fraction is built
-inside the loop.  A program is ints (its rows, right-hand sides and
-objective; anything else, a bool too, is refused with a ValueError), so
-the slack basis starts over den = 1 with every row a slack row;
-Fraction appears only in the solution.  Rows enter a program a block at
-a time, through `LinearProgram.add_rows`, which checks the whole block
-(each row's width, its relation, and that every entry and right-hand
-side is an int) in a few passes in C and appends all of it or none of
-it; `add_row` is its one-row case.
+inside the loop: the slack basis starts over den = 1 with every row a
+slack row, and Fraction appears only in the solution.
 
 The entering column has the reduced cost largest in size among the
 eligible ones (Dantzig's rule), the smallest column index breaking ties
@@ -66,8 +75,10 @@ Zhang (1993).  The rule is deterministic, so the same sequence of
 programs always gives the same optimal basic solution.
 
 A `Simplex` keeps the tableau between solves.  Given a program that
-repeats the previous one's rows and appends columns (as
-`LinearProgram.add_column` grows one program in place), it appends
+repeats the previous one and appends columns (as
+`LinearProgram.add_column` grows one program in place), it compares it
+in place with the copy of the previous program it holds, and grows that
+copy and its signed columns by the new columns alone.  It appends
 den * B^-1 a to the kernel rows for every new column a, and its reduced
 cost den * c_a + sum_i a_i * (slack i's stored reduced cost), and
 re-optimizes from the current basis, which stays feasible.  Column i of
@@ -93,6 +104,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 Relation = str  # "<=", ">="
@@ -102,64 +114,88 @@ _RELATIONS = ("<=", ">=")
 K_DEGENERATE = 50  # degenerate pivots in a row before Bland's rule takes over
 
 
+def _all_of_type(kind: type, values: Iterable) -> bool:
+    """Whether every value's type is `kind` itself (a bool is no int): one
+    pass in C, counting the types that are `kind`."""
+    types = list(map(type, values))
+    return types.count(kind) == len(types)
+
+
 @dataclass
 class LinearProgram:
     """minimize objective . x  subject to the rows; x_j >= 0 unless free[j].
-    Every cost, coefficient and right-hand side is an int; rows enter
-    only through `add_rows`, a block at a time (`add_row` is its one-row
-    case), and a variable enters after the rows only through
+    Held by columns: `columns[j]` is variable j's entry in each row, and
+    `lhs` is the rows made from them.  Every cost, coefficient and
+    right-hand side is an int, every free flag a bool; rows enter only
+    through `add_block`, a block given column by column (`add_row` is its
+    one-row case), and a variable enters after the rows only through
     `add_column`."""
 
     num_vars: int
     objective: list[int]
     free: list[bool]
-    lhs: list[list[int]] = field(default_factory=list, init=False)
+    columns: list[list[int]] = field(init=False)
     rel: list[Relation] = field(default_factory=list, init=False)
     rhs: list[int] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         self.objective = list(self.objective)
         self.free = list(self.free)
-        if not {*map(type, self.objective)} <= {int}:
+        if type(self.num_vars) is not int:
+            raise ValueError(f"num_vars must be an int, got {self.num_vars!r}")
+        if not _all_of_type(int, self.objective):
             raise ValueError(f"the objective must be ints, got {self.objective!r}")
+        if not _all_of_type(bool, self.free):
+            raise ValueError(f"the free flags must be bools, got {self.free!r}")
         if len(self.objective) != self.num_vars or len(self.free) != self.num_vars:
             raise ValueError("objective/free length must equal num_vars")
+        self.columns = [[] for _ in range(self.num_vars)]
 
-    def add_rows(
-        self, rows: Iterable[Iterable[int]], rels: Iterable[Relation], rhss: Iterable[int]
+    @property
+    def lhs(self) -> list[list[int]]:
+        """The rows, made from the columns on each read: row i holds each
+        variable's entry in row i.  Writing to them changes nothing."""
+        if not self.columns:
+            return [[] for _ in self.rel]
+        return list(map(list, zip(*self.columns)))
+
+    def add_block(
+        self, columns: Sequence[Sequence[int]], rels: Iterable[Relation], rhss: Iterable[int]
     ) -> None:
-        """Append the rows rows[i] . x rels[i] rhss[i], each row a copy:
-        the whole block, or nothing if any of it is malformed (a
-        ValueError).  Each check is one pass over the block."""
-        rows, rels, rhss = list(map(list, rows)), list(rels), list(rhss)
-        if not len(rows) == len(rels) == len(rhss):
-            raise ValueError("a block needs one relation and one right-hand side per row")
-        widths = {*map(len, rows)} - {self.num_vars}
-        if widths:
-            raise ValueError(f"a row has {min(widths)} coefficients, expected {self.num_vars}")
+        """Append the rows i with sum_j columns[j][i] * x_j rels[i] rhss[i]:
+        columns[j] holds variable j's entry in each new row.  The whole
+        block, or nothing if any of it is malformed (a ValueError).  Each
+        check is one pass over the block."""
+        columns, rels, rhss = list(columns), list(rels), list(rhss)
+        if len(columns) != self.num_vars:
+            raise ValueError(f"a block has {len(columns)} columns, expected one per variable ({self.num_vars})")
+        if {*map(len, columns)} - {len(rels)} or len(rhss) != len(rels):
+            raise ValueError("each row of a block needs a relation, a right-hand side and an entry per column")
         if not all(map(_RELATIONS.__contains__, rels)):
             raise ValueError(f"unknown relation {next(r for r in rels if r not in _RELATIONS)!r}")
-        types = {*map(type, rhss), *map(type, chain.from_iterable(rows))} - {int}
-        if types:
+        if not _all_of_type(int, chain(rhss, *columns)):
+            types = {*map(type, chain(rhss, *columns))} - {int}
             names = ", ".join(sorted(t.__name__ for t in types))
             raise ValueError(f"a row must be ints, got entries of type {names}")
-        self.lhs += rows
+        for column, entries in zip(self.columns, columns):
+            column += entries
         self.rel += rels
         self.rhs += rhss
 
     def add_row(self, coeffs: Iterable[int], rel: Relation, rhs: int) -> None:
-        """`add_rows` of one row."""
-        self.add_rows([coeffs], [rel], [rhs])
+        """`add_block` of one row."""
+        self.add_block([(a,) for a in coeffs], [rel], [rhs])
 
-    def add_column(self, cost: int, free: bool, column: Sequence[int]) -> None:
+    def add_column(self, cost: int, free: bool, column: Iterable[int]) -> None:
         """Append a variable with this cost and one entry per row."""
         column = list(column)
-        if len(column) != len(self.lhs):
-            raise ValueError(f"column has {len(column)} entries, expected {len(self.lhs)}")
-        if type(cost) is not int or not {*map(type, column)} <= {int}:
+        if len(column) != len(self.rel):
+            raise ValueError(f"column has {len(column)} entries, expected {len(self.rel)}")
+        if type(cost) is not int or not _all_of_type(int, column):
             raise ValueError(f"a column must be ints, got cost {cost!r} and {column!r}")
-        for row, a in zip(self.lhs, column):
-            row.append(a)
+        if type(free) is not bool:
+            raise ValueError(f"a free flag must be a bool, got {free!r}")
+        self.columns.append(column)
         self.objective.append(cost)
         self.free.append(free)
         self.num_vars += 1
@@ -172,20 +208,18 @@ class LPSolution:
     x: Optional[list[Fraction]]
 
 
-def _prefix(lp: LinearProgram, k: int) -> tuple:
-    """Everything of the program that concerns its first k variables."""
-    return (list(lp.rel), list(lp.rhs), lp.objective[:k], lp.free[:k], [row[:k] for row in lp.lhs])
-
-
 class Simplex:
     """The tableau kept between the solves of a sequence of programs, each
     one the previous program with variables appended (same rows, same
     first variables).
 
     The first solve builds the tableau on the slack basis; each later one
-    extends it by the new columns and re-optimizes from the optimal basis
-    it had.  Columns are numbered in the order they were added: one slack
-    column per row, then one per program variable.
+    checks the program against `program`, the copy of the previous one
+    (relations, right-hand sides, objective, free flags, columns), and
+    extends the copy and the tableau by the new columns alone, then
+    re-optimizes from the optimal basis it had.  Columns are numbered in
+    the order they were added: one slack column per row, then one per
+    program variable.
 
     Row i's basic column is `basis[i]`; basic columns are not stored, and
     slot k holds the nonbasic column `nonbasic[k]`.  The reduced-cost row
@@ -193,13 +227,15 @@ class Simplex:
     then minus the objective.  Row i is stored in full, as `rows[i]` over
     the same `den` with the right-hand side last, only when `basis[i]` is
     a program column: these are the kernel rows R_b, b running over the
-    basic program columns.  A row whose basic column is slack t stores its
+    basic program columns.  `columns[j]` is program variable j's column
+    with each entry times its row's `sign` (-1 on a >= row), signed once
+    when it is appended.  A row whose basic column is slack t stores its
     right-hand side alone, `[rhs]`, and its entry in slot k is derived
-    from the kernel rows and its own constraint a_t (sign-adjusted,
-    `lhs[t]`) when needed: den * a_tj - sum_b a_tb * R_b[k] if the slot
-    holds program column j, and -sum_b a_tb * R_b[k] if it holds a slack.
-    A pivot gives the entering column's slot to the leaving column.
-    `pivots` counts the pivots made across all solves.
+    from the kernel rows and entry t of the signed columns when needed:
+    den * a_tj - sum_b a_tb * R_b[k] if the slot holds program column j,
+    and -sum_b a_tb * R_b[k] if it holds a slack.  A pivot gives the
+    entering column's slot to the leaving column.  `pivots` counts the
+    pivots made across all solves.
     """
 
     def __init__(self) -> None:
@@ -210,22 +246,31 @@ class Simplex:
         self.nonbasic: list[int] = []  # per slot: its column
         self.free: list[bool] = []  # per column: may it be negative
         self.sign: list[int] = []  # per row: -1 if it is a >= row, negated into a <= row
-        self.lhs: list[list[int]] = []  # per row: its program coefficients times its sign
+        self.columns: list[list[int]] = []  # per program variable: its column times the row signs
         self.width = 0  # slack columns, one per row; the variables' columns follow
-        self.program: Optional[tuple] = None
+        # (rel, rhs, objective, free, columns) of the program last solved, a copy
+        self.program: Optional[tuple[list, list, list, list, list]] = None
         self.pivots = 0
 
     def _solve(self, lp: LinearProgram) -> LPSolution:
         if self.program is None:
             self._start(lp)
-        elif _prefix(lp, len(self.free) - self.width) != self.program:
-            raise ValueError("a warm solve needs the previous program with columns appended")
+        else:
+            rel, rhs, objective, free, columns = self.program
+            k = len(columns)
+            if (
+                lp.rel != rel
+                or lp.rhs != rhs
+                or lp.objective[:k] != objective
+                or lp.free[:k] != free
+                or lp.columns[:k] != columns
+            ):
+                raise ValueError("a warm solve needs the previous program with columns appended")
         self._append(lp)
-        self.program = _prefix(lp, lp.num_vars)
         if not self._run():
             return LPSolution("unbounded", None, None)
         width = self.width
-        values = [Fraction(0)] * (len(self.free) - width)
+        values = [Fraction(0)] * len(self.columns)
         for row, bv in zip(self.rows, self.basis):
             if bv >= width:
                 values[bv - width] = Fraction(row[-1], self.den)
@@ -241,23 +286,28 @@ class Simplex:
         self.sign = [1 if rel == "<=" else -1 for rel in lp.rel]
         self.width = width = len(lp.rhs)
         self.rows = [[abs(rhs)] for rhs in lp.rhs]
-        self.lhs = [[] for _ in range(width)]
         self.costrow = [0]
         self.basis = list(range(width))
         self.free = [False] * width
+        self.program = (list(lp.rel), list(lp.rhs), [], [], [])
 
     def _append(self, lp: LinearProgram) -> None:
-        """Add the columns of lp's variables not yet in the tableau: to
-        `lhs`, to each kernel row as den * B^-1 a, and to the cost row as
-        den * c + sum_i a_i * y_i, where y_i is slack i's stored reduced
-        cost (minus den times its dual value).  Column i of den * B^-1 is
-        slack i's stored column if slack i is nonbasic, and den times the
-        unit vector of its row, a slack row, if it is basic, with reduced
-        cost 0.  A slack row derives its new entries from `lhs`."""
-        new_vars = range(len(self.free) - self.width, lp.num_vars)
-        for s, row, a in zip(self.sign, lp.lhs, self.lhs):
-            a += row[new_vars.start :] if s > 0 else [-v for v in row[new_vars.start :]]
-        columns = [[a[j] for a in self.lhs] for j in new_vars]
+        """Add the columns of lp's variables not yet in the tableau: to the
+        held copy of the program, signed to `columns`, to each kernel row as
+        den * B^-1 a, and to the cost row as den * c + sum_i a_i * y_i,
+        where y_i is slack i's stored reduced cost (minus den times its
+        dual value).  Column i of den * B^-1 is slack i's stored column if
+        slack i is nonbasic, and den times the unit vector of its row, a
+        slack row, if it is basic, with reduced cost 0.  A slack row
+        derives its new entries from `columns`."""
+        _, _, objective, free, held = self.program
+        first = len(held)
+        new = lp.columns[first:]
+        held += map(list, new)
+        objective += lp.objective[first:]
+        free += lp.free[first:]
+        sign = self.sign
+        columns = [list(map(mul, sign, a)) for a in new]
         slack_slots = [(k, i) for k, i in enumerate(self.nonbasic) if i < self.width]
         for row, bv in zip(self.rows, self.basis):
             if bv >= self.width:
@@ -267,36 +317,38 @@ class Simplex:
         duals = [(i, costrow[k]) for k, i in slack_slots if costrow[k]]
         costrow[-1:-1] = [
             self.den * c + sum(y * a[i] for i, y in duals if a[i])
-            for c, a in zip(lp.objective[new_vars.start :], columns)
+            for c, a in zip(lp.objective[first:], columns)
         ]
         self.nonbasic += range(len(self.free), len(self.free) + len(columns))
-        self.free += lp.free[new_vars.start :]
+        self.free += lp.free[first:]
+        self.columns += columns
 
     def _column(self, s: int) -> list[int]:
         """Every row's entry in slot s: stored in a kernel row, derived in
         a slack row t as den * a_tj - sum_b a_tb * R_b[s] (a_tj = 0 if the
         slot holds a slack), one kernel row b at a time over all slack
         rows."""
-        rows, basis, width = self.rows, self.basis, self.width
+        rows, basis, width, columns = self.rows, self.basis, self.width, self.columns
+        slack = [bv for bv in basis if bv < width]  # the program row of each slack row
         j = self.nonbasic[s] - width
-        lhs = [self.lhs[bv] for bv in basis if bv < width]
-        derived = [self.den * a[j] for a in lhs] if j >= 0 else [0] * len(lhs)
+        den = self.den
+        derived = [den * columns[j][t] for t in slack] if j >= 0 else [0] * len(slack)
         for row, bv in zip(rows, basis):
             if bv >= width and row[s]:
-                b, v = bv - width, row[s]
-                derived = [e - a[b] * v for e, a in zip(derived, lhs)]
-        slack = iter(derived)
-        return [row[s] if bv >= width else next(slack) for row, bv in zip(rows, basis)]
+                a, v = columns[bv - width], row[s]
+                derived = [e - a[t] * v for e, t in zip(derived, slack)]
+        entries = iter(derived)
+        return [row[s] if bv >= width else next(entries) for row, bv in zip(rows, basis)]
 
     def _derived_row(self, i: int) -> list[int]:
         """Slack row i in full: each slot's entry derived as in `_column`,
         then its stored right-hand side."""
-        width = self.width
-        a = self.lhs[self.basis[i]]
-        row = [self.den * a[j - width] if j >= width else 0 for j in self.nonbasic]
+        width, columns = self.width, self.columns
+        t = self.basis[i]
+        row = [self.den * columns[j - width][t] if j >= width else 0 for j in self.nonbasic]
         for kernel_row, bv in zip(self.rows, self.basis):
-            if bv >= width and a[bv - width]:
-                c = a[bv - width]
+            if bv >= width and columns[bv - width][t]:
+                c = columns[bv - width][t]
                 # zip stops before the kernel row's right-hand side
                 row = [v - c * w for v, w in zip(row, kernel_row)]
         return row + self.rows[i]

@@ -25,7 +25,7 @@ from symdeg.degreelp import (
     solve_lp,
     sweep,
 )
-from symdeg.lp import LinearProgram, Simplex, _prefix, solve
+from symdeg.lp import LinearProgram, Simplex, solve
 from symdeg.oracle import verify_approximation
 from symdeg.properties import (
     ALWAYS_ONE,
@@ -120,10 +120,11 @@ def test_build_lp_rows_match_direct_expansion(prop):
     for m in (2, 3, n - 1, n, n + 2):
         for d in range(n + 1):
             inst = build_lp(prop, n, m, d)
+            rows = inst.program.lhs
             for k, (lam_class, _) in enumerate(inst.classes):
                 counts = FrequencyVector(m, lam_class).counts()
                 expected = [_direct_msym_value(lam, counts) for lam in inst.lambdas]
-                for row in inst.program.lhs[2 * k : 2 * k + 2]:
+                for row in rows[2 * k : 2 * k + 2]:
                     assert row[1:] == expected
 
 
@@ -478,8 +479,9 @@ def test_search_extends_the_class_rows_in_place(monkeypatch):
 
 
 def test_search_stores_full_rows_only_for_basic_program_columns(monkeypatch):
-    # the ED n = 12 search (d* = 7) ends on a 155-row tableau, of which
-    # only the rows of its 16 basic program columns are stored in full
+    # each search ends on a tableau of which only the rows of its basic
+    # program columns (the kernel) are stored in full; the pivot counts pin
+    # each search's pivot path, so a change that reorders pivots shows here
     made = []
 
     def recorded():
@@ -487,12 +489,18 @@ def test_search_stores_full_rows_only_for_basic_program_columns(monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(degreelp, "Simplex", recorded)
-    assert approx_degree(ELEMENT_DISTINCTNESS, 12, 12, THIRD).degree == 7
-    (simplex,) = made
-    slots = len(simplex.nonbasic)
-    stored = [bv >= simplex.width for bv in simplex.basis]
-    assert [len(row) for row in simplex.rows] == [slots + 1 if full else 1 for full in stored]
-    assert (len(stored), sum(stored)) == (155, 16)
+    for prop, n, degree, pivots, rows, kernel in (
+        (ELEMENT_DISTINCTNESS, 12, 7, 137, 155, 16),
+        (MODIFIED_ELEMENT_DISTINCTNESS, 16, 6, 149, 463, 12),
+        (COLLISION, 16, 4, 23, 463, 6),
+    ):
+        assert approx_degree(prop, n, n, THIRD).degree == degree
+        simplex = made.pop()
+        slots = len(simplex.nonbasic)
+        stored = [bv >= simplex.width for bv in simplex.basis]
+        assert [len(row) for row in simplex.rows] == [slots + 1 if full else 1 for full in stored]
+        assert (simplex.pivots, len(stored), sum(stored)) == (pivots, rows, kernel)
+    assert made == []
 
 
 def posed_by_rule(program):
@@ -520,7 +528,7 @@ def test_search_program_is_the_posed_build_lp(monkeypatch, prop, n, m):
 
     def recording(posed, simplex):
         solution = solve(posed, simplex)
-        seen.append((copy.deepcopy(posed), simplex.program))
+        seen.append((copy.deepcopy(posed), copy.deepcopy(simplex.program)))
         return solution
 
     monkeypatch.setattr(degreelp, "solve", recording)
@@ -530,7 +538,7 @@ def test_search_program_is_the_posed_build_lp(monkeypatch, prop, n, m):
         program = build_lp(prop, n, m, d).program
         expected = posed_by_rule(program)
         assert posed == expected == degreelp._pose(program)
-        assert held == _prefix(expected, expected.num_vars)
+        assert held == (expected.rel, expected.rhs, expected.objective, expected.free, expected.columns)
 
 
 @pytest.mark.parametrize(
@@ -551,18 +559,18 @@ def test_search_enumerates_classes_once(monkeypatch, prop, n, m):
 
 
 def test_each_program_adds_its_rows_in_one_block(monkeypatch):
-    # build_lp's program takes all of its rows in one add_rows call, and so
-    # does the search's posing of it: add_row, one add_rows call per row,
+    # build_lp's program takes all of its rows in one add_block call, and so
+    # does the search's posing of it: add_row, one add_block call per row,
     # is not used (ED n = 6: 11 classes, two rows each, one more posed)
     blocks = []
-    add_rows = LinearProgram.add_rows
+    add_block = LinearProgram.add_block
 
-    def spy(program, rows, rels, rhss):
-        before = len(program.lhs)
-        add_rows(program, rows, rels, rhss)
-        blocks.append((program, before, len(program.lhs)))
+    def spy(program, columns, rels, rhss):
+        before = len(program.rel)
+        add_block(program, columns, rels, rhss)
+        blocks.append((program, before, len(program.rel)))
 
-    monkeypatch.setattr(LinearProgram, "add_rows", spy)
+    monkeypatch.setattr(LinearProgram, "add_block", spy)
     inst = build_lp(ELEMENT_DISTINCTNESS, 6, 6, 4)
     assert [(id(p), a, b) for p, a, b in blocks] == [(id(inst.program), 0, 22)]
     blocks.clear()
@@ -600,11 +608,11 @@ def test_tableau_duals_certify_every_degree(prop, n, nonzero):
     simplex = Simplex()
     for d in range(n + 1):
         eps_min = solve_lp(build_lp(prop, n, n, d), simplex)[0]
-        rel, rhs, objective, free, lhs = simplex.program
+        rel, rhs, objective, free, columns = simplex.program
         y = optimal_duals(simplex)
         assert all(v >= 0 if r == ">=" else v <= 0 for v, r in zip(y, rel))
-        for j, (c, is_free) in enumerate(zip(objective, free)):
-            reduced = c - sum(row[j] * v for row, v in zip(lhs, y) if v)
+        for c, is_free, column in zip(objective, free, columns):
+            reduced = c - sum(a * v for a, v in zip(column, y) if v)
             assert reduced == 0 if is_free else reduced >= 0
         assert sum(b * v for b, v in zip(rhs, y)) == eps_min - Fraction(1, 2)
         if eps_min <= THIRD:

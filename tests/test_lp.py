@@ -180,12 +180,26 @@ def test_solver_is_deterministic():
     assert first == second
 
 
-@pytest.mark.parametrize(
-    "bad", [Fraction(1, 2), Fraction(2), 1.0, True], ids=["half", "whole-fraction", "float", "bool"]
+# values that are not an int (a program's entries, right-hand sides,
+# costs and variable count must be) or not a bool (its free flags must be)
+NOT_INTS_OR_NOT_BOOLS = pytest.mark.parametrize(
+    "bad",
+    [Fraction(1, 2), Fraction(2), 1.0, True, 1, "no"],
+    ids=["half", "whole-fraction", "float", "bool", "int", "str"],
 )
+
+
+@NOT_INTS_OR_NOT_BOOLS
 def test_non_int_entries_are_refused(bad):
     # a program is ints: a Fraction (even a whole one), a float or a bool in
-    # a row, a right-hand side or the objective is refused where it enters
+    # a row, a right-hand side, the objective or the variable count is
+    # refused where it enters, and a free flag is a bool: any other value
+    # (1, "no") is refused, not read as true or false
+    if type(bad) is not bool:
+        with pytest.raises(ValueError, match="bools"):
+            make_lp(2, [1, 1], [False, bad])
+    if type(bad) is int:
+        return
     lp = make_lp(2, [1, 1])
     with pytest.raises(ValueError, match="ints"):
         lp.add_row([1, bad], "<=", 1)
@@ -195,28 +209,32 @@ def test_non_int_entries_are_refused(bad):
     # in a block, one bad entry or right-hand side in a middle row refuses
     # the whole block, and the rows added before it stay as they were
     lp.add_row([2, 3], ">=", 0)
-    for rows, rhss in (
-        ([[1, 1], [1, bad], [0, 1]], [1, 1, 1]),
-        ([[1, 1], [1, 1], [0, 1]], [1, bad, 1]),
+    for columns, rhss in (
+        ([[1, 1, 0], [1, bad, 1]], [1, 1, 1]),
+        ([[1, 1, 0], [1, 1, 1]], [1, bad, 1]),
     ):
         with pytest.raises(ValueError, match="ints"):
-            lp.add_rows(rows, ["<=", ">=", "<="], rhss)
+            lp.add_block(columns, ["<=", ">=", "<="], rhss)
         assert (lp.lhs, lp.rel, lp.rhs) == ([[2, 3]], [">="], [0])
     with pytest.raises(ValueError, match="ints"):
         make_lp(2, [bad, 1])
+    with pytest.raises(ValueError, match="an int"):
+        make_lp(bad, [1], [False])
 
 
-@pytest.mark.parametrize(
-    "bad", [Fraction(1, 2), Fraction(2), 1.0, True], ids=["half", "whole-fraction", "float", "bool"]
-)
+@NOT_INTS_OR_NOT_BOOLS
 def test_non_int_columns_are_refused(bad):
     lp = make_lp(1, [1])
     lp.add_row([1], "<=", 1)
     lp.add_row([1], ">=", 0)
-    with pytest.raises(ValueError, match="ints"):
-        lp.add_column(0, True, [1, bad])
-    with pytest.raises(ValueError, match="ints"):
-        lp.add_column(bad, True, [1, 1])
+    if type(bad) is not int:
+        with pytest.raises(ValueError, match="ints"):
+            lp.add_column(0, True, [1, bad])
+        with pytest.raises(ValueError, match="ints"):
+            lp.add_column(bad, True, [1, 1])
+    if type(bad) is not bool:
+        with pytest.raises(ValueError, match="bool"):
+            lp.add_column(0, bad, [1, 1])
     assert lp == first_columns(lp, 1) and lp.num_vars == 1
 
 
@@ -251,25 +269,30 @@ def test_row_validation():
         lp.add_row([1, 1], "==", 0)
     with pytest.raises(ValueError):
         LinearProgram(num_vars=2, objective=[1], free=[False, False])
-    # a block with a bad width or relation in a middle row, or without one
-    # relation and one right-hand side per row, is refused whole
+    # a block with a column short or long by a row, a column too many, a
+    # bad relation in a middle row, or without one relation and one
+    # right-hand side per row, is refused whole
     lp.add_row([1, 1], "<=", 2)
-    for rows, rels, rhss in (
-        ([[1, 0], [1], [0, 1]], ["<=", "<=", "<="], [1, 1, 1]),
-        ([[1, 0], [1, 1, 1], [0, 1]], ["<=", "<=", "<="], [1, 1, 1]),
-        ([[1, 0], [1, 1], [0, 1]], ["<=", "==", "<="], [1, 1, 1]),
-        ([[1, 0], [1, 1], [0, 1]], ["<=", ["<="], "<="], [1, 1, 1]),
-        ([[1, 0], [1, 1], [0, 1]], ["<=", "<="], [1, 1, 1]),
-        ([[1, 0], [1, 1], [0, 1]], ["<=", "<=", "<="], [1, 1]),
+    for columns, rels, rhss in (
+        ([[1, 1, 0], [0, 1]], ["<=", "<=", "<="], [1, 1, 1]),
+        ([[1, 1, 0], [0, 1, 1, 1]], ["<=", "<=", "<="], [1, 1, 1]),
+        ([[1, 1, 0], [0, 1, 1], [0, 1, 0]], ["<=", "<=", "<="], [1, 1, 1]),
+        ([[1, 1, 0], [0, 1, 1]], ["<=", "==", "<="], [1, 1, 1]),
+        ([[1, 1, 0], [0, 1, 1]], ["<=", ["<="], "<="], [1, 1, 1]),
+        ([[1, 1, 0], [0, 1, 1]], ["<=", "<="], [1, 1, 1]),
+        ([[1, 1, 0], [0, 1, 1]], ["<=", "<=", "<="], [1, 1]),
     ):
         with pytest.raises(ValueError):
-            lp.add_rows(rows, rels, rhss)
+            lp.add_block(columns, rels, rhss)
         assert (lp.lhs, lp.rel, lp.rhs) == ([[1, 1]], ["<="], [2])
-    # a good block is appended whole, each row a list of its own
-    rows = [[1, 0], (0, 1)]
-    lp.add_rows(rows, ["<=", ">="], [1, 0])
+    # a good block is appended whole, each entry into the program's own
+    # column; the row view is made afresh on each read
+    columns = [[1, 0], (0, 1)]
+    lp.add_block(columns, ["<=", ">="], [1, 0])
     assert (lp.lhs, lp.rel, lp.rhs) == ([[1, 1], [1, 0], [0, 1]], ["<=", "<=", ">="], [2, 1, 0])
-    assert lp.lhs[1] is not rows[0]
+    assert lp.columns == [[1, 1, 0], [1, 0, 1]] and lp.columns[0] is not columns[0]
+    lp.lhs[0][0] = 5
+    assert lp.lhs[0] == [1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -295,16 +318,16 @@ def recomputed_tableau(simplex):
     """(|det B|, B^-1 A on the nonbasic columns with B^-1 b last, the
     reduced costs of the nonbasic columns with minus the objective last),
     recomputed in Fractions from the program the simplex last solved and
-    its basis alone: A is [I | sign * lhs] and b is sign * rhs, each >= row
-    negated, and c is 0 on the slacks."""
-    rel, rhs, objective, _, lhs = simplex.program
+    its basis alone: A is [I | sign * columns] and b is sign * rhs, each
+    >= row negated, and c is 0 on the slacks."""
+    rel, rhs, objective, _, columns = simplex.program
     sign = [1 if r == "<=" else -1 for r in rel]
     width = len(rhs)
 
     def column(j):
         if j < width:
             return [Fraction(int(i == j)) for i in range(width)]
-        return [Fraction(s * row[j - width]) for s, row in zip(sign, lhs)]
+        return [Fraction(s * a) for s, a in zip(sign, columns[j - width])]
 
     cost = [0] * width + objective
     # Gauss-Jordan on [B | A_N | b], keeping det B
@@ -338,8 +361,12 @@ def check_integer_tableau(simplex):
     # basic program columns, and each entry of every row, the reduced costs
     # included, equal to den times the one recomputed from the program:
     # den = |det B| makes every one an integer.  A slack row's entries are
-    # derived from the kernel rows, as the pivot derives them, both a row
-    # at a time and a slot at a time.
+    # derived from the kernel rows and the signed columns, as the pivot
+    # derives them, both a row at a time and a slot at a time; the signed
+    # columns are the held program's, each >= row's entry negated.
+    rel, _, _, _, columns = simplex.program
+    sign = [1 if r == "<=" else -1 for r in rel]
+    assert simplex.columns == [[s * a for s, a in zip(sign, column)] for column in columns]
     assert all(type(v) is int for row in [*simplex.rows, simplex.costrow] for v in row)
     assert type(simplex.den) is int and simplex.den > 0
     assert sorted(simplex.basis + simplex.nonbasic) == list(range(len(simplex.free)))
@@ -438,6 +465,54 @@ def test_warm_solve_needs_the_previous_rows():
     other.add_row([1, 1], "<=", 3)
     with pytest.raises(ValueError):
         solve(other, simplex)
+
+
+def change_entry(column):
+    def change(lp):
+        lp.columns[column][1] += 1
+
+    return change
+
+
+def change_relation(lp):
+    lp.rel[0] = ">="
+
+
+def change_rhs(lp):
+    lp.rhs[1] -= 1
+
+
+def change_cost(lp):
+    lp.objective[0] += 1
+
+
+def change_free(lp):
+    lp.free[1] = not lp.free[1]
+
+
+def add_row(lp):
+    lp.add_row([0, 0], "<=", 1)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [change_entry(0), change_entry(1), change_relation, change_rhs, change_cost, change_free, add_row],
+    ids=["entry", "appended-entry", "relation", "rhs", "cost", "free", "row"],
+)
+def test_warm_solve_refuses_a_changed_program(change):
+    # after a cold and a warm solve, a change in place of anything the
+    # simplex solved, in the first column or the appended one, refuses the
+    # next solve; appending a column alone is accepted
+    lp = make_lp(1, [-1], [False])
+    lp.add_row([1], "<=", 2)
+    lp.add_row([-1], ">=", -3)
+    simplex = Simplex()
+    solve(lp, simplex)
+    lp.add_column(-1, True, [1, 1])
+    assert solve(lp, simplex).value == -2
+    change(lp)
+    with pytest.raises(ValueError, match="warm solve"):
+        solve(lp, simplex)
 
 
 # ---------------------------------------------------------------------------
