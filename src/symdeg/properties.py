@@ -7,10 +7,14 @@ there).  Because the label depends only on the multiset of preimage
 counts, a property is symmetric by construction: permuting inputs or
 renaming outputs never changes the label.
 
-`enumerate_classes` labels the classes of an instance: it builds each
-class's `FrequencyVector` once, from the partition `partitions` yields,
-without checking it again, and the built-in rules read only the ends of
-the sorted parts (the largest and the smallest count), not every part.
+`enumerate_classes` labels the classes of an instance: the partitions
+of n with at most min(n, m) parts, which for every m >= n are the same
+ones.  It reads them from `sympoly`'s table, derived once per process
+per (n, min(n, m)), builds each class's `FrequencyVector` from its
+partition without checking it again, and calls the rule on it at every
+call, since a rule may read m and two properties may share a name.  The
+built-in rules read only the ends of the sorted parts (the largest and
+the smallest count), not every part.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from pathlib import Path
 from typing import Callable
 
 from .sparse import json_int
-from .sympoly import FrequencyVector, Partition, check_partition, partitions
+from .sympoly import FrequencyVector, Partition, _partition_table, check_partition
 
 
 class Label(enum.Enum):
@@ -149,16 +153,18 @@ def enumerate_classes(prop: PropertySpec, n: int, m: int) -> list[tuple[Partitio
     """All frequency classes of functions [n] -> [m] with their labels:
     one entry per partition of n with at most m parts, in reverse-lex order.
 
-    Each class's vector is built once, by `FrequencyVector._of_partition`,
-    from the partition `partitions` yields: n and m are ints >= 1 (checked
-    here and by `partitions`, which refuses a bool or any other non-int)
-    and the parts are positive, non-increasing and at most m, so the
-    checks of `FrequencyVector(m, lam)` are not run again."""
-    if n < 1 or m < 1:
-        raise ValueError("class enumeration needs n >= 1 and m >= 1")
+    The partitions come from `sympoly._partition_table`, shared by every
+    call with the same n and min(n, m); the list returned is new at each
+    call.  Each class's vector is built by `FrequencyVector._of_partition`:
+    n and m are ints >= 1 (checked here, before the table is looked up,
+    since the cache would take a bool or a float for an int) and the
+    parts are positive, non-increasing and at most m, so the checks of
+    `FrequencyVector(m, lam)` are not run again."""
+    if type(n) is not int or type(m) is not int or n < 1 or m < 1:
+        raise ValueError(f"class enumeration needs ints n >= 1 and m >= 1, got n={n!r}, m={m!r}")
     return [
         (lam, prop.classify(FrequencyVector._of_partition(m, lam)))
-        for lam in partitions(n, max_parts=m)
+        for lam in _partition_table(n, min(n, m))
     ]
 
 

@@ -34,7 +34,9 @@ renaming columns maps every monomial of one pattern to every other.
   orbit(lambda, m) counts the monomials of m_lambda.  So pattern mu with
   summed coefficient c adds c * W / (orbit(lambda, m) * (N)_k) to
   m_lambda, where the integer W is the sum of prod_a s(mu_a, t_a) over
-  the t that sort to lambda.  No named-variable polynomial is built;
+  the t that sort to lambda.  The weights W depend on mu alone, so each
+  pattern's are summed once per process (`_stirling_weights`) and read by
+  every later call.  No named-variable polynomial is built;
   `symmetrize_monomial` builds one, and the tests check against it.
 - `desymmetrize`: (y[1,j] + ... + y[N,j])^e normalizes to the sum over
   the nonempty row sets R of surj(e, |R|) * prod_{i in R} y[i,j], where
@@ -60,6 +62,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb, lcm, perm, prod
 from typing import Iterable, Iterator, Sequence
@@ -129,8 +132,8 @@ def symmetrize(p: YPolynomial) -> SymPolynomial:
     of p over all functions in the class; the degree never grows (it may
     shrink through cancellation).  The coefficients are summed per column
     pattern mu, and each pattern's average prod_a (z_a)_{mu_a} / (N)_k is
-    expanded by Stirling numbers into integer weights per partition (see
-    the module docstring).
+    expanded by Stirling numbers into integer weights per partition, read
+    from `_stirling_weights` (see the module docstring).
     """
     den = lcm(*(c.denominator for c in p.terms.values()))
     by_pattern: dict[Partition, int] = {}  # den times the summed coefficients
@@ -139,16 +142,25 @@ def symmetrize(p: YPolynomial) -> SymPolynomial:
         by_pattern[mu] = by_pattern.get(mu, 0) + c.numerator * (den // c.denominator)
     coeffs: dict[Partition, Fraction] = {}
     for mu, num in by_pattern.items():
-        rows = [stirling_row(e) for e in mu]
-        weights: dict[Partition, int] = {}
-        for t in product(*(range(1, e + 1) for e in mu)):
-            lam = tuple(sorted(t, reverse=True))
-            weights[lam] = weights.get(lam, 0) + prod(row[s] for row, s in zip(rows, t))
         scale = Fraction(num, den * perm(p.n, sum(mu)))
-        for lam, w in weights.items():
+        for lam, w in _stirling_weights(mu):
             orbit = multinomial([*Counter(lam).values(), p.m - len(lam)])
             coeffs[lam] = coeffs.get(lam, 0) + scale * w / orbit
     return SymPolynomial(p.m, coeffs)
+
+
+@lru_cache(maxsize=None)
+def _stirling_weights(mu: Partition) -> tuple[tuple[Partition, int], ...]:
+    """The pairs (lambda, W) of the module docstring for the column
+    pattern mu: W is the sum of prod_a s(mu_a, t_a) over the t that sort
+    to lambda.  They depend on mu alone, so each pattern's are summed
+    once per process."""
+    rows = [stirling_row(e) for e in mu]
+    weights: dict[Partition, int] = {}
+    for t in product(*(range(1, e + 1) for e in mu)):
+        lam = tuple(sorted(t, reverse=True))
+        weights[lam] = weights.get(lam, 0) + prod(row[s] for row, s in zip(rows, t))
+    return tuple(weights.items())
 
 
 def stirling_row(e: int) -> list[int]:

@@ -39,12 +39,17 @@ computed once, from columns the generator already holds, with
 O(distinct parts) integer operations per entry.  A column is one chain
 of lazy `map`s, drawn into a list once: m_mu * P_p entry by entry, then
 minus c_a * m_{nu_a} for each distinct part a, then floor division by
-mult_p(lambda), so the work per entry runs in C and the Python work per
-column is O(distinct parts).  nu_a is mu with a + p put in at its place,
-not sorted again, and the power sums P_w at weight w are the sums of the
-powers z_i^w, each a `map` over the weight w - 1 powers.  It looks mu
-and each nu_a up by partition, so a wrong order fails with a KeyError,
-never with a wrong number.  A caller that needs the partitions reads
+mult_p(lambda), so the work per entry runs in C.  Which mu, p, nu_a,
+c_a and mult_p(lambda) each lambda needs depends on its weight w and
+the part cap alone, not on the points, so it is planned once per
+process and per (w, min(cap, w)) (`_msym_plan`, over the cached
+`_partition_table`): the Python work per column is one read of its
+plan entry and one `map` per step, and no partition is walked or built
+per call.  nu_a is mu with a + p put in at its place, not sorted again,
+and the power sums P_w at weight w are the sums of the powers z_i^w,
+each a `map` over the weight w - 1 powers.  It looks mu and each nu_a
+up by partition, so a wrong order fails with a KeyError, never with a
+wrong number.  A caller that needs the partitions reads
 them from the blocks: `build_lp` turns the blocks into its columns and
 rows, and the degree search draws one block per degree.
 `SymPolynomial.numerators` is the one rule that evaluates a symmetric
@@ -70,6 +75,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, repeat
 from math import comb, lcm
 from operator import floordiv, ge, mul, sub
@@ -108,6 +114,18 @@ def check_degree(degree: int) -> None:
         raise ValueError(f"degree must be >= 0 and an int, got {degree!r}")
 
 
+def _part_slots(total: int, max_parts: int | None) -> int:
+    """The one rule for `partitions`' arguments: `total` an int >= 0 and
+    `max_parts` an int or None (a bool is refused for either).  Returns
+    the slots a partition of `total` can fill, min(max_parts, total)
+    clamped at 0, so every cap >= total gives the same slots."""
+    if type(total) is not int or type(max_parts) not in (int, type(None)):
+        raise ValueError(f"partitions needs int arguments, got {total!r}, {max_parts!r}")
+    if total < 0:
+        raise ValueError("cannot partition a negative total")
+    return total if max_parts is None else max(0, min(max_parts, total))
+
+
 def partitions(total: int, max_parts: int | None = None) -> Iterator[Partition]:
     """Partitions of `total` in reverse-lexicographic order: (n), ..., (1,..,1).
 
@@ -118,12 +136,8 @@ def partitions(total: int, max_parts: int | None = None) -> Iterator[Partition]:
     slots greedily from the left: the largest partition below the current
     one.
     """
-    if type(total) is not int or type(max_parts) not in (int, type(None)):
-        raise ValueError(f"partitions needs int arguments, got {total!r}, {max_parts!r}")
-    if total < 0:
-        raise ValueError("cannot partition a negative total")
-    slots = total if max_parts is None else min(max_parts, total)
-    if total and slots <= 0:
+    slots = _part_slots(total, max_parts)
+    if total and not slots:
         return
     parts = [total] if total else []
     while True:
@@ -140,6 +154,42 @@ def partitions(total: int, max_parts: int | None = None) -> Iterator[Partition]:
         parts[i:] = [lowered] * full
         if left:
             parts.append(left)
+
+
+# The shape tables below depend on two ints alone, so each is derived once
+# per process and shared by every call, whatever the points or the range m.
+# A caller checks its arguments by `_part_slots` before the lookup: the
+# cache would take True or 1.0 for the key 1.
+
+
+@lru_cache(maxsize=None)
+def _partition_table(total: int, slots: int) -> tuple[Partition, ...]:
+    """`partitions(total, slots)` as a tuple, for the `_part_slots` of a
+    checked (total, max_parts)."""
+    return tuple(partitions(total, slots))
+
+
+@lru_cache(maxsize=None)
+def _msym_plan(w: int, slots: int) -> tuple[tuple, ...]:
+    """The recurrence of the module docstring at weight w >= 1, planned
+    once: for each lambda of `_partition_table(w, slots)` in order, the
+    tuple (lambda, mu, p, ((nu_a, c_a), ...), mult_p(lambda)), one (nu_a,
+    c_a) per distinct part a of mu.  nu_a is mu with a + p put in at its
+    place, not sorted again."""
+    plan = []
+    for lam in _partition_table(w, slots):
+        mu, p = lam[:-1], lam[-1]
+        steps = []
+        j = 0  # mu[:j] are the parts >= a + p, so nu goes in at j
+        for i, a in enumerate(mu):
+            if i and a == mu[i - 1]:  # only the first a of each distinct part
+                continue
+            b = a + p
+            while mu[j] >= b:
+                j += 1
+            steps.append((mu[:j] + (b,) + mu[j:i] + mu[i + 1 :], 1 + mu.count(b)))
+        plan.append((lam, mu, p, tuple(steps), lam.count(p)))
+    return tuple(plan)
 
 
 def distinct_permutations(items: Iterable[int]) -> Iterator[tuple[int, ...]]:
@@ -233,10 +283,12 @@ def msym_columns(
     nothing) and may have more nonzero counts than `max_parts`: an entry
     is m_lambda at the whole point.  Each column is computed once, when
     its block is drawn, from the columns of the blocks before it and the
-    ones before it in its own block.  The degree is checked by
-    `check_degree` when the first block is drawn.
+    ones before it in its own block.  The degree and the part cap are
+    checked (`check_degree`, `_part_slots`) when the first block is
+    drawn; each block's recurrence is read from `_msym_plan`.
     """
     check_degree(degree)
+    _part_slots(degree, max_parts)
     points = list(points)
     columns = {(): [1] * len(points)}
     yield [((), columns[()])]
@@ -247,21 +299,11 @@ def msym_columns(
             powers = list(map(list, map(map, repeat(mul), powers, points)))
         sums.append(list(map(sum, powers)))
         block = []
-        for lam in partitions(w, max_parts):
-            mu, p = lam[:-1], lam[-1]
+        for lam, mu, p, steps, mult in _msym_plan(w, _part_slots(w, max_parts)):
             column = map(mul, columns[mu], sums[p])
-            j = 0  # mu[:j] are the parts >= a + p, so nu goes in at j
-            for i, a in enumerate(mu):
-                if i and a == mu[i - 1]:  # only the first a of each distinct part
-                    continue
-                b = a + p
-                while mu[j] >= b:
-                    j += 1
-                nu = mu[:j] + (b,) + mu[j:i] + mu[i + 1 :]
-                c = 1 + mu.count(b)
+            for nu, c in steps:
                 scaled = map(mul, columns[nu], repeat(c)) if c > 1 else columns[nu]
                 column = map(sub, column, scaled)
-            mult = lam.count(p)
             if mult > 1:
                 column = map(floordiv, column, repeat(mult))
             columns[lam] = column = list(column)

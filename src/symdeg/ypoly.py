@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Optional
@@ -49,10 +50,7 @@ class FunctionTable:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(self.values))
-        if type(self.n) is not int or type(self.m) is not int or self.n < 1 or self.m < 1:
-            raise ValueError(
-                f"a function table needs ints n >= 1 and m >= 1, got n={self.n!r}, m={self.m!r}"
-            )
+        self._check_shape(self.n, self.m)
         if len(self.values) != self.n:
             raise ValueError(f"expected {self.n} values, got {len(self.values)}")
         for v in self.values:
@@ -72,11 +70,20 @@ class FunctionTable:
         object.__setattr__(f, "values", values)
         return f
 
+    @staticmethod
+    def _check_shape(n: int, m: int) -> None:
+        """The shape rule of every table: ints n >= 1 and m >= 1 (a bool
+        is refused)."""
+        if type(n) is not int or type(m) is not int or n < 1 or m < 1:
+            raise ValueError(f"a function table needs ints n >= 1 and m >= 1, got n={n!r}, m={m!r}")
+
     @classmethod
     def all(cls, n: int, m: int) -> Iterator["FunctionTable"]:
-        """All m**n function tables, in lexicographic order of value tuples."""
-        for values in product(range(1, m + 1), repeat=n):
-            yield cls(n, m, values)
+        """All m**n function tables, in lexicographic order of value tuples.
+        n and m are checked here, when called, so every value tuple is a
+        valid table and is built by `_of_values`."""
+        cls._check_shape(n, m)
+        return map(partial(cls._of_values, n, m), product(range(1, m + 1), repeat=n))
 
     def __call__(self, i: int) -> int:
         return self.values[i - 1]

@@ -258,6 +258,34 @@ def test_enumerate_classes_checks_no_partition_again(monkeypatch):
     assert seen == [(9,)]
 
 
+def test_enumerate_classes_refuses_non_int_sizes_after_caching():
+    # the partition tables for (1, 1) and (3, 1) are held; a bool or a
+    # float n or m must not reach them as the key 1
+    enumerate_classes(ALWAYS_ONE, 1, 1)
+    enumerate_classes(ALWAYS_ONE, 3, 1)
+    for n, m in [(True, 1), (1.0, 1), (3, True), (3, 1.0), (1, True)]:
+        with pytest.raises(ValueError):
+            enumerate_classes(ALWAYS_ONE, n, m)
+
+
+def test_enumerate_classes_returns_a_new_list_each_call():
+    first = enumerate_classes(ELEMENT_DISTINCTNESS, 5, 5)
+    expected = list(first)
+    first.clear()
+    assert enumerate_classes(ELEMENT_DISTINCTNESS, 5, 5) == expected
+    second = enumerate_classes(ELEMENT_DISTINCTNESS, 5, 5)
+    second[0] = ((1,), Label.ZERO)
+    assert enumerate_classes(ELEMENT_DISTINCTNESS, 5, 5) == expected
+
+
+def test_every_range_at_least_n_shares_one_partition_table():
+    first = enumerate_classes(ELEMENT_DISTINCTNESS, 5, 5)
+    held = sympoly._partition_table.cache_info().currsize
+    for m in range(5, 61):
+        assert enumerate_classes(ELEMENT_DISTINCTNESS, 5, m) == first
+    assert sympoly._partition_table.cache_info().currsize == held
+
+
 def test_unchecked_class_vectors_equal_checked_ones():
     for n in range(11):
         for lam in partitions(n):

@@ -24,6 +24,7 @@ from symdeg.sympoly import (
 )
 from symdeg.symmetrize import (
     _exact_mean,
+    _stirling_weights,
     average_oracle,
     average_over_counts,
     class_size,
@@ -521,6 +522,17 @@ def test_stirling_row_expands_the_falling_factorial():
         assert row[e] == 1 and row[0] == (e == 0)
         for z in range(-3, 10):
             assert sum(s * z**t for t, s in enumerate(row)) == math.prod(z - i for i in range(e))
+
+
+def test_symmetrize_is_the_same_from_a_cold_and_a_warm_weight_cache():
+    # the Stirling weights are held per column pattern, as immutable
+    # tuples: a call that fills the cache and one that reads it agree
+    p = YPolynomial(4, 3, {((1, 1), (2, 1), (3, 2)): Fraction(2, 3), ((1, 2), (4, 3)): -1, (): 1})
+    _stirling_weights.cache_clear()
+    cold = symmetrize(p)
+    assert _stirling_weights.cache_info().currsize == 3
+    assert all(type(w) is tuple for w in map(_stirling_weights, [(2, 1), (1, 1), ()]))
+    assert symmetrize(p) == cold == symmetrize_by_monomial(p)
 
 
 def test_surj_counts_onto_maps():

@@ -411,14 +411,76 @@ def test_partition_basis_lists_each_step_before_the_partition_it_feeds():
                     assert index[nu] < j, (d, k, lam, nu)
 
 
-def test_msym_columns_fail_loudly_out_of_order(monkeypatch):
+SHAPE_CACHES = (sympoly._partition_table, sympoly._msym_plan)
+
+
+@pytest.fixture
+def fresh_shape_caches():
+    """Empty the per-process shape caches before and after a test that
+    patches what they read, so the test plans afresh from the patch and
+    no table or plan made from the patch outlives it."""
+    for cached in SHAPE_CACHES:
+        cached.cache_clear()
+    yield
+    for cached in SHAPE_CACHES:
+        cached.cache_clear()
+
+
+def test_msym_columns_fail_loudly_out_of_order(monkeypatch, fresh_shape_caches):
     # in ascending order (1, 1) comes before the (2,) its recurrence
     # reads, so the lookup by partition raises instead of reading a
     # wrong entry
-    ordered = sympoly.partitions
-    monkeypatch.setattr(sympoly, "partitions", lambda w, k: iter(sorted(ordered(w, k))))
-    with pytest.raises(KeyError):
+    ordered = sympoly._partition_table
+    monkeypatch.setattr(sympoly, "_partition_table", lambda w, k: tuple(sorted(ordered(w, k))))
+    with pytest.raises(KeyError) as missing:
         list(msym_columns([(2, 1)], 2, 2))
+    assert missing.value.args == ((2,),)
+
+
+def planned_afresh(w, k):
+    """The plan of the m_lambda recurrence at weight w and part cap k,
+    derived here with no cache: nu_a sorted again, the partitions walked
+    by `partitions` itself."""
+    plan = []
+    for lam in partitions(w, max_parts=k):
+        mu, p = lam[:-1], lam[-1]
+        steps = tuple(
+            (tuple(sorted(mu[:i] + (a + p,) + mu[i + 1 :], reverse=True)), 1 + mu.count(a + p))
+            for i, a in enumerate(mu)
+            if a not in mu[:i]
+        )
+        plan.append((lam, mu, p, steps, lam.count(p)))
+    return tuple(plan)
+
+
+def test_msym_plan_equals_a_fresh_derivation():
+    for w in range(1, 13):
+        for k in range(w + 1):
+            assert sympoly._msym_plan(w, k) == planned_afresh(w, k), (w, k)
+            assert sympoly._partition_table(w, k) == tuple(partitions(w, max_parts=k))
+
+
+def test_every_cap_at_least_the_weight_shares_one_plan():
+    points = list(partitions(6))
+    list(msym_columns(points, 6, 6))
+    planned = sympoly._msym_plan.cache_info().currsize
+    for cap in range(6, 60):
+        assert column_rows(points, 6, cap) == column_rows(points, 6, 6)
+    assert sympoly._msym_plan.cache_info().currsize == planned
+
+
+def test_cached_tables_do_not_admit_a_bool_or_a_float():
+    # the cache takes True and 1.0 for the key 1, so the arguments are
+    # checked before any lookup, with the tables for (1, 1) and (3, 1) held
+    sympoly._partition_table(1, 1)
+    sympoly._partition_table(3, 1)
+    list(msym_columns([(1,)], 1, 1))
+    for total, max_parts in [(True, None), (1.0, None), (3, True), (3, 1.0)]:
+        with pytest.raises(ValueError):
+            list(partitions(total, max_parts))
+    for cap in (True, 1.0, "1"):
+        with pytest.raises(ValueError):
+            list(msym_columns([(1,)], 1, cap))
 
 
 def test_partitions_need_int_arguments():

@@ -27,6 +27,21 @@ def test_all_functions_count_and_order():
     assert fs[-1].values == (3, 3)
 
 
+@pytest.mark.parametrize("n,m", [(2, 0), (2, 1.0), (-1, 2), (0, 3), (True, 2)])
+def test_all_functions_refuses_a_bad_shape_when_called(n, m):
+    # refused on the call itself, before any table is drawn, with the
+    # rule and message of a single table
+    with pytest.raises(ValueError, match=r"a function table needs ints n >= 1 and m >= 1"):
+        FunctionTable.all(n, m)
+
+
+def test_all_functions_equal_checked_tables():
+    for n in range(1, 4):
+        for m in range(1, 4):
+            expected = [FunctionTable(n, m, v) for v in itertools.product(range(1, m + 1), repeat=n)]
+            assert list(FunctionTable.all(n, m)) == expected
+
+
 def test_function_table_validates_range():
     with pytest.raises(ValueError):
         FunctionTable(2, 2, (1, 3))
