@@ -12,11 +12,11 @@ functions from one walk over the rows (`YPolynomial.numerators`).  One
 walk over the prefixes' column counts (`class_indices`) gives each
 function's class as a small int, so no function is classified, sorted or
 turned into a `Fraction` on its own: each distinct (class, value) pair
-is judged once.  The points are walked again, in order, only to gather
-the violations when some pair fails, and once more to build the
-report's table of one row per point, the first time that is read: a
-caller that reads only `passed` (as `transfer_approximation` does) pays
-for neither.  Everything is exact rational arithmetic; a report either
+is judged once, in integers, against its label's band.  The points are
+walked again, in order, only to gather the violations when some pair
+fails, and once more to build the report's table of one row per point,
+the first time that is read: a caller that reads only `passed` (as
+`transfer_approximation` does) pays for neither.  Everything is exact rational arithmetic; a report either
 passes or carries the concrete violating classes/functions.
 """
 
@@ -151,10 +151,13 @@ def verify_approximation(
     `class_indices`.  Either way the values come from the polynomial's
     `numerators` and the labels from the class table of
     `enumerate_classes`, and a point's verdict depends only on its
-    (class, value) pair, so each distinct pair is judged and formatted
-    once.  The violations are gathered in point order only when some pair
-    fails, and the rows are built the first time the report's `table` is
-    read.  The instance must pass `check_instance`, as for the degree search.
+    (class, value) pair, so each distinct pair is judged once, in
+    integers: its numerator against its label's band, computed once per
+    label and cross-multiplied by the denominator.  The violations are
+    gathered in point order only when some pair fails, and the rows are
+    built the first time the report's `table` is read, with one value
+    text per distinct value; only those two make a `Fraction`.  The
+    instance must pass `check_instance`, as for the degree search.
     """
     eps = check_instance(prop, n, m, eps)
     if isinstance(poly, YPolynomial):
@@ -178,24 +181,34 @@ def verify_approximation(
         den, nums = poly.numerators()
         where = None  # the functions in the order of numerators, walked afresh each time
         ids = class_indices(n, m, [lam for lam, _ in classes])
-    judged: dict[tuple[int, int], tuple] = {}  # (ok, shown label, value text, violation fields)
+    labels = [label for _, label in classes]
+    bands = {label: bounds_for(label, eps) for label in set(labels)}
+    # lower <= num / den <= upper, cross-multiplied (every denominator is positive)
+    scaled = [
+        (lo.numerator * den, lo.denominator, hi.numerator * den, hi.denominator)
+        for lo, hi in map(bands.__getitem__, labels)
+    ]
+    judged: dict[tuple[int, int], bool] = {}
     for k, num in set(zip(ids, nums)):
-        label = classes[k][1]
-        lower, upper = bounds_for(label, eps)
-        value = Fraction(num, den)
-        judged[k, num] = (lower <= value <= upper, label.value, str(value), (label, value, lower, upper))
+        lo, lo_den, hi, hi_den = scaled[k]
+        judged[k, num] = lo <= num * lo_den and num * hi_den <= hi
 
-    def verdicts() -> Iterator[tuple[tuple[int, ...], tuple]]:
+    def verdicts() -> Iterator[tuple[tuple[int, ...], int, int, bool]]:
         points = where if where is not None else product(range(1, m + 1), repeat=n)
-        return zip(points, map(judged.__getitem__, zip(ids, nums)))
+        return zip(points, ids, nums, map(judged.__getitem__, zip(ids, nums)))
 
     violations = ()
-    if not all(ok for ok, *_ in judged.values()):
+    if not all(judged.values()):
         violations = tuple(
-            Violation(kind, tuple(point), *found) for point, (ok, _, _, found) in verdicts() if not ok
+            Violation(kind, tuple(point), labels[k], Fraction(num, den), *bands[labels[k]])
+            for point, k, num, ok in verdicts()
+            if not ok
         )
-    rows = (
-        {"kind": kind, "where": list(point), "label": shown, "value": text, "ok": ok}
-        for point, (ok, shown, text, _) in verdicts()
-    )
-    return Report(not violations, violations, rows)
+
+    def rows() -> Iterator[dict]:
+        shown = [label.value for label in labels]
+        texts = {num: str(Fraction(num, den)) for num in set(nums)}
+        for point, k, num, ok in verdicts():
+            yield {"kind": kind, "where": list(point), "label": shown[k], "value": texts[num], "ok": ok}
+
+    return Report(not violations, violations, rows())

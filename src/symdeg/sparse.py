@@ -79,8 +79,11 @@ class SparsePolynomial:
             key = key_of(raw)
             if key is None:
                 continue
-            acc[key] = acc.get(key, Fraction(0)) + Fraction(coeff)
-        self.terms = {key: c for key, c in acc.items() if c != 0}
+            if type(coeff) is not Fraction:  # a Fraction is immutable: taken as it is
+                coeff = Fraction(coeff)
+            held = acc.get(key)
+            acc[key] = coeff if held is None else held + coeff
+        self.terms = {key: c for key, c in acc.items() if c}
 
     @classmethod
     def _canonical(cls, *args):

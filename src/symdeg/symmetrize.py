@@ -115,7 +115,8 @@ def symmetrize_monomial(mono: Monomial, n: int, m: int) -> SymPolynomial:
 def column_pattern(mono: Monomial) -> Partition:
     """The column multiplicities of a monomial, sorted non-increasing: the
     one thing its class average and its column-sum coefficient depend on."""
-    return tuple(sorted(Counter(j for _, j in mono).values(), reverse=True))
+    cols = [j for _, j in mono]
+    return tuple(sorted(map(cols.count, set(cols)), reverse=True))
 
 
 def surj(e: int, k: int) -> int:

@@ -248,10 +248,11 @@ class FrequencyVector:
     def _of_partition(cls, m: int, parts: Partition) -> "FrequencyVector":
         """The vector of a partition that `partitions(n, max_parts=m)` has
         just yielded, for an int m >= 1: every rule of `__post_init__`
-        already holds, so it is not run again."""
+        already holds, so it is not run again, and the fields are written
+        into the instance `__dict__` directly."""
         z = object.__new__(cls)
-        object.__setattr__(z, "m", m)
-        object.__setattr__(z, "parts", parts)
+        fields = z.__dict__
+        fields["m"], fields["parts"] = m, parts
         return z
 
     @classmethod

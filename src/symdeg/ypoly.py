@@ -19,10 +19,12 @@ lexicographic order of `FunctionTable.all`, as integer numerators over
 one common denominator, from one depth-first walk over the rows: a node
 for the prefix f(1..r) carries the sum of the terms that prefix already
 completes and the terms it still agrees with, so every term is looked at
-once per node, not once per function, and a node at row N-1 emits its M
-values at once.  `SymPolynomial.numerators` gives the same shape for a
-symmetric polynomial at frequency classes, and `verify_approximation`
-judges either from it.
+once per node, not once per function.  The walk stops at the prefixes
+f(1..N-2), and each emits its M*M values (every f(N-1), f(N)) as one
+block: M times fewer nodes than a walk down to f(1..N-1).
+`SymPolynomial.numerators` gives the same shape for a symmetric
+polynomial at frequency classes, and `verify_approximation` judges
+either from it.
 """
 
 from __future__ import annotations
@@ -63,11 +65,11 @@ class FunctionTable:
     def _of_values(cls, n: int, m: int, values: tuple[int, ...]) -> "FunctionTable":
         """The table of a tuple of n ints in 1..m, for ints n, m >= 1, that
         its maker already guarantees: every rule of `__post_init__`
-        already holds, so it is not run again."""
+        already holds, so it is not run again, and the fields are written
+        into the instance `__dict__` directly."""
         f = object.__new__(cls)
-        object.__setattr__(f, "n", n)
-        object.__setattr__(f, "m", m)
-        object.__setattr__(f, "values", values)
+        fields = f.__dict__
+        fields["n"], fields["m"], fields["values"] = n, m, values
         return f
 
     @staticmethod
@@ -211,11 +213,18 @@ class YPolynomial(SparsePolynomial):
         later row passes to every child, sharing the parent's list of them;
         a link (r, j) goes only to child j, as its next link, or into its
         running sum if it was the last.  A child reuses that shared list
-        unless a link at its column goes on.  Every link a node at row
-        n - 1 holds is at row n, so that node emits its m sums at once.
-        Beyond the m**n numerators, the walk holds one node per row:
-        O(n * terms) extra memory.  No budget is checked here; the caller
-        bounds m**n.
+        unless a link at its column goes on.
+
+        The walk stops at the nodes for f(1..n-2), whose links are all at
+        rows n - 1 and n, and each emits its m x m block, f(n - 1) major,
+        at once.  A link that ends on row n adds to a whole column of the
+        block and one that ends on row n - 1 to a whole row, so the block
+        is one list of column sums shifted by each row's sum (one C-level
+        `map` per row), and each (n - 1, n) pair then adds to its one
+        entry.  At n = 1 the root's links are all at row 1, and its m sums
+        are the whole answer.  Beyond the m**n numerators, the walk holds
+        one node per row and a block's three lists: O(n * terms + m) extra
+        memory.  No budget is checked here; the caller bounds m**n.
         """
         n, m = self.n, self.m
         den = lcm(*(c.denominator for c in self.terms.values()))
@@ -253,18 +262,33 @@ class YPolynomial(SparsePolynomial):
                 else:
                     yield total + entry[0], passing + entry[1] if entry[1] else passing
 
+        if n == 1:  # every link is at row 1
+            leaves = [constant] * m
+            for link in held:
+                leaves[link[1] - 1] += link[3]
+            return den, leaves
         sums: list[int] = []
         path = [iter([(constant, held)])]  # one generator per row of the prefix
         while path:
             node = next(path[-1], None)
             if node is None:
                 path.pop()
-            elif len(path) == n:
+            elif len(path) == n - 1:
+                # every held link is at row n - 1 or n: emit the m x m block
                 total, links = node
-                leaves = [total] * m
-                for link in links:
-                    leaves[link[1] - 1] += link[3]
-                sums += leaves
+                base, shift, pairs = [total] * m, [0] * m, []
+                for i, j, after, num in links:
+                    if i == n:  # on the whole column f(n) = j
+                        base[j - 1] += num
+                    elif after is None:  # on the whole row f(n - 1) = j
+                        shift[j - 1] += num
+                    else:  # on the one entry f(n - 1) = j, f(n) = after's column
+                        pairs.append(((j - 1) * m + after[1] - 1, num))
+                start = len(sums)
+                for s in shift:
+                    sums += map(s.__add__, base) if s else base
+                for k, num in pairs:
+                    sums[start + k] += num
             else:
                 path.append(children(len(path), *node))
         return den, sums

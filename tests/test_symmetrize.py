@@ -6,6 +6,7 @@ ground truth here; the closed-form routes must reproduce them exactly.
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -464,6 +465,14 @@ def test_column_pattern():
     assert column_pattern(()) == ()
     assert column_pattern(((1, 3), (2, 1), (3, 3), (4, 2))) == (2, 1, 1)
     assert column_pattern(((1, 2), (2, 2), (3, 2))) == (3,)
+
+
+def test_column_pattern_equals_the_counter_form_on_the_4x4_grid():
+    # each row is either absent or picks one of the 4 columns: 625 monomials
+    for cols in itertools.product([None, 1, 2, 3, 4], repeat=4):
+        mono = tuple((i, j) for i, j in enumerate(cols, 1) if j is not None)
+        counted = Counter(j for _, j in mono).values()
+        assert column_pattern(mono) == tuple(sorted(counted, reverse=True))
 
 
 @pytest.mark.parametrize(

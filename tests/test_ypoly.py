@@ -227,23 +227,30 @@ def test_evaluate_matches_raw_factor_products(drawn):
 
 
 @st.composite
-def grid_polynomials(draw):
-    """A polynomial on a grid up to 4x4, m < n allowed, with up to 6 raw
-    terms of up to 4 factors; the zero polynomial and constant-only ones
-    come up as draws with no terms and with only empty factor lists."""
-    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    factors = st.lists(st.tuples(st.integers(1, n), st.integers(1, m)), max_size=4)
+def grid_polynomials(draw, rows: int, cols: int, factors_max: int):
+    """A polynomial on a grid of up to rows x cols, m < n allowed, with up
+    to 6 raw terms of up to factors_max factors; the zero polynomial and
+    constant-only ones come up as draws with no terms and with only empty
+    factor lists."""
+    n, m = draw(st.integers(1, rows)), draw(st.integers(1, cols))
+    factors = st.lists(st.tuples(st.integers(1, n), st.integers(1, m)), max_size=factors_max)
     coeffs = st.builds(Fraction, st.integers(-10, 10), st.integers(1, 12))
     return YPolynomial(n, m, draw(st.lists(st.tuples(factors, coeffs), max_size=6)))
 
 
-@given(grid_polynomials())
+@given(st.one_of(grid_polynomials(4, 4, 4), grid_polynomials(5, 3, 5)))
 @example(YPolynomial.zero(1, 1))
 @example(YPolynomial.zero(4, 2))
 @example(YPolynomial.constant(1, 4, Fraction(-3, 7)))
 @example(YPolynomial.constant(3, 1, 5))
 @example(YPolynomial(4, 1, {((1, 1), (4, 1)): Fraction(1, 2), (): 1}))
 @example(YPolynomial(3, 2, {((1, 2), (3, 1)): Fraction(2, 3), ((2, 2),): Fraction(-1, 6)}))
+# n = 1, where the root's links are the whole answer; n = 2, where the root
+# emits the one m x m block (links ending on row 1, on row 2, and pairs);
+# and n = 5, where each node for f(1..3) emits one
+@example(YPolynomial(1, 3, {((1, 2),): Fraction(1, 2), ((1, 3),): -2, (): 3}))
+@example(YPolynomial(2, 3, {((1, 2), (2, 3)): 5, ((1, 2),): -1, ((2, 3),): Fraction(2, 3), ((1, 1), (2, 1)): 7}))
+@example(YPolynomial(5, 2, {((4, 1), (5, 2)): 1, ((1, 2), (4, 2)): 3, ((5, 1),): -1, (): 2}))
 @settings(max_examples=300, deadline=None)
 def test_numerators_match_evaluate_in_order(p):
     den, sums = p.numerators()
@@ -252,16 +259,38 @@ def test_numerators_match_evaluate_in_order(p):
     assert [Fraction(s, den) for s in sums] == [p.evaluate(f) for f in FunctionTable.all(p.n, p.m)]
 
 
-def test_numerators_on_every_monomial_of_the_2x3_grid():
-    # each row is either absent or picks one of the 3 columns: 16 monomials
-    rows = [[None, 1, 2, 3]] * 2
-    for cols in itertools.product(*rows):
+def assert_numerators_on_every_monomial(n: int, m: int) -> None:
+    """Each row is either absent or picks one of the m columns: (m + 1)**n
+    monomials, so every kind of link at rows n - 1 and n comes up."""
+    for cols in itertools.product([None, *range(1, m + 1)], repeat=n):
         mono = tuple((i, j) for i, j in enumerate(cols, 1) if j is not None)
-        p = YPolynomial(2, 3, {mono: Fraction(5, 3)})
-        expected = [p.evaluate(f) for f in FunctionTable.all(2, 3)]
+        p = YPolynomial(n, m, {mono: Fraction(5, 3)})
+        expected = [p.evaluate(f) for f in FunctionTable.all(n, m)]
         den, sums = p.numerators()
         assert den == 3 and [Fraction(s, den) for s in sums] == expected
-        assert expected.count(Fraction(5, 3)) == 3 ** (2 - len(mono))
+        assert expected.count(Fraction(5, 3)) == m ** (n - len(mono))
+
+
+def test_numerators_on_every_monomial_of_the_2x3_grid():
+    assert_numerators_on_every_monomial(2, 3)  # 16 monomials
+
+
+def test_numerators_on_every_monomial_of_the_3x2_grid():
+    assert_numerators_on_every_monomial(3, 2)  # 27 monomials
+
+
+def test_constructor_coefficients_are_fractions_summed_per_key():
+    third = Fraction(1, 3)
+    p = YPolynomial(2, 2, [(((1, 1),), 2), (((2, 2),), "3/4"), ((), third)])
+    assert p.terms == {((1, 1),): Fraction(2), ((2, 2),): Fraction(3, 4), (): third}
+    assert all(type(c) is Fraction for c in p.terms.values())
+    # a repeated key adds, whatever the spelling of its factors
+    p = YPolynomial(2, 2, [(((1, 1),), 2), (((1, 1), (1, 1)), "1/2"), (((2, 1),), third)])
+    assert p.terms == {((1, 1),): Fraction(5, 2), ((2, 1),): third}
+    assert all(type(c) is Fraction for c in p.terms.values())
+    # a zero sum drops its key, as a zero coefficient does
+    p = YPolynomial(2, 2, [(((1, 1),), third), (((1, 1),), "-1/3"), (((2, 2),), 0), ((), 1)])
+    assert p.terms == {(): Fraction(1)}
 
 
 @given(factor_lists, factor_lists)
